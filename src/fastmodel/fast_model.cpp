@@ -3,16 +3,18 @@
 // skip-sampling (statistically identical to the cycle core's per-cycle
 // Bernoulli process), each transfer is walked analytically over its XY route
 // against per-server busy-until clocks (source NI serializer, every directed
-// link, destination ejection port), and TDM circuits replay the cycle core's
-// policy state machine (per-epoch pair frequencies, real SlotTable
-// reservations with the slot+2-per-hop walk, window alignment, the
-// cs_latency_advantage switching decision and the EWMA congestion signal)
-// without simulating the flits that carry it.
+// link, destination ejection port), and TDM circuits call the cycle core's
+// switching policy in tdm/switching_policy.hpp (per-epoch pair frequencies,
+// setup admission and slot draw, the switching decision and the EWMA
+// congestion signal) over real SlotTable reservations with the
+// slot+2-per-hop walk, without simulating the flits that carry it. Only
+// the mechanism is this model's own: the closed-form window search over
+// cs_busy_until and the synchronous setup walk.
 //
-// Everything observable — latency constants, energy event counts, per-cycle
-// leakage integrals, the warmup/measurement-window methodology — mirrors the
-// cycle core's definitions; see fast_model.hpp for the calibration contract
-// and the list of accepted approximations.
+// Energy event counts, per-cycle leakage integrals and the window's
+// RunResult (sim/run_types.hpp window_result) follow the cycle core's
+// definitions; see fast_model.hpp for the calibration contract and the list
+// of accepted approximations.
 #include "fastmodel/fast_model.hpp"
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include "common/rng.hpp"
 #include "noc/routing.hpp"
 #include "tdm/slot_table.hpp"
+#include "tdm/switching_policy.hpp"
 
 namespace hybridnoc {
 namespace {
@@ -55,9 +58,10 @@ struct Window {
 struct Conn {
   std::vector<Window> windows;
   Cycle last_used = 0;
+  int window_count() const { return static_cast<int>(windows.size()); }
 };
 
-/// Per-node NI policy state (the fast-model shadow of HybridNi). The
+/// Per-node NI policy state (HybridNi's counterpart). The
 /// per-destination policy fields are dense vectors indexed by destination —
 /// every injection reads several of them, and hash maps were a measurable
 /// fraction of the event loop.
@@ -67,7 +71,7 @@ struct NiState {
   std::vector<Cycle> cooldown_until;
   std::vector<Cycle> pending_until;
   Cycle epoch_start = 0;
-  Cycle cs_busy_until = 0;  ///< shadow of cs_plan_: next admissible CS start
+  Cycle cs_busy_until = 0;  ///< stands in for cs_plan_: next admissible CS start
   double ewma = 0.0;        ///< ewma_inject_delay of the base NI
 };
 
@@ -301,24 +305,54 @@ class FastModel {
     }
   }
 
-  /// Trace-driven run: replay `trace` (looped) instead of drawing a
-  /// synthetic injection process. The synthetic ctor still runs so the
-  /// policy shadow and rng streams are set up identically; the injection
-  /// calendar is simply never armed.
-  FastModel(const NocConfig& cfg, const RunParams& params,
-            const std::vector<TraceEntry>& trace)
-      : FastModel(cfg, params) {
-    HN_CHECK_MSG(!trace.empty(), "fast model: empty trace");
-    trace_ = &trace;
-  }
-
+  /// Synthetic run: per-node next-injection times on a calendar (geometric
+  /// gaps), destinations drawn at injection time.
   RunResult run() {
-    if (trace_) return run_trace_mode();
     if (p_ > 0.0) {
       for (NodeId v = 0; v < n_; ++v) inj_.push(inject_gap(v), v);
     }
-    while (!done_ && !inj_.empty()) {
-      const Cycle t_inj = inj_.next_any();
+    return run_loop(
+        [this] { return inj_.empty() ? kCycleNever : inj_.next_any(); },
+        [this](Cycle t) {
+          inj_.consume(t, [this, t](NodeId v) {
+            inject(v, t, fps_, /*cs_eligible=*/true,
+                   [this, v] { return draw_destination(v); });
+            inj_.push(t + 1 + inject_gap(v), v);
+          });
+        });
+  }
+
+  /// Trace-driven run: replay `tr` (looped; vetted by check_trace) with the
+  /// rng streams set up as for a synthetic run. The next injection is the
+  /// next entry shifted by the loop offset; entry cycles strictly increase
+  /// across loop passes (the offset advances by the span, TraceTraffic's
+  /// loop period), as the calendars' forward-only cursors require.
+  RunResult run(const std::vector<TraceEntry>& tr) {
+    const Cycle span = tr.back().cycle + 1;
+    size_t pos = 0;
+    Cycle offset = 0;
+    return run_loop([&] { return tr[pos].cycle + offset; }, [&](Cycle t) {
+      while (tr[pos].cycle + offset == t) {
+        const TraceEntry& e = tr[pos];
+        inject(e.src, t, e.flits, circuit_eligible(cfg_, e.flits),
+               [&e] { return e.dst; });
+        if (++pos == tr.size()) {
+          pos = 0;
+          offset += span;
+        }
+      }
+    });
+  }
+
+ private:
+  /// The event loop over an injection source (templates, not virtual calls:
+  /// this is the model's hot loop). `next()` is the next injection time,
+  /// kCycleNever once the source runs dry; `inject_at(t)` injects all of t.
+  template <typename Next, typename InjectAt>
+  RunResult run_loop(Next&& next, InjectAt&& inject_at) {
+    while (!done_) {
+      const Cycle t_inj = next();
+      if (t_inj == kCycleNever) break;
       // Move every in-flight head that precedes (or ties with) the next
       // injection, mirroring the cycle core's router-before-NI update order
       // within a tick. Heads only touch link/ejection clocks and push
@@ -340,49 +374,7 @@ class FastModel {
       drain_deliveries(t_inj);
       if (done_) break;
       if (armed_ && !measuring_ && t_inj >= measure_start_) begin_window();
-      inj_.consume(t_inj, [this, t_inj](NodeId v) {
-        process_injection(v, t_inj);
-        inj_.push(t_inj + 1 + inject_gap(v), v);
-      });
-    }
-    return finalize();
-  }
-
- private:
-  /// The trace twin of run(): the next event time is the next trace entry
-  /// (shifted by the loop offset) instead of the injection calendar. Entry
-  /// cycles strictly increase across loop passes (offset advances by the
-  /// span), which is what the calendars' forward-only cursors require.
-  RunResult run_trace_mode() {
-    const std::vector<TraceEntry>& tr = *trace_;
-    const Cycle span = tr.back().cycle + 1;  // TraceTraffic's loop period
-    size_t pos = 0;
-    Cycle offset = 0;
-    while (!done_) {
-      const Cycle t_inj = tr[pos].cycle + offset;
-      const Cycle hop_bound = std::min(t_inj, params_.max_cycles - 1);
-      Cycle t_hop;
-      while ((t_hop = hops_.next_at(hop_bound)) != kCycleNever) {
-        hops_.consume(t_hop, [this, t_hop](const HopEvent& h) {
-          process_hop(t_hop, h);
-        });
-      }
-      if (t_inj >= params_.max_cycles) {
-        drain_deliveries(params_.max_cycles);
-        if (!done_) end_cycle_ = params_.max_cycles;
-        break;
-      }
-      drain_deliveries(t_inj);
-      if (done_) break;
-      if (armed_ && !measuring_ && t_inj >= measure_start_) begin_window();
-      while (pos < tr.size() && tr[pos].cycle + offset == t_inj) {
-        const TraceEntry& e = tr[pos];
-        process_trace_injection(e.src, e.dst, e.flits, t_inj);
-        if (++pos == tr.size()) {
-          pos = 0;
-          offset += span;
-        }
-      }
+      inject_at(t_inj);
     }
     return finalize();
   }
@@ -585,10 +577,8 @@ class FastModel {
     const Cycle head = std::max(t, ni_free_[static_cast<size_t>(src)]);
     ni_free_[static_cast<size_t>(src)] = head + static_cast<Cycle>(flits);
     if (tdm_) {
-      // ewma_inject_delay: the base NI smooths (injection - creation) of
-      // every non-config head flit with a 0.9/0.1 EWMA.
-      NiState& st = ni_[static_cast<size_t>(src)];
-      st.ewma = 0.9 * st.ewma + 0.1 * static_cast<double>(head - t);
+      // The base NI's ewma_inject_delay congestion signal.
+      smooth_inject_delay(ni_[static_cast<size_t>(src)].ewma, head - t);
     }
     ps_energy(rr.hops, flits, /*is_data=*/true);
     const HopEvent ev{rr.off, static_cast<std::uint16_t>(rr.hops),
@@ -635,32 +625,29 @@ class FastModel {
                   h.flits);
   }
 
-  // --- TDM policy shadow --------------------------------------------------
+  // --- TDM policy state and mechanism ------------------------------------
 
   void epoch_tick(NodeId v, Cycle t) {
     NiState& st = ni_[static_cast<size_t>(v)];
-    if (t < st.epoch_start + static_cast<Cycle>(cfg_.policy_epoch_cycles))
-      return;
-    st.epoch_start = t;
+    if (!epoch_boundary(cfg_, st.epoch_start, t)) return;
     std::fill(st.freq.begin(), st.freq.end(), 0);
-    // Retire connections idle beyond the timeout (HybridNi::epoch_tick).
-    std::vector<NodeId> idle;
-    for (const auto& [dst, conn] : st.conns) {
-      if (t > conn.last_used && t - conn.last_used > cfg_.path_idle_timeout)
-        idle.push_back(dst);
+    idle_connections(cfg_, st.conns, t, idle_scratch_);
+    for (const NodeId dst : idle_scratch_) teardown_connection(v, dst, t);
+  }
+
+  /// Release the first `n` hops of `owner`'s reservation along `rt`.
+  void release_hops(const Route& rt, int slot, PacketId owner, int n) {
+    for (int i = 0; i < n; ++i) {
+      tables_[static_cast<size_t>(rt.routers[static_cast<size_t>(i)])].release(
+          (slot + 2 * i) & (slots_ - 1), dur_, rt.in[static_cast<size_t>(i)],
+          owner);
+      dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
     }
-    for (const NodeId dst : idle) teardown_connection(v, dst, t);
   }
 
   void release_window(NodeId src, NodeId dst, const Window& w) {
     const Route& rt = route(src, dst);
-    const int mask = slots_ - 1;
-    for (int i = 0; i <= rt.hops; ++i) {
-      tables_[static_cast<size_t>(rt.routers[static_cast<size_t>(i)])].release(
-          (w.slot + 2 * i) & mask, dur_, rt.in[static_cast<size_t>(i)],
-          w.owner);
-      dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
-    }
+    release_hops(rt, w.slot, w.owner, rt.hops + 1);
     if (!cfg_.time_slot_stealing) {
       for (const int l : rt.links)
         reserved_on_link_[static_cast<size_t>(l)] -= dur_;
@@ -678,26 +665,6 @@ class FastModel {
     st.conns.erase(it);
   }
 
-  /// HybridNi::choose_setup_slot: a fallback draw, then up to 8 candidates
-  /// preferring a free Local-input slot; a retry must avoid the failed slot.
-  int choose_slot(NodeId src, int avoid) {
-    Rng& rng = slot_rng_[static_cast<size_t>(src)];
-    const auto S = static_cast<std::uint64_t>(slots_);
-    int slot = static_cast<int>(rng.uniform_int(S));
-    if (slot == avoid) slot = -1;
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      const int cand = static_cast<int>(rng.uniform_int(S));
-      if (cand == avoid) continue;
-      if (slot < 0) slot = cand;
-      if (tables_[static_cast<size_t>(src)].input_free(cand, dur_, Port::Local))
-        return cand;
-    }
-    if (slot < 0)
-      slot = (avoid + 1 +
-              static_cast<int>(rng.uniform_int(S - 1))) % slots_;
-    return slot;
-  }
-
   /// The path-setup protocol, retried synchronously: walk the route's real
   /// SlotTables with the slot+2-per-hop increment; on the first conflicting
   /// (or occupancy-capped) router, release the reserved prefix, charge the
@@ -707,8 +674,11 @@ class FastModel {
     const Route& rt = route(src, dst);
     const int mask = slots_ - 1;
     int avoid = -1;
+    const SlotTable& local = tables_[static_cast<size_t>(src)];
     for (int retry = 0; retry <= cfg_.max_setup_retries; ++retry) {
-      const int slot0 = choose_slot(src, avoid);
+      const int slot0 = choose_setup_slot(
+          slot_rng_[static_cast<size_t>(src)], slots_, avoid,
+          [&](int s) { return local.input_free(s, dur_, Port::Local); });
       const PacketId owner = next_owner_id_++;
       int fail_at = -1;
       for (int i = 0; i <= rt.hops; ++i) {
@@ -742,12 +712,7 @@ class FastModel {
       }
       // Release the reserved prefix and account the partial setup, the
       // failure ack, and the prefix teardown (three config messages).
-      for (int i = 0; i < fail_at; ++i) {
-        tables_[static_cast<size_t>(rt.routers[static_cast<size_t>(i)])]
-            .release((slot0 + 2 * i) & mask, dur_,
-                     rt.in[static_cast<size_t>(i)], owner);
-        dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
-      }
+      release_hops(rt, slot0, owner, fail_at);
       const NodeId fail_node = rt.routers[static_cast<size_t>(fail_at)];
       if (fail_node != src) {
         ps_transfer(route(src, fail_node), t, cfg_.config_flits, false);
@@ -757,44 +722,38 @@ class FastModel {
       }
       avoid = slot0;
     }
-    st.cooldown_until[dst] =
-        t + 4 * static_cast<Cycle>(cfg_.policy_epoch_cycles);
+    st.cooldown_until[dst] = give_up_cooldown(cfg_, t);
   }
 
-  void maybe_setup(NodeId src, NodeId dst, Cycle t, bool force,
-                   bool supplement) {
-    NiState& st = ni_[static_cast<size_t>(src)];
-    if (dst == src) return;
-    // Guards are a pure conjunction, so order by cost: the freq counter was
-    // incremented by the caller a moment ago (cache-hot) and fails for
-    // almost every packet, while pending/cooldown are scattered loads.
-    if (!force && st.freq[static_cast<size_t>(dst)] < cfg_.path_freq_threshold)
-      return;
-    if (t < st.pending_until[static_cast<size_t>(dst)]) return;
-    const auto cit = st.conns.find(dst);
-    if (supplement) {
-      if (cit == st.conns.end() ||
-          static_cast<int>(cit->second.windows.size()) >=
-              cfg_.max_windows_per_pair)
-        return;
-      // Breadth before depth: a crowded local table serves new pairs first.
-      if (tables_[static_cast<size_t>(src)].occupancy() > 0.5) return;
-    } else if (cit != st.conns.end()) {
-      return;
+  /// The fast model's side of the shared setup policy (maybe_setup): the
+  /// per-node state, and the synchronous walk as the setup mechanism.
+  struct SetupHost {
+    FastModel& m;
+    NodeId src;
+    NiState& st;
+    int pair_count(NodeId dst) const {
+      return st.freq[static_cast<size_t>(dst)];
     }
-    if (t < st.cooldown_until[static_cast<size_t>(dst)]) return;
-    // Retire the idlest connection when the local table is crowded.
-    if (tables_[static_cast<size_t>(src)].occupancy() > 0.5 &&
-        !st.conns.empty()) {
-      auto idlest = st.conns.begin();
-      for (auto it = st.conns.begin(); it != st.conns.end(); ++it)
-        if (it->second.last_used < idlest->second.last_used) idlest = it;
-      if (t > idlest->second.last_used &&
-          t - idlest->second.last_used >
-              static_cast<Cycle>(cfg_.policy_epoch_cycles))
-        teardown_connection(src, idlest->first, t);
+    bool setup_pending(NodeId dst, Cycle t) const {
+      return t < st.pending_until[static_cast<size_t>(dst)];
     }
-    do_setup(src, dst, t);
+    bool cooling_down(NodeId dst, Cycle t) const {
+      return t < st.cooldown_until[static_cast<size_t>(dst)];
+    }
+    double local_occupancy() const {
+      return m.tables_[static_cast<size_t>(src)].occupancy();
+    }
+    std::map<NodeId, Conn>& connections() { return st.conns; }
+    void retire(std::map<NodeId, Conn>::iterator it, Cycle t) {
+      m.teardown_connection(src, it->first, t);
+    }
+    void start_setup(NodeId dst, Cycle t) { m.do_setup(src, dst, t); }
+  };
+
+  void request_setup(NodeId src, NodeId dst, Cycle t, bool force,
+                     bool supplement) {
+    SetupHost host{*this, src, ni_[static_cast<size_t>(src)]};
+    maybe_setup(cfg_, host, src, dst, t, force, supplement);
   }
 
   enum class CsAttempt { Scheduled, NoWindow, NotWorth };
@@ -823,11 +782,9 @@ class FastModel {
       }
     }
     if (!any_ready || best == kCycleNever) return CsAttempt::NoWindow;
-    const double cs_latency = static_cast<double>(best - t) + 2.0 * h + 2.0 +
-                              static_cast<double>(fcs_ - 1);
-    const double ps_estimate = 5.0 * h + 6.0 + cfg_.ps_data_flits +
-                               cfg_.congestion_gain * st.ewma;
-    if (cs_latency > cfg_.cs_latency_advantage * ps_estimate)
+    const Cycle flight = cs_flight_cycles(h, fcs_);
+    if (!take_circuit(cfg_, static_cast<double>(best - t + flight), h,
+                      st.ewma))
       return CsAttempt::NotWorth;
 
     Window& w = conn.windows[best_w];
@@ -847,69 +804,44 @@ class FastModel {
       if (link_free_[static_cast<size_t>(l)] > t)
         link_free_[static_cast<size_t>(l)] += static_cast<Cycle>(fcs_);
     }
-    push_delivery(best + 2 * static_cast<Cycle>(h) + 2 +
-                      static_cast<Cycle>(fcs_ - 1),
-                  t, payload_flits);
+    push_delivery(best + flight, t, payload_flits);
     return CsAttempt::Scheduled;
   }
 
   // --- injection ----------------------------------------------------------
 
-  void process_injection(NodeId v, Cycle t) {
+  /// One injection of `flits` payload flits at node `v`. `draw_dst()`
+  /// yields the destination (-1: no packet); it runs after the saturation
+  /// check and the epoch fold, which fixes where a synthetic run's
+  /// destination draw falls in its rng stream. Circuit-ineligible messages
+  /// skip the whole policy block, including the pair-frequency count.
+  template <typename DrawDst>
+  void inject(NodeId v, Cycle t, int flits, bool cs_eligible,
+              DrawDst&& draw_dst) {
     // Source queues diverging: the cycle core drops the packet and flags
     // deep saturation. The serializer backlog is our queue depth.
     if (ni_free_[static_cast<size_t>(v)] > t &&
-        (ni_free_[static_cast<size_t>(v)] - t) / static_cast<Cycle>(fps_) >
+        (ni_free_[static_cast<size_t>(v)] - t) / static_cast<Cycle>(flits) >
             2000) {
       saturated_ = true;
       return;
     }
     if (tdm_) epoch_tick(v, t);
-    const NodeId dst = draw_destination(v);
+    const NodeId dst = draw_dst();
     if (dst < 0) return;
-    if (measuring_) window_generated_flits_ += static_cast<std::uint64_t>(fps_);
-
-    if (tdm_) {
-      NiState& st = ni_[static_cast<size_t>(v)];
-      ++st.freq[static_cast<size_t>(dst)];
-      if (!st.conns.empty() && st.conns.find(dst) != st.conns.end()) {
-        const CsAttempt r = try_circuit(v, dst, t, fps_);
-        if (r == CsAttempt::Scheduled) return;
-        if (r == CsAttempt::NoWindow)
-          maybe_setup(v, dst, t, /*force=*/true, /*supplement=*/true);
-      }
-      maybe_setup(v, dst, t, /*force=*/false, /*supplement=*/false);
-    }
-    ps_launch(v, dst, t, fps_);
-  }
-
-  /// Trace-entry twin of process_injection: source/destination/length come
-  /// from the trace. Messages shorter than the fixed CS transfer size are
-  /// circuit-ineligible (they would be padded out by it), mirroring
-  /// run_trace's rule and HybridNi's cs_eligible gate — they skip the whole
-  /// policy block, including the pair-frequency count.
-  void process_trace_injection(NodeId v, NodeId dst, int flits, Cycle t) {
-    const int unit = flits > 0 ? flits : 1;
-    if (ni_free_[static_cast<size_t>(v)] > t &&
-        (ni_free_[static_cast<size_t>(v)] - t) / static_cast<Cycle>(unit) >
-            2000) {
-      saturated_ = true;
-      return;
-    }
-    if (tdm_) epoch_tick(v, t);
     if (measuring_)
       window_generated_flits_ += static_cast<std::uint64_t>(flits);
 
-    if (tdm_ && flits >= fcs_) {
+    if (tdm_ && cs_eligible) {
       NiState& st = ni_[static_cast<size_t>(v)];
       ++st.freq[static_cast<size_t>(dst)];
       if (!st.conns.empty() && st.conns.find(dst) != st.conns.end()) {
         const CsAttempt r = try_circuit(v, dst, t, flits);
         if (r == CsAttempt::Scheduled) return;
         if (r == CsAttempt::NoWindow)
-          maybe_setup(v, dst, t, /*force=*/true, /*supplement=*/true);
+          request_setup(v, dst, t, /*force=*/true, /*supplement=*/true);
       }
-      maybe_setup(v, dst, t, /*force=*/false, /*supplement=*/false);
+      request_setup(v, dst, t, /*force=*/false, /*supplement=*/false);
     }
     ps_launch(v, dst, t, flits);
   }
@@ -954,49 +886,37 @@ class FastModel {
   // --- results ------------------------------------------------------------
 
   RunResult finalize() {
-    RunResult r;
-    r.offered_rate = params_.injection_rate;
-    r.measured_packets = measured_;
+    WindowTally w;
+    w.cycles = measuring_ ? end_cycle_ - measure_start_ : 0;
+    w.measured_packets = measured_;
+    w.saturated = saturated_;
+    w.delivered_flits = window_delivered_flits_;
+    w.generated_flits = window_generated_flits_;
+    w.ps_flits = ps_flits_ - ps_snap_;
+    w.cs_flits = cs_flits_ - cs_snap_;
+    w.config_flits = config_flits_ - cfg_snap_;
+    w.energy = dyn_ - dyn_snap_;
+    // Per-cycle constants the cycle core accrues in accounting_tick /
+    // leakage_tick, integrated over the window analytically.
+    EnergyCounters& e = w.energy;
+    const auto W = static_cast<std::uint64_t>(w.cycles);
+    const auto R = static_cast<std::uint64_t>(n_);
+    e.cycles += R * W;
+    e.vc_active_cycles += R * W * static_cast<std::uint64_t>(cfg_.num_vcs) *
+                          static_cast<std::uint64_t>(kNumPorts);
+    // Sum of router out-degrees of a k x k mesh: 4k(k-1) directed links.
+    e.link_active_cycles +=
+        W * static_cast<std::uint64_t>(4 * cfg_.k * (cfg_.k - 1));
+    if (tdm_) {
+      e.slot_table_reads += R * W;
+      e.slot_entry_active_cycles +=
+          R * W * static_cast<std::uint64_t>(slots_);
+      e.cs_misc_active_cycles += R * W;
+    }
+    RunResult r = window_result(params_, params_.injection_rate, n_, w);
     r.avg_latency =
         lat_count_ > 0 ? lat_sum_ / static_cast<double>(lat_count_) : 0.0;
     r.p99_latency = latency_quantile(0.99);
-    r.cycles = measuring_ ? end_cycle_ - measure_start_ : 0;
-    r.saturated = saturated_ || measured_ < params_.measure_packets;
-    if (r.cycles > 0) {
-      const auto window = static_cast<double>(r.cycles);
-      r.accepted_rate = static_cast<double>(window_delivered_flits_) /
-                        (static_cast<double>(n_) * window);
-      const double offered_actual =
-          static_cast<double>(window_generated_flits_) /
-          (static_cast<double>(n_) * window);
-      if (r.accepted_rate < 0.85 * offered_actual) r.saturated = true;
-
-      EnergyCounters e = dyn_ - dyn_snap_;
-      // Per-cycle constants the cycle core accrues in accounting_tick /
-      // leakage_tick, integrated over the window analytically.
-      const auto W = static_cast<std::uint64_t>(r.cycles);
-      const auto R = static_cast<std::uint64_t>(n_);
-      e.cycles += R * W;
-      e.vc_active_cycles += R * W *
-                            static_cast<std::uint64_t>(cfg_.num_vcs) *
-                            static_cast<std::uint64_t>(kNumPorts);
-      // Sum of router out-degrees of a k x k mesh: 4k(k-1) directed links.
-      e.link_active_cycles +=
-          W * static_cast<std::uint64_t>(4 * cfg_.k * (cfg_.k - 1));
-      if (tdm_) {
-        e.slot_table_reads += R * W;
-        e.slot_entry_active_cycles +=
-            R * W * static_cast<std::uint64_t>(slots_);
-        e.cs_misc_active_cycles += R * W;
-      }
-      r.energy = e;
-
-      const double ps = static_cast<double>(ps_flits_ - ps_snap_);
-      const double cs = static_cast<double>(cs_flits_ - cs_snap_);
-      const double cf = static_cast<double>(config_flits_ - cfg_snap_);
-      r.cs_flit_fraction = safe_ratio(cs, ps + cs);
-      r.config_flit_fraction = safe_ratio(cf, ps + cs + cf);
-    }
     return r;
   }
 
@@ -1030,7 +950,7 @@ class FastModel {
   Calendar<NodeId> inj_;           ///< next injection time per node
   Calendar<Delivery> deliveries_;  ///< finished transfers awaiting tallying
   Calendar<HopEvent> hops_;
-  const std::vector<TraceEntry>* trace_ = nullptr;  ///< non-null: trace mode
+  std::vector<NodeId> idle_scratch_;  ///< epoch_tick's idle-connection list
   std::vector<int> links_flat_;        ///< per-route link ids, concatenated
   std::vector<RouteRef> route_ref_;    ///< route -> {links_flat_ offset, hops}
 
@@ -1086,7 +1006,8 @@ RunResult run_trace_fast(const NocConfig& cfg,
   cfg.validate();
   std::string why;
   HN_CHECK_MSG(fast_model_supports(cfg, &why), why.c_str());
-  return FastModel(cfg, params, entries).run();
+  check_trace(entries, cfg.num_nodes());
+  return FastModel(cfg, params).run(entries);
 }
 
 }  // namespace hybridnoc

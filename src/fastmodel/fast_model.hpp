@@ -12,19 +12,21 @@
 //   * a packet-switched head flit costs 5 cycles per hop (3 router pipeline
 //     + 2 link), +2 for the injection channel, +5 for the destination
 //     router and ejection channel, and the tail trails flits-1 cycles:
-//     zero-load latency = 5*hops + 6 + flits (the cycle core's own
-//     ps_latency_estimate);
+//     zero-load latency = 5*hops + 6 + flits (zero_load_ps_latency);
 //   * every network interface serializes at one flit per cycle (a packet
 //     occupies the source NI for `flits` cycles);
 //   * every directed link and every ejection port is a FIFO server a
 //     transfer occupies for `flits` cycles; queueing delay emerges from the
 //     per-server busy-until times, processed in global creation order;
-//   * TDM circuits mirror the cycle core's policy: per-epoch pair frequency
-//     thresholds trigger setups, reservations walk real SlotTables (slot+2
-//     per hop), CS transfers ride reserved windows at one packet per table
-//     rotation, and packet-switched transfers share residual link capacity
-//     (reserved-but-unused slots cost nothing when time-slot stealing is
-//     on, matching the paper).
+//   * TDM circuits call tdm/switching_policy.hpp, the policy HybridNi runs
+//     (setup triggers and admission, slot draw, switching decision).
+//     Reservations walk real SlotTables (slot+2 per hop), CS transfers ride
+//     reserved windows at one packet per table rotation, and packet-switched
+//     transfers share residual link capacity (reserved-but-unused slots cost
+//     nothing when time-slot stealing is on, matching the paper). Only the
+//     mechanism is this model's own: a closed-form earliest window instead
+//     of a search of planned injections, and a synchronous setup walk
+//     instead of config messages with retries.
 //
 // Approximations (see EXPERIMENTS.md "Two-fidelity methodology"): no
 // head-of-line blocking or VC backpressure (optimistic near saturation), no
@@ -49,11 +51,6 @@ namespace hybridnoc {
 /// fault injection — the cycle core remains the engine for those.
 bool fast_model_supports(const NocConfig& cfg, std::string* why = nullptr);
 
-/// Zero-load packet-switched latency of the modeled pipeline (cycles).
-inline double fast_zero_load_ps_latency(int hops, int flits) {
-  return 5.0 * hops + 6.0 + static_cast<double>(flits);
-}
-
 /// One transfer-level run of `cfg` under a synthetic pattern, mirroring
 /// run_synthetic's warmup/measurement/saturation methodology. Aborts
 /// (HN_CHECK) when !fast_model_supports(cfg).
@@ -61,9 +58,8 @@ RunResult run_synthetic_fast(const NocConfig& cfg, const RunParams& params);
 
 /// Transfer-level twin of run_trace: replays `entries` (looped) with the
 /// same methodology. Message sizes come from the trace; entries shorter
-/// than cfg.cs_data_flits are circuit-ineligible, mirroring the cycle
-/// driver's rule. Aborts (HN_CHECK) when !fast_model_supports(cfg) or the
-/// trace is empty.
+/// than cfg.cs_data_flits are circuit-ineligible (circuit_eligible). Aborts
+/// (HN_CHECK) when !fast_model_supports(cfg) or the trace fails check_trace.
 RunResult run_trace_fast(const NocConfig& cfg,
                          const std::vector<TraceEntry>& entries,
                          const RunParams& params);

@@ -5,6 +5,7 @@
 #include "common/pool.hpp"
 #include "common/state_io.hpp"
 #include "noc/fault_model.hpp"
+#include "tdm/switching_policy.hpp"
 
 namespace hybridnoc {
 
@@ -366,8 +367,7 @@ void NetworkInterface::inject_tick(Cycle now) {
       if (cfg_.e2e_recovery) e2e_launched(pkt, now);
       if (pkt->e2e_ack) acks_pending_.erase(static_cast<PacketId>(pkt->payload));
       if (!pkt->is_config() && now >= pkt->created) {
-        ewma_inject_delay_ = 0.9 * ewma_inject_delay_ +
-                             0.1 * static_cast<double>(now - pkt->created);
+        smooth_inject_delay(ewma_inject_delay_, now - pkt->created);
       }
     }
     ++vc.next_seq;

@@ -10,30 +10,34 @@
 #include "common/state_io.hpp"
 #include "fastmodel/fast_model.hpp"
 #include "noc/network.hpp"
+#include "tdm/switching_policy.hpp"
 
 namespace hybridnoc {
 
 namespace {
 
-/// Shared warmup/measure/saturation loop of the cycle core. `gen(now,
-/// inject)` is called once per cycle and emits that cycle's injections via
-/// inject(src, dst, flits, cs_eligible). Flit accounting is
-/// payload-equivalent: accepted/offered rates count the flits the workload
-/// injected, not the (possibly CS-compressed) wire flits, so fidelities and
-/// switching modes compare on identical payload.
-template <typename GenerateFn>
-RunResult run_cycle_measured(const NocConfig& cfg, const RunParams& params,
-                             double offered_rate, GenerateFn&& gen) {
-  auto net = make_network(cfg);
+/// Where a measured run starts and, on return, where it stopped. A fresh
+/// network warms up under the standard criterion first; a warm one
+/// (drained, policy unfrozen) opens the window at once.
+struct RunState {
+  PacketId next_id = 1;
+  bool saturated = false;  ///< source queues diverged
+  bool warm = false;
+};
 
+/// The cycle core's warmup/measure/saturation loop. `gen(now, inject)` is
+/// called once per cycle and emits that cycle's injections via
+/// inject(src, dst, flits, cs_eligible).
+template <typename GenerateFn>
+RunResult run_cycle_measured(NetAdapter& net, const RunParams& params,
+                             double offered_rate, GenerateFn&& gen,
+                             RunState& run) {
   StatAccumulator lat;
   Histogram hist(5.0, 400);
   bool measuring = false;
   Cycle measure_start_cycle = 0;
   std::uint64_t delivered_total = 0;
-  std::uint64_t window_delivered_flits = 0;
-  std::uint64_t window_generated_flits = 0;
-  std::uint64_t measured = 0;
+  WindowTally w;
   EnergyCounters energy_start;
   std::uint64_t ps_start = 0, cs_start = 0, cfgf_start = 0;
 
@@ -42,91 +46,85 @@ RunResult run_cycle_measured(const NocConfig& cfg, const RunParams& params,
   // remembers what the workload offered.
   std::unordered_map<PacketId, int> payload_flits;
 
-  net->set_deliver_handler([&](const PacketPtr& pkt, Cycle at) {
+  net.set_deliver_handler([&](const PacketPtr& pkt, Cycle at) {
     ++delivered_total;
     const auto it = payload_flits.find(pkt->id);
     const int flits = it != payload_flits.end() ? it->second : 0;
     if (it != payload_flits.end()) payload_flits.erase(it);
     if (!measuring) return;
-    window_delivered_flits += static_cast<std::uint64_t>(flits);
+    w.delivered_flits += static_cast<std::uint64_t>(flits);
     if (pkt->created >= measure_start_cycle) {
       const double l = static_cast<double>(at - pkt->created);
       lat.add(l);
       hist.add(l);
-      ++measured;
+      ++w.measured_packets;
     }
   });
 
-  PacketId next_id = 1;
-  bool saturated = false;
-  const int n_nodes = net->mesh().num_nodes();
-
   const auto inject = [&](NodeId src, NodeId dst, int flits,
                           bool cs_eligible) {
-    if (net->inject_queue_depth(src) > 2000) {
-      saturated = true;  // source queues diverging: deep saturation
+    if (net.inject_queue_depth(src) > 2000) {
+      run.saturated = true;  // source queues diverging: deep saturation
       return;
     }
-    if (measuring) window_generated_flits += static_cast<std::uint64_t>(flits);
+    if (measuring) w.generated_flits += static_cast<std::uint64_t>(flits);
     auto p = make_packet();
-    p->id = next_id++;
+    p->id = run.next_id++;
     p->src = src;
     p->dst = dst;
     p->num_flits = flits;
     p->cs_eligible = cs_eligible;
     payload_flits.emplace(p->id, flits);
-    net->send(std::move(p));
+    net.send(std::move(p));
   };
 
-  while (net->now() < params.max_cycles) {
-    if (!measuring && delivered_total >= params.warmup_packets &&
-        net->now() >= params.warmup_min_cycles) {
+  while (net.now() < params.max_cycles) {
+    if (!measuring &&
+        (run.warm || (delivered_total >= params.warmup_packets &&
+                      net.now() >= params.warmup_min_cycles))) {
       measuring = true;
-      measure_start_cycle = net->now();
-      energy_start = net->energy();
-      ps_start = net->ps_flits();
-      cs_start = net->cs_flits();
-      cfgf_start = net->config_flits();
+      measure_start_cycle = net.now();
+      energy_start = net.energy();
+      ps_start = net.ps_flits();
+      cs_start = net.cs_flits();
+      cfgf_start = net.config_flits();
     }
-    if (measuring && measured >= params.measure_packets) break;
+    if (measuring && w.measured_packets >= params.measure_packets) break;
 
-    gen(net->now(), inject);
-    net->tick();
+    gen(net.now(), inject);
+    net.tick();
 
     // Early exit once mean latency shows the knee is far behind us.
-    if (measuring && (net->now() & 0x7ff) == 0 && lat.count() > 500 &&
+    if (measuring && (net.now() & 0x7ff) == 0 && lat.count() > 500 &&
         lat.mean() > params.latency_cap) {
-      saturated = true;
+      run.saturated = true;
       break;
     }
   }
+  net.set_deliver_handler({});  // the handler's state ends here
 
-  RunResult r;
-  r.offered_rate = offered_rate;
-  r.measured_packets = measured;
-  r.cycles = measuring ? net->now() - measure_start_cycle : 0;
+  if (measuring) {
+    w.cycles = net.now() - measure_start_cycle;
+    w.energy = net.energy() - energy_start;
+    w.ps_flits = net.ps_flits() - ps_start;
+    w.cs_flits = net.cs_flits() - cs_start;
+    w.config_flits = net.config_flits() - cfgf_start;
+  }
+  w.saturated = run.saturated;
+  RunResult r =
+      window_result(params, offered_rate, net.mesh().num_nodes(), w);
   r.avg_latency = lat.mean();
   r.p99_latency = hist.quantile(0.99);
-  r.saturated = saturated || measured < params.measure_packets;
-  if (r.cycles > 0) {
-    r.accepted_rate =
-        static_cast<double>(window_delivered_flits) /
-        (static_cast<double>(n_nodes) * static_cast<double>(r.cycles));
-    // Standard saturation criterion: the network no longer accepts what is
-    // actually offered (patterns where some nodes never inject — e.g. the
-    // transpose diagonal — make the nominal rate an overestimate).
-    const double offered_actual =
-        static_cast<double>(window_generated_flits) /
-        (static_cast<double>(n_nodes) * static_cast<double>(r.cycles));
-    if (r.accepted_rate < 0.85 * offered_actual) r.saturated = true;
-    r.energy = net->energy() - energy_start;
-    const double ps = static_cast<double>(net->ps_flits() - ps_start);
-    const double cs = static_cast<double>(net->cs_flits() - cs_start);
-    const double cf = static_cast<double>(net->config_flits() - cfgf_start);
-    r.cs_flit_fraction = safe_ratio(cs, ps + cs);
-    r.config_flit_fraction = safe_ratio(cf, ps + cs + cf);
-  }
   return r;
+}
+
+/// The synthetic workload as a run_cycle_measured generator.
+auto synthetic_gen(const NocConfig& cfg, SyntheticTraffic& traffic) {
+  return [&cfg, &traffic](Cycle, const auto& inject) {
+    traffic.generate([&](NodeId src, NodeId dst) {
+      inject(src, dst, cfg.ps_data_flits, /*cs_eligible=*/true);
+    });
+  };
 }
 
 // --- drained-run methodology (warmup checkpointing) ---
@@ -139,8 +137,7 @@ constexpr char kSnapshotSection[] = "warmup_snapshot_v1";
 /// network plus the injection bookkeeping the measure phase continues from.
 struct WarmState {
   std::unique_ptr<NetAdapter> net;
-  PacketId next_id = 1;
-  bool saturated = false;
+  RunState run;
   bool drained = false;
 };
 
@@ -152,8 +149,8 @@ void check_snapshot_eligible(const NocConfig& cfg, const RunParams& params) {
 }
 
 /// Warm under `traffic` until the standard warmup criterion, then freeze
-/// policy and drain to quiescence. Mirrors run_cycle_measured's warmup
-/// phase exactly: same injection guard, same generate-then-tick order.
+/// policy and drain to quiescence. The warmup is run_cycle_measured's own,
+/// stopped by a zero-packet window the moment the window would open.
 WarmState warm_and_drain(const NocConfig& cfg, const RunParams& params,
                          SyntheticTraffic& traffic) {
   check_snapshot_eligible(cfg, params);
@@ -162,31 +159,10 @@ WarmState warm_and_drain(const NocConfig& cfg, const RunParams& params,
   Network* mesh_net = st.net->mesh_network_mut();
   HN_CHECK_MSG(mesh_net != nullptr,
                "warmup checkpoints require a mesh-backed architecture");
-
-  std::uint64_t delivered_total = 0;
-  st.net->set_deliver_handler(
-      [&](const PacketPtr&, Cycle) { ++delivered_total; });
-
-  while (st.net->now() < params.max_cycles) {
-    if (delivered_total >= params.warmup_packets &&
-        st.net->now() >= params.warmup_min_cycles) {
-      break;
-    }
-    traffic.generate([&](NodeId src, NodeId dst) {
-      if (st.net->inject_queue_depth(src) > 2000) {
-        st.saturated = true;  // source queues diverging: deep saturation
-        return;
-      }
-      auto p = make_packet();
-      p->id = st.next_id++;
-      p->src = src;
-      p->dst = dst;
-      p->num_flits = cfg.ps_data_flits;
-      p->cs_eligible = true;
-      st.net->send(std::move(p));
-    });
-    st.net->tick();
-  }
+  RunParams warmup = params;
+  warmup.measure_packets = 0;
+  run_cycle_measured(*st.net, warmup, 0.0, synthetic_gen(cfg, traffic),
+                     st.run);
   st.drained = mesh_net->drain(params.max_cycles);
   return st;
 }
@@ -194,87 +170,13 @@ WarmState warm_and_drain(const NocConfig& cfg, const RunParams& params,
 /// Measure from a warmed, drained network — the second half of the drained
 /// methodology, shared by the in-place and the restored-snapshot paths so
 /// the two are bit-identical by construction.
-RunResult measure_drained(const NocConfig& cfg, const RunParams& params,
-                          NetAdapter& net, SyntheticTraffic& traffic,
-                          PacketId next_id, bool warmup_saturated) {
+RunResult measure_warm(const NocConfig& cfg, const RunParams& params,
+                       NetAdapter& net, SyntheticTraffic& traffic,
+                       RunState run) {
   net.set_policy_frozen(false);
-
-  StatAccumulator lat;
-  Histogram hist(5.0, 400);
-  const Cycle measure_start_cycle = net.now();
-  const EnergyCounters energy_start = net.energy();
-  const std::uint64_t ps_start = net.ps_flits();
-  const std::uint64_t cs_start = net.cs_flits();
-  const std::uint64_t cfgf_start = net.config_flits();
-  std::uint64_t window_delivered_flits = 0;
-  std::uint64_t window_generated_flits = 0;
-  std::uint64_t measured = 0;
-  bool saturated = warmup_saturated;
-  const int n_nodes = net.mesh().num_nodes();
-
-  // The network starts empty, so every packet delivered in this window was
-  // also created in it — no warmup stragglers to account separately.
-  std::unordered_map<PacketId, int> payload_flits;
-  net.set_deliver_handler([&](const PacketPtr& pkt, Cycle at) {
-    const auto it = payload_flits.find(pkt->id);
-    const int flits = it != payload_flits.end() ? it->second : 0;
-    if (it != payload_flits.end()) payload_flits.erase(it);
-    window_delivered_flits += static_cast<std::uint64_t>(flits);
-    const double l = static_cast<double>(at - pkt->created);
-    lat.add(l);
-    hist.add(l);
-    ++measured;
-  });
-
-  while (net.now() < params.max_cycles) {
-    if (measured >= params.measure_packets) break;
-    traffic.generate([&](NodeId src, NodeId dst) {
-      if (net.inject_queue_depth(src) > 2000) {
-        saturated = true;
-        return;
-      }
-      const int flits = cfg.ps_data_flits;
-      window_generated_flits += static_cast<std::uint64_t>(flits);
-      auto p = make_packet();
-      p->id = next_id++;
-      p->src = src;
-      p->dst = dst;
-      p->num_flits = flits;
-      p->cs_eligible = true;
-      payload_flits.emplace(p->id, flits);
-      net.send(std::move(p));
-    });
-    net.tick();
-    if ((net.now() & 0x7ff) == 0 && lat.count() > 500 &&
-        lat.mean() > params.latency_cap) {
-      saturated = true;
-      break;
-    }
-  }
-
-  RunResult r;
-  r.offered_rate = params.injection_rate;
-  r.measured_packets = measured;
-  r.cycles = net.now() - measure_start_cycle;
-  r.avg_latency = lat.mean();
-  r.p99_latency = hist.quantile(0.99);
-  r.saturated = saturated || measured < params.measure_packets;
-  if (r.cycles > 0) {
-    r.accepted_rate =
-        static_cast<double>(window_delivered_flits) /
-        (static_cast<double>(n_nodes) * static_cast<double>(r.cycles));
-    const double offered_actual =
-        static_cast<double>(window_generated_flits) /
-        (static_cast<double>(n_nodes) * static_cast<double>(r.cycles));
-    if (r.accepted_rate < 0.85 * offered_actual) r.saturated = true;
-    r.energy = net.energy() - energy_start;
-    const double ps = static_cast<double>(net.ps_flits() - ps_start);
-    const double cs = static_cast<double>(net.cs_flits() - cs_start);
-    const double cf = static_cast<double>(net.config_flits() - cfgf_start);
-    r.cs_flit_fraction = safe_ratio(cs, ps + cs);
-    r.config_flit_fraction = safe_ratio(cf, ps + cs + cf);
-  }
-  return r;
+  run.warm = true;
+  return run_cycle_measured(net, params, params.injection_rate,
+                            synthetic_gen(cfg, traffic), run);
 }
 
 /// RunResult for a run whose warmup never reached a drainable steady state:
@@ -294,7 +196,7 @@ WarmupSnapshot warmup_snapshot(const NocConfig& cfg, const RunParams& params) {
                            cfg.ps_data_flits, params.seed);
   WarmState st = warm_and_drain(cfg, params, traffic);
   WarmupSnapshot out;
-  out.saturated = st.saturated;
+  out.saturated = st.run.saturated;
   if (!st.drained) return out;
 
   StateWriter w;
@@ -311,8 +213,8 @@ WarmupSnapshot warmup_snapshot(const NocConfig& cfg, const RunParams& params) {
   w.u64(params.seed);
   w.u64(cfg.seed);
   w.i32(cfg.ps_data_flits);
-  w.b(st.saturated);
-  w.u64(st.next_id);
+  w.b(st.run.saturated);
+  w.u64(st.run.next_id);
   for (const std::uint64_t word : traffic.rng_state()) w.u64(word);
   w.bytes(st.net->mesh_network_mut()->save_state());
   out.sealed = w.seal();
@@ -338,8 +240,9 @@ RunResult run_synthetic_from_snapshot(const NocConfig& cfg,
   if (!guards_match) {
     throw StateError("warmup snapshot belongs to a different cfg/params");
   }
-  const bool warmup_saturated = r.b();
-  const PacketId next_id = r.u64();
+  RunState run;
+  run.saturated = r.b();
+  run.next_id = r.u64();
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = r.u64();
   const std::string net_state = r.str();
@@ -355,8 +258,7 @@ RunResult run_synthetic_from_snapshot(const NocConfig& cfg,
   SyntheticTraffic traffic(mesh, params.pattern, params.injection_rate,
                            cfg.ps_data_flits, params.seed);
   traffic.set_rng_state(rng_state);
-  return measure_drained(cfg, params, *net, traffic, next_id,
-                         warmup_saturated);
+  return measure_warm(cfg, params, *net, traffic, run);
 }
 
 RunResult run_synthetic_drained(const NocConfig& cfg,
@@ -366,8 +268,7 @@ RunResult run_synthetic_drained(const NocConfig& cfg,
                            cfg.ps_data_flits, params.seed);
   WarmState st = warm_and_drain(cfg, params, traffic);
   if (!st.drained) return undrained_result(params);
-  return measure_drained(cfg, params, *st.net, traffic, st.next_id,
-                         st.saturated);
+  return measure_warm(cfg, params, *st.net, traffic, st.run);
 }
 
 RunResult run_synthetic(const NocConfig& cfg, const RunParams& params) {
@@ -375,27 +276,20 @@ RunResult run_synthetic(const NocConfig& cfg, const RunParams& params) {
   const Mesh mesh(cfg.k);
   SyntheticTraffic traffic(mesh, params.pattern, params.injection_rate,
                            cfg.ps_data_flits, params.seed);
-  return run_cycle_measured(
-      cfg, params, params.injection_rate, [&](Cycle, const auto& inject) {
-        traffic.generate([&](NodeId src, NodeId dst) {
-          inject(src, dst, cfg.ps_data_flits, /*cs_eligible=*/true);
-        });
-      });
+  auto net = make_network(cfg);
+  RunState run;
+  return run_cycle_measured(*net, params, params.injection_rate,
+                            synthetic_gen(cfg, traffic), run);
 }
 
 RunResult run_trace(const NocConfig& cfg,
                     const std::vector<TraceEntry>& entries,
                     const RunParams& params) {
-  HN_CHECK_MSG(!entries.empty(), "run_trace: empty trace");
-  const int n_nodes = cfg.k * cfg.k;
+  const int n_nodes = cfg.num_nodes();
+  check_trace(entries, n_nodes);
   std::uint64_t total_flits = 0;
-  for (const TraceEntry& e : entries) {
-    HN_CHECK_MSG(e.src >= 0 && e.src < n_nodes && e.dst >= 0 &&
-                     e.dst < n_nodes,
-                 "run_trace: trace entry outside the mesh");
-    HN_CHECK_MSG(e.src != e.dst, "run_trace: self-directed trace entry");
+  for (const TraceEntry& e : entries)
     total_flits += static_cast<std::uint64_t>(e.flits);
-  }
   const Cycle span = entries.back().cycle + 1;
   const double offered_rate =
       static_cast<double>(total_flits) /
@@ -408,12 +302,16 @@ RunResult run_trace(const NocConfig& cfg,
   }
 
   TraceTraffic traffic(entries, /*loop=*/true);
+  auto net = make_network(cfg);
+  RunState run;
   return run_cycle_measured(
-      cfg, params, offered_rate, [&](Cycle now, const auto& inject) {
+      *net, params, offered_rate,
+      [&](Cycle now, const auto& inject) {
         traffic.generate(now, [&](NodeId src, NodeId dst, int flits) {
-          inject(src, dst, flits, /*cs_eligible=*/flits >= cfg.cs_data_flits);
+          inject(src, dst, flits, circuit_eligible(cfg, flits));
         });
-      });
+      },
+      run);
 }
 
 std::vector<RunResult> sweep_load(const NocConfig& cfg, RunParams params,

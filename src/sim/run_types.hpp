@@ -67,4 +67,44 @@ struct RunResult {
   }
 };
 
+/// What one measurement window counted (cycles == 0: it never opened).
+/// delivered/generated count payload flits as the workload injected them,
+/// not the (possibly CS-compressed) wire flits, so fidelities and switching
+/// modes compare on identical payload; ps/cs/config count wire flits.
+struct WindowTally {
+  std::uint64_t cycles = 0, measured_packets = 0;
+  bool saturated = false;  ///< an engine-specific saturation sign
+  std::uint64_t delivered_flits = 0, generated_flits = 0;
+  std::uint64_t ps_flits = 0, cs_flits = 0, config_flits = 0;
+  EnergyCounters energy;
+};
+
+/// The RunResult of a window over `nodes` nodes, but for the latency
+/// statistics, which stay per engine. A window short of measure_packets is
+/// saturated, and so is one accepting under 85% of what was actually offered
+/// (patterns where some nodes never inject, e.g. the transpose diagonal,
+/// make the nominal rate an overestimate).
+inline RunResult window_result(const RunParams& params, double offered_rate,
+                               int nodes, const WindowTally& w) {
+  RunResult r;
+  r.offered_rate = offered_rate;
+  r.measured_packets = w.measured_packets;
+  r.cycles = w.cycles;
+  r.saturated = w.saturated || w.measured_packets < params.measure_packets;
+  if (w.cycles == 0) return r;
+  const double node_cycles =
+      static_cast<double>(nodes) * static_cast<double>(w.cycles);
+  r.accepted_rate = static_cast<double>(w.delivered_flits) / node_cycles;
+  const double offered_actual =
+      static_cast<double>(w.generated_flits) / node_cycles;
+  if (r.accepted_rate < 0.85 * offered_actual) r.saturated = true;
+  r.energy = w.energy;
+  const auto ps = static_cast<double>(w.ps_flits);
+  const auto cs = static_cast<double>(w.cs_flits);
+  const auto cf = static_cast<double>(w.config_flits);
+  r.cs_flit_fraction = safe_ratio(cs, ps + cs);
+  r.config_flit_fraction = safe_ratio(cf, ps + cs + cf);
+  return r;
+}
+
 }  // namespace hybridnoc

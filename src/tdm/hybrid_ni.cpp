@@ -5,6 +5,7 @@
 
 #include "common/pool.hpp"
 #include "common/state_io.hpp"
+#include "tdm/switching_policy.hpp"
 
 namespace hybridnoc {
 
@@ -112,20 +113,6 @@ std::optional<Cycle> HybridNi::find_start(int slot, int nflits, Cycle now) const
   return std::nullopt;
 }
 
-double HybridNi::ps_latency_estimate(int hops) const {
-  return 5.0 * hops + 6.0 + cfg_.ps_data_flits +
-         cfg_.congestion_gain * ewma_inject_delay();
-}
-
-bool HybridNi::decide_cs(const PacketPtr& pkt, double cs_latency, int hops) const {
-  if (pkt->slack >= 0) {
-    // Section V-A2: circuit-switch when the message's slack exceeds the
-    // overall circuit-switched transmission latency.
-    return cs_latency <= static_cast<double>(pkt->slack);
-  }
-  return cs_latency <= cfg_.cs_latency_advantage * ps_latency_estimate(hops);
-}
-
 HybridNi::CsAttempt HybridNi::schedule_cs(const PacketPtr& pkt,
                                           const std::vector<int>& slots,
                                           int cs_hops, Cycle extra_latency,
@@ -148,10 +135,10 @@ HybridNi::CsAttempt HybridNi::schedule_cs(const PacketPtr& pkt,
     ++cs_rejected_no_window_;
     return CsAttempt::NoWindow;
   }
-  const double cs_latency =
-      static_cast<double>(*start - now) + 2.0 * cs_hops + 2.0 + (nflits - 1) +
-      static_cast<double>(extra_latency);
-  if (!decide_cs(pkt, cs_latency, cs_hops)) {
+  const double cs_latency = static_cast<double>(
+      *start - now + cs_flight_cycles(cs_hops, nflits) + extra_latency);
+  if (!take_circuit(cfg_, cs_latency, cs_hops, ewma_inject_delay(),
+                    pkt->slack)) {
     ++cs_rejected_latency_;
     return CsAttempt::NotWorth;
   }
@@ -233,7 +220,8 @@ bool HybridNi::try_circuit(const PacketPtr& pkt, Cycle now) {
   // there into the packet-switched network (Section III-A2).
   if (cfg_.vicinity_sharing) {
     // One packet-switched hop after hop-off.
-    const Cycle hopoff_cost = static_cast<Cycle>(5 + 6 + cfg_.ps_data_flits);
+    const auto hopoff_cost =
+        static_cast<Cycle>(zero_load_ps_latency(1, cfg_.ps_data_flits));
     for (auto& [cdst, conn] : connections_) {
       if (conn.doomed || !mesh_.adjacent(cdst, dst)) continue;
       pkt->dst = cdst;  // network destination is the hop-off node
@@ -299,8 +287,7 @@ bool HybridNi::circuit_inject(Cycle now) {
       // The world changed while we backed off; give up like an exhausted
       // retry would.
       ++setup_give_ups_;
-      cooldown_until_[d.dst] =
-          now + 4 * static_cast<Cycle>(cfg_.policy_epoch_cycles);
+      cooldown_until_[d.dst] = give_up_cooldown(cfg_, now);
       continue;
     }
     send_setup(d.dst, d.retries, now, d.avoid_slot);
@@ -354,25 +341,29 @@ void HybridNi::bounce_packet(Packet* pkt, NodeId ride_dest, Cycle now) {
     // Counter saturated at '10': stop sharing, ask for a dedicated path.
     maybe_initiate_setup(pkt->final_dst, now, /*force=*/true);
   }
-  auto copy = make_packet();
   // The bounced message keeps its identity: none of its circuit flits were
   // forwarded (the head bounced at the hop-on crossbar and stray body flits
   // evaporate there), so no partial assembly exists anywhere.
-  copy->id = pkt->id;
+  reinject_packet_switched(*pkt, now);
+}
+
+void HybridNi::reinject_packet_switched(const Packet& pkt, Cycle now) {
+  auto copy = make_packet();
+  copy->id = pkt.id;
   copy->src = id_;
-  copy->dst = pkt->final_dst;
-  copy->final_dst = pkt->final_dst;
+  copy->dst = pkt.final_dst;
+  copy->final_dst = pkt.final_dst;
   copy->num_flits = cfg_.ps_data_flits;
-  copy->created = pkt->created;
-  copy->traffic_class = pkt->traffic_class;
-  copy->payload = pkt->payload;
-  copy->slack = pkt->slack;
+  copy->created = pkt.created;
+  copy->traffic_class = pkt.traffic_class;
+  copy->payload = pkt.payload;
+  copy->slack = pkt.slack;
   copy->cs_eligible = false;
   copy->reinjected = true;
   // Keep the end-to-end identity: the destination's dedup key and the ack's
   // return address must match what the origin tracked.
-  copy->origin = pkt->origin;
-  copy->retx_of = pkt->retx_of;
+  copy->origin = pkt.origin;
+  copy->retx_of = pkt.retx_of;
   send_priority(std::move(copy), now);
 }
 
@@ -450,78 +441,46 @@ void HybridNi::expire_pending(Cycle now) {
   }
 }
 
+/// HybridNi's side of the shared setup policy (maybe_setup): its protocol
+/// state, and message-based retirement and setup.
+struct HybridNi::SetupHost {
+  HybridNi& ni;
+  int pair_count(NodeId dst) const {
+    // find, not operator[]: an inserted entry would change the epoch
+    // wakeups and the checkpoint bytes.
+    const auto it = ni.freq_.find(dst);
+    return it == ni.freq_.end() ? 0 : it->second;
+  }
+  bool setup_pending(NodeId dst, Cycle) const {
+    return ni.pending_dsts_.count(dst) > 0;
+  }
+  bool cooling_down(NodeId dst, Cycle now) const {
+    const auto it = ni.cooldown_until_.find(dst);
+    return it != ni.cooldown_until_.end() && now < it->second;
+  }
+  double local_occupancy() const {
+    return ni.hrouter_ ? ni.hrouter_->slots().occupancy() : 0.0;
+  }
+  ConnectionMap& connections() { return ni.connections_; }
+  void retire(ConnectionMap::iterator it, Cycle now) {
+    ni.retire_connection(it, now);
+  }
+  void start_setup(NodeId dst, Cycle now) { ni.send_setup(dst, 0, now); }
+};
+
 void HybridNi::maybe_initiate_setup(NodeId dst, Cycle now, bool force,
                                     bool supplement) {
   if (frozen_ || !ctrl_->cs_allowed()) return;
-  if (dst == id_ || pending_dsts_.count(dst)) return;
-  if (supplement) {
-    const auto it = connections_.find(dst);
-    if (it == connections_.end() ||
-        static_cast<int>(it->second.slots.size()) >= cfg_.max_windows_per_pair) {
-      return;
-    }
-    // Breadth before depth: when the local table is crowded, leave the
-    // remaining slots to pairs that have no circuit at all.
-    if (hrouter_ && hrouter_->slots().occupancy() > 0.5) return;
-  } else if (connections_.count(dst)) {
-    return;
-  }
-  if (auto it = cooldown_until_.find(dst);
-      it != cooldown_until_.end() && now < it->second) {
-    return;
-  }
-  if (!force && freq_[dst] < cfg_.path_freq_threshold) return;
-
-  // "Once a connection has been idled for a long period, it becomes the
-  // candidate to be destroyed when new setup requests come in": free local
-  // slots by retiring the idlest connection when the table is crowded.
-  if (hrouter_ && hrouter_->slots().occupancy() > 0.5 && !connections_.empty()) {
-    auto idlest = connections_.begin();
-    for (auto it = connections_.begin(); it != connections_.end(); ++it) {
-      if (it->second.last_used < idlest->second.last_used) idlest = it;
-    }
-    if (now - idlest->second.last_used >
-        static_cast<Cycle>(cfg_.policy_epoch_cycles)) {
-      for (size_t i = 0; i < idlest->second.slots.size(); ++i) {
-        send_teardown(idlest->first, idlest->second.slots[i],
-                      idlest->second.setup_ids[i], now);
-      }
-      connections_.erase(idlest);
-    }
-  }
-  send_setup(dst, 0, now);
-}
-
-int HybridNi::choose_setup_slot(int duration, int avoid_slot) {
-  const int S = ctrl_->active_slots();
-  // Fallback draw first, then up to 8 candidates preferring a free local
-  // input — the draw order matters for run-to-run reproducibility.
-  int slot =
-      static_cast<int>(rng_.uniform_int(static_cast<std::uint64_t>(S)));
-  if (slot == avoid_slot) slot = -1;  // a retry must pick a different slot
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const int cand =
-        static_cast<int>(rng_.uniform_int(static_cast<std::uint64_t>(S)));
-    if (cand == avoid_slot) continue;
-    if (slot < 0) slot = cand;
-    if (!hrouter_ || hrouter_->local_input_free(cand, duration)) {
-      return cand;
-    }
-  }
-  if (slot < 0) {
-    // Every draw hit avoid_slot: pick a distinct slot directly (S >= 4, so
-    // one always exists).
-    slot = (avoid_slot + 1 +
-            static_cast<int>(
-                rng_.uniform_int(static_cast<std::uint64_t>(S - 1)))) %
-           S;
-  }
-  return slot;
+  SetupHost host{*this};
+  maybe_setup(cfg_, host, id_, dst, now, force, supplement);
 }
 
 void HybridNi::send_setup(NodeId dst, int retries, Cycle now, int avoid_slot) {
   const int dur = cfg_.reservation_duration();
-  const int slot = choose_setup_slot(dur, avoid_slot);
+  const int slot =
+      choose_setup_slot(rng_, ctrl_->active_slots(), avoid_slot, [&](int s) {
+        return !hrouter_ || hrouter_->local_input_free(s, dur);
+      });
   auto p = make_config(MsgType::SetupRequest, dst, now);
   p->slot_id = slot;
   p->duration = dur;
@@ -641,8 +600,7 @@ void HybridNi::handle_config(const PacketPtr& pkt, Cycle now) {
         }
       } else {
         ++setup_give_ups_;
-        cooldown_until_[p.dst] =
-            now + 4 * static_cast<Cycle>(cfg_.policy_epoch_cycles);
+        cooldown_until_[p.dst] = give_up_cooldown(cfg_, now);
       }
       break;
     }
@@ -656,23 +614,8 @@ void HybridNi::handle_config(const PacketPtr& pkt, Cycle now) {
 void HybridNi::handle_delivery(const PacketPtr& pkt, Cycle now) {
   if (pkt->final_dst != id_) {
     // Vicinity hop-off (Section III-A2): continue packet-switched.
-    auto copy = make_packet();
-    copy->id = pkt->id;
-    copy->src = id_;
-    copy->dst = pkt->final_dst;
-    copy->final_dst = pkt->final_dst;
-    copy->num_flits = cfg_.ps_data_flits;
-    copy->created = pkt->created;
-    copy->traffic_class = pkt->traffic_class;
-    copy->payload = pkt->payload;
-    copy->slack = pkt->slack;
-    copy->cs_eligible = false;
-    copy->reinjected = true;
-    // Keep the end-to-end identity across the hop-off re-injection.
-    copy->origin = pkt->origin;
-    copy->retx_of = pkt->retx_of;
     ++vicinity_hopoffs_;
-    send_priority(std::move(copy), now);
+    reinject_packet_switched(*pkt, now);
     return;
   }
   deliver(pkt, now);
@@ -783,23 +726,18 @@ void HybridNi::collect_in_flight(std::vector<Packet*>& out) const {
 // ---------------------------------------------------------------------------
 
 void HybridNi::epoch_tick(Cycle now) {
-  if (now < epoch_start_ + static_cast<Cycle>(cfg_.policy_epoch_cycles)) return;
-  epoch_start_ = now;
+  if (!epoch_boundary(cfg_, epoch_start_, now)) return;
   freq_.clear();
   expire_pending(now);
-  // Retire connections idle beyond the timeout.
-  std::vector<NodeId>& idle_list = idle_scratch_;
-  idle_list.clear();
-  for (const auto& [dst, conn] : connections_) {
-    if (now - conn.last_used > cfg_.path_idle_timeout) idle_list.push_back(dst);
-  }
-  for (const NodeId dst : idle_list) {
-    const Connection& conn = connections_[dst];
-    for (size_t i = 0; i < conn.slots.size(); ++i) {
-      send_teardown(dst, conn.slots[i], conn.setup_ids[i], now);
-    }
-    connections_.erase(dst);
-  }
+  idle_connections(cfg_, connections_, now, idle_scratch_);
+  for (const NodeId dst : idle_scratch_)
+    retire_connection(connections_.find(dst), now);
+}
+
+void HybridNi::retire_connection(ConnectionMap::iterator it, Cycle now) {
+  for (size_t i = 0; i < it->second.slots.size(); ++i)
+    send_teardown(it->first, it->second.slots[i], it->second.setup_ids[i], now);
+  connections_.erase(it);
 }
 
 void HybridNi::leakage_tick(Cycle now) {

@@ -160,7 +160,9 @@ class HybridNi : public NetworkInterface, public CircuitNiHooks {
     /// Liveness verdict reached: no new circuit traffic is scheduled while
     /// the deferred teardown waits for already-planned flits to launch.
     bool doomed = false;
+    int window_count() const { return static_cast<int>(slots.size()); }
   };
+  using ConnectionMap = PooledMap<NodeId, Connection>;
   struct PendingSetup {
     NodeId dst = kInvalidNode;
     int slot = 0;
@@ -189,15 +191,17 @@ class HybridNi : public NetworkInterface, public CircuitNiHooks {
   /// injection window for `nflits` consecutive cycles.
   std::optional<Cycle> find_start(int slot, int nflits, Cycle now) const;
 
-  /// `force` bypasses the frequency threshold (used when a sharing failure
-  /// counter saturates and a dedicated path must be requested).
-  /// `supplement` requests an additional reservation window for an existing
-  /// connection whose windows are oversubscribed (Section II-C granularity).
+  struct SetupHost;
+  /// The shared setup policy (maybe_setup in tdm/switching_policy.hpp),
+  /// gated on the policy being live. `force` bypasses the frequency
+  /// threshold (a sharing failure counter saturated and a dedicated path
+  /// must be requested); `supplement` requests an additional reservation
+  /// window for an existing connection whose windows are oversubscribed
+  /// (Section II-C granularity).
   void maybe_initiate_setup(NodeId dst, Cycle now, bool force,
                             bool supplement = false);
-  /// `avoid_slot` >= 0 forces the draw away from that slot — a retry after a
-  /// conflict must probe a *different* slot id (Section II-B).
-  int choose_setup_slot(int duration, int avoid_slot);
+  /// `avoid_slot` >= 0 forces the slot draw away from that slot — a retry
+  /// after a conflict must probe a *different* slot id (Section II-B).
   void send_setup(NodeId dst, int retries, Cycle now, int avoid_slot = -1);
   /// `owner` = id of the setup whose reservations the teardown may release
   /// (0 releases unconditionally). `stop_at` = the router the corresponding
@@ -215,14 +219,15 @@ class HybridNi : public NetworkInterface, public CircuitNiHooks {
   /// the lost setup reserved and unblocks the destination for new setups.
   void expire_pending(Cycle now);
 
-  double ps_latency_estimate(int hops) const;
-  bool decide_cs(const PacketPtr& pkt, double cs_latency, int hops) const;
-
   /// Cancel remaining planned flits and re-send the packet packet-switched.
   /// `ride_dest` is the shared path's destination (for the DLT counter).
   /// The caller must still hold the packet's head-flit flight count (it is
   /// consumed after this returns), so `pkt` stays valid throughout.
   void bounce_packet(Packet* pkt, NodeId ride_dest, Cycle now);
+  /// Send a packet-switched copy of `pkt` (same identity, full PS length,
+  /// circuit-ineligible) toward its final destination, ahead of queued
+  /// traffic: a bounced hitchhiker or a vicinity hop-off.
+  void reinject_packet_switched(const Packet& pkt, Cycle now);
 
   /// Tear down the doomed connection to `dst` (all windows) and force a
   /// fresh setup over a fault-aware route. Re-defers itself while circuit
@@ -230,6 +235,8 @@ class HybridNi : public NetworkInterface, public CircuitNiHooks {
   void execute_fault_teardown(NodeId dst, Cycle now);
 
   void epoch_tick(Cycle now);
+  /// Tear down every window of a connection and forget it.
+  void retire_connection(ConnectionMap::iterator it, Cycle now);
 
   /// Keep the controller's NIs-with-planned-circuits gauge in sync after a
   /// cs_plan_ mutation: call with the pre-mutation emptiness. The gauge is
@@ -248,7 +255,7 @@ class HybridNi : public NetworkInterface, public CircuitNiHooks {
   /// hash-table insertion history. Pool-backed so the node churn (freq_
   /// resets every epoch, pending entries per setup) recycles fixed blocks
   /// instead of hitting the heap.
-  PooledMap<NodeId, Connection> connections_;
+  ConnectionMap connections_;
   PooledMap<std::uint64_t, PendingSetup> pending_;
   PooledSet<NodeId> pending_dsts_;
   PooledUMap<NodeId, int> freq_;

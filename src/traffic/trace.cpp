@@ -29,6 +29,21 @@ std::vector<TraceEntry> load_trace(std::istream& in) {
   return out;
 }
 
+void check_trace(const std::vector<TraceEntry>& entries, int num_nodes) {
+  HN_CHECK_MSG(!entries.empty(), "empty trace");
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const TraceEntry& e = entries[i];
+    HN_CHECK_MSG(e.src >= 0 && e.src < num_nodes && e.dst >= 0 &&
+                     e.dst < num_nodes,
+                 "trace entry outside the mesh");
+    HN_CHECK_MSG(e.src != e.dst, "self-directed trace entry");
+    HN_CHECK_MSG(e.flits >= 1 && e.flits <= kMaxTraceFlits,
+                 "trace entry flits outside 1..65535");
+    HN_CHECK_MSG(i == 0 || entries[i - 1].cycle <= e.cycle,
+                 "trace entries out of cycle order");
+  }
+}
+
 void save_trace(std::ostream& out, const std::vector<TraceEntry>& entries) {
   out << "# hybridnoc trace: cycle src dst flits\n";
   for (const auto& e : entries) {

@@ -25,9 +25,16 @@ struct TraceEntry {
   friend bool operator==(const TraceEntry&, const TraceEntry&) = default;
 };
 
+/// Largest trace message in flits (the fast model stores lengths in 16 bits).
+inline constexpr int kMaxTraceFlits = 65535;
+
 /// Parse a trace stream. Aborts (HN_CHECK) on malformed lines or entries
 /// out of cycle order.
 std::vector<TraceEntry> load_trace(std::istream& in);
+
+/// What both fidelities require of a trace on `num_nodes` nodes (HN_CHECK):
+/// non-empty, sorted, in-mesh, not self-directed, 1..kMaxTraceFlits flits.
+void check_trace(const std::vector<TraceEntry>& entries, int num_nodes);
 void save_trace(std::ostream& out, const std::vector<TraceEntry>& entries);
 
 /// Replays a trace, optionally looping it forever (the trace's span is

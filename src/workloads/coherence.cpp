@@ -6,7 +6,7 @@
 #include "common/assert.hpp"
 #include "common/geometry.hpp"
 #include "common/rng.hpp"
-#include "fastmodel/fast_model.hpp"
+#include "tdm/switching_policy.hpp"
 
 namespace hybridnoc {
 
@@ -17,7 +17,7 @@ namespace {
 Cycle estimated_delivery(const Mesh& mesh, Cycle cycle, NodeId src, NodeId dst,
                          int flits) {
   const double flight =
-      fast_zero_load_ps_latency(mesh.hop_distance(src, dst), flits);
+      zero_load_ps_latency(mesh.hop_distance(src, dst), flits);
   return cycle + static_cast<Cycle>(flight) + 1;
 }
 

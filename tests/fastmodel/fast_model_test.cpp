@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/driver.hpp"
+#include "tdm/switching_policy.hpp"
 
 namespace hybridnoc {
 namespace {
@@ -25,9 +26,9 @@ TEST(FastModel, ZeroLoadFormulaMatchesCyclePipeline) {
   // 5 cycles per hop (3 router pipeline + 2 link), 2 injection + 5
   // destination/ejection overhead cycles minus the head's counted hop, and
   // the tail trails flits-1 cycles: 5h + 6 + F.
-  EXPECT_DOUBLE_EQ(fast_zero_load_ps_latency(1, 5), 16.0);
-  EXPECT_DOUBLE_EQ(fast_zero_load_ps_latency(2, 5), 21.0);
-  EXPECT_DOUBLE_EQ(fast_zero_load_ps_latency(14, 1), 77.0);
+  EXPECT_DOUBLE_EQ(zero_load_ps_latency(1, 5), 16.0);
+  EXPECT_DOUBLE_EQ(zero_load_ps_latency(2, 5), 21.0);
+  EXPECT_DOUBLE_EQ(zero_load_ps_latency(14, 1), 77.0);
 }
 
 TEST(FastModel, NearZeroLoadLatencyMatchesAnalyticMean) {
@@ -44,7 +45,7 @@ TEST(FastModel, NearZeroLoadLatencyMatchesAnalyticMean) {
       const Coord a = mesh.coord(s);
       const Coord b = mesh.coord(d);
       const int hops = std::abs(a.x - b.x) + std::abs(a.y - b.y);
-      expect_sum += fast_zero_load_ps_latency(hops, cfg.ps_data_flits);
+      expect_sum += zero_load_ps_latency(hops, cfg.ps_data_flits);
       ++pairs;
     }
   }

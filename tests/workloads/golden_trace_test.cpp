@@ -19,6 +19,7 @@
 #include <string>
 
 #include "common/fileio.hpp"
+#include "fastmodel/fast_model.hpp"
 #include "sim/driver.hpp"
 #include "traffic/trace.hpp"
 #include "workloads/workload.hpp"
@@ -123,6 +124,26 @@ TEST(GoldenTraceDeathTest, RunTraceRejectsBrokenTraces) {
                "self-directed");
   EXPECT_DEATH((void)run_trace(cfg, {TraceEntry{0, 0, 99, 5}}, p),
                "outside the mesh");
+}
+
+TEST(GoldenTraceDeathTest, BothFidelitiesValidateEntries) {
+  // run_trace and run_trace_fast share one validator: no out-of-mesh index
+  // or zero-length message reaches either engine, and a message too long
+  // for the fast model's 16-bit transfer length is refused, not truncated.
+  const NocConfig cfg = NocConfig::hybrid_tdm_vc4(4);
+  RunParams p;
+  EXPECT_DEATH((void)run_trace_fast(cfg, {TraceEntry{0, 0, 99, 5}}, p),
+               "outside the mesh");
+  EXPECT_DEATH((void)run_trace_fast(cfg, {TraceEntry{0, 3, 3, 5}}, p),
+               "self-directed");
+  EXPECT_DEATH((void)run_trace_fast(cfg, {}, p), "empty trace");
+  EXPECT_DEATH((void)run_trace(cfg, {TraceEntry{0, 0, 1, 0}}, p),
+               "flits outside");
+  EXPECT_DEATH((void)run_trace_fast(cfg, {TraceEntry{0, 0, 1, 70000}}, p),
+               "flits outside");
+  EXPECT_DEATH((void)run_trace_fast(
+                   cfg, {TraceEntry{5, 0, 1, 5}, TraceEntry{3, 1, 2, 5}}, p),
+               "cycle order");
 }
 
 TEST(GoldenTraceDeathTest, WorkloadSpecRejectsUnknownAndUnreadable) {
