@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include "sim/driver.hpp"
@@ -110,6 +111,13 @@ struct WorkloadScenario {
   double lat_bound;     // |relative mean-latency error| ceiling
   double energy_bound;  // |relative energy-per-packet error| ceiling
 };
+
+// Without this gtest prints the raw bytes of the scenario, which include the
+// ASLR-randomised `spec` pointer and uninitialised padding, so the listed test
+// name would change from one run to the next.
+void PrintTo(const WorkloadScenario& s, std::ostream* os) {
+  *os << s.spec << ' ' << s.k << 'x' << s.k;
+}
 
 std::string workload_scenario_name(
     const ::testing::TestParamInfo<WorkloadScenario>& info) {
