@@ -11,6 +11,10 @@
 // the mechanism is this model's own: the closed-form window search over
 // cs_busy_until and the synchronous setup walk.
 //
+// Routes are walked where they are used (for_each_xy_hop, or route_xy per
+// hop event), never stored, and per-pair NI state holds only destinations a
+// node has used: no state grows with the square of the node count.
+//
 // Energy event counts, per-cycle leakage integrals and the window's
 // RunResult (sim/run_types.hpp window_result) follow the cycle core's
 // definitions; see fast_model.hpp for the calibration contract and the list
@@ -35,17 +39,6 @@
 namespace hybridnoc {
 namespace {
 
-/// XY route unrolled once and cached: per-router input/output ports (the
-/// exact arguments the cycle core's setup walk passes to SlotTable::reserve)
-/// plus directed-link ids for the congestion servers.
-struct Route {
-  int hops = -1;  ///< -1 = not built yet
-  std::vector<NodeId> routers;  ///< hops+1 routers, src..dst
-  std::vector<Port> in;         ///< input port at each router (Local at src)
-  std::vector<Port> out;        ///< output port at each router (Local at dst)
-  std::vector<int> links;       ///< hops directed links, links[i] leaves routers[i]
-};
-
 /// One reservation window of a source-destination pair, mirroring
 /// HybridNi::Connection::slots plus the fast model's usage clock.
 struct Window {
@@ -61,38 +54,88 @@ struct Conn {
   int window_count() const { return static_cast<int>(windows.size()); }
 };
 
-/// Per-node NI policy state (HybridNi's counterpart). The
-/// per-destination policy fields are dense vectors indexed by destination —
-/// every injection reads several of them, and hash maps were a measurable
-/// fraction of the event loop.
+/// Per-destination values of one node, holding only the destinations it has
+/// used (an absent key reads as zero): linear probing over a power-of-two
+/// table, whose clear() keeps the table for the next epoch's counts. Looked
+/// up, never iterated, so slot order cannot reach a result.
+template <typename V>
+class NodeMap {
+ public:
+  V get(NodeId key) const {
+    if (slots_.empty()) return V{};
+    const Slot& s = slots_[find(key)];
+    return s.key == key ? s.value : V{};
+  }
+
+  V& operator[](NodeId key) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    Slot& s = slots_[find(key)];
+    if (s.key != key) {
+      s = Slot{key, V{}};
+      ++used_;
+    }
+    return s.value;
+  }
+
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    used_ = 0;
+  }
+
+ private:
+  struct Slot {
+    NodeId key = -1;  ///< -1: empty
+    V value{};
+  };
+
+  /// The slot holding `key`, or the empty slot where it belongs.
+  size_t find(NodeId key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = (static_cast<size_t>(key) * 0x9e3779b97f4a7c15ULL >> 32) & mask;
+    while (slots_[i].key != key && slots_[i].key >= 0) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    std::vector<Slot> old(std::max<size_t>(8, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const Slot& s : old)
+      if (s.key >= 0) slots_[find(s.key)] = s;
+  }
+
+  std::vector<Slot> slots_;
+  size_t used_ = 0;
+};
+
+/// Per-node NI policy state (HybridNi's counterpart).
 struct NiState {
   std::map<NodeId, Conn> conns;  ///< ordered: deterministic idle sweeps
-  std::vector<int> freq;
-  std::vector<Cycle> cooldown_until;
-  std::vector<Cycle> pending_until;
+  NodeMap<int> freq;
+  NodeMap<Cycle> cooldown_until;
+  NodeMap<Cycle> pending_until;
   Cycle epoch_start = 0;
   Cycle cs_busy_until = 0;  ///< stands in for cs_plan_: next admissible CS start
   double ewma = 0.0;        ///< ewma_inject_delay of the base NI
 };
 
-/// Hot per-pair route metadata: everything ps_launch needs per packet in one
-/// 8-byte load (the full Route record stays cold, used only by the TDM setup
-/// walk). hops < 0 marks a pair whose route has not been built yet.
-struct RouteRef {
-  std::uint32_t off = 0;  ///< first link, index into links_flat_
-  std::int32_t hops = -1;
+/// A router's mesh coordinate, one byte per axis: a 16-bit node field that
+/// fast_model_supports keeps in range (k <= 256).
+struct Xy8 {
+  std::uint8_t x = 0, y = 0;
+  explicit Xy8(Coord c)
+      : x(static_cast<std::uint8_t>(c.x)), y(static_cast<std::uint8_t>(c.y)) {}
+  Coord coord() const { return {x, y}; }
 };
 
 /// A data packet's head arriving at a router input — the next link claim
 /// happens at this event's time, so every link serves heads in true arrival
 /// order (a single-pass whole-route walk would claim capacity in injection
-/// order and systematically overstate queueing on long routes). The route's
-/// remaining links are addressed through the flat link-id array (one load
-/// per hop) rather than the full Route record.
+/// order and systematically overstate queueing on long routes). The link to
+/// claim is route_xy(at, dst), so the event carries no route; coordinates
+/// rather than node ids keep each hop free of divisions by k.
 struct HopEvent {
-  std::uint32_t link_idx = 0;  ///< current link, index into links_flat_
-  std::uint16_t remaining = 0; ///< links left to cross, including this one
-  std::uint16_t dst = 0;       ///< destination node (ejection server)
+  Xy8 at;                      ///< router whose output link is claimed next
+  Xy8 dst;                     ///< destination router (ejection server)
   std::uint32_t created = 0;   ///< creation cycle; 32 bits keeps the event
                                ///< small (~6M live copies per run, the
                                ///< model checks max_cycles fits at startup)
@@ -166,20 +209,6 @@ class Calendar {
     return oat;
   }
 
-  /// Move every event at time `t` (== the cursor, as returned by next_at /
-  /// next_any) into `out`, ring entries first, then overflow spills.
-  void take(Cycle t, std::vector<T>& out) {
-    auto& b = buckets_[t & kMask];
-    size_ -= b.size();
-    for (auto& v : b) out.push_back(v);
-    b.clear();
-    while (!over_.empty() && over_.top().at == t) {
-      out.push_back(over_.top().v);
-      over_.pop();
-      --size_;
-    }
-  }
-
   /// Visit every event at time `t` in place (ring first, then overflow).
   /// The visitor may push into this calendar: pushed times are strictly
   /// future, so they land in other buckets and never grow the one being
@@ -234,10 +263,6 @@ class FastModel {
                  "per node per cycle at most)");
     HN_CHECK_MSG(params.max_cycles <= 0xffffffffULL,
                  "fast model packs creation cycles into 32 bits");
-    routes_.resize(static_cast<size_t>(n_) * static_cast<size_t>(n_));
-    route_ref_.assign(static_cast<size_t>(n_) * static_cast<size_t>(n_),
-                      RouteRef{0, -1});
-    links_flat_.reserve(1024);
     ni_free_.assign(static_cast<size_t>(n_), 0);
     eject_free_.assign(static_cast<size_t>(n_), 0);
     link_free_.assign(static_cast<size_t>(n_) * 4, 0);
@@ -253,11 +278,6 @@ class FastModel {
     }
     if (tdm_) {
       ni_.resize(static_cast<size_t>(n_));
-      for (NiState& st : ni_) {
-        st.freq.assign(static_cast<size_t>(n_), 0);
-        st.cooldown_until.assign(static_cast<size_t>(n_), 0);
-        st.pending_until.assign(static_cast<size_t>(n_), 0);
-      }
       tables_.reserve(static_cast<size_t>(n_));
       for (int v = 0; v < n_; ++v)
         tables_.emplace_back(cfg.slot_table_size, cfg.slot_table_size);
@@ -385,36 +405,20 @@ class FastModel {
     return static_cast<int>(node) * 4 + (static_cast<int>(out) - 1);
   }
 
-  const Route& route(NodeId src, NodeId dst) {
-    Route& r = routes_[static_cast<size_t>(src) * static_cast<size_t>(n_) +
-                       static_cast<size_t>(dst)];
-    if (r.hops >= 0) return r;
-    r.hops = mesh_.hop_distance(src, dst);
-    r.routers.reserve(static_cast<size_t>(r.hops) + 1);
-    r.in.reserve(static_cast<size_t>(r.hops) + 1);
-    r.out.reserve(static_cast<size_t>(r.hops) + 1);
-    r.links.reserve(static_cast<size_t>(r.hops));
-    NodeId here = src;
-    Port in = Port::Local;
-    while (true) {
-      const Port out = route_xy(mesh_, here, dst);
-      r.routers.push_back(here);
-      r.in.push_back(in);
-      r.out.push_back(out);
-      if (out == Port::Local) break;
-      r.links.push_back(link_id(here, out));
-      in = opposite(out);
-      here = mesh_.neighbor(here, out);
-    }
-    // Flat copy of the link ids plus an 8-byte {offset, hops} record for the
-    // hot path: ps_launch then reads one small array entry per packet instead
-    // of dereferencing the full Route (a ~100-byte struct of vectors whose
-    // random access was a guaranteed cache miss per injection).
-    route_ref_[static_cast<size_t>(src) * static_cast<size_t>(n_) +
-               static_cast<size_t>(dst)] = {
-        static_cast<std::uint32_t>(links_flat_.size()), r.hops};
-    links_flat_.insert(links_flat_.end(), r.links.begin(), r.links.end());
-    return r;
+  /// Visit the directed-link id of every hop on the src->dst XY route.
+  template <typename F>
+  void for_each_link(NodeId src, NodeId dst, F&& f) const {
+    for_each_xy_hop(mesh_, src, dst, [&](int, NodeId r, Port, Port out) {
+      if (out != Port::Local) f(link_id(r, out));
+      return true;
+    });
+  }
+
+  /// Without time-slot stealing, track the cycles reserved on the link that
+  /// leaves router `r` through `out` (link_service's bandwidth share).
+  void reserve_link(NodeId r, Port out, int delta) {
+    if (out != Port::Local && !cfg_.time_slot_stealing)
+      reserved_on_link_[static_cast<size_t>(link_id(r, out))] += delta;
   }
 
   /// Rng::geometric with the 1/log1p(-p) factor hoisted out of the loop —
@@ -544,45 +548,34 @@ class FastModel {
   /// teardowns): returns the delivery cycle. Config traffic is a fraction
   /// of a percent of flits, so the injection-order capacity claims are a
   /// harmless simplification here; data packets go hop by hop instead.
-  Cycle ps_transfer(const Route& rt, Cycle t, int flits, bool is_data) {
-    const NodeId src = rt.routers.front();
-    const NodeId dst = rt.routers.back();
+  Cycle ps_transfer(NodeId src, NodeId dst, Cycle t, int flits, bool is_data) {
     const Cycle head = std::max(t, ni_free_[static_cast<size_t>(src)]);
     ni_free_[static_cast<size_t>(src)] = head + static_cast<Cycle>(flits);
     Cycle arr = head + 2;  // injection channel
-    for (int i = 0; i < rt.hops; ++i) {
-      const int l = rt.links[static_cast<size_t>(i)];
+    for_each_link(src, dst, [&](int l) {
       const Cycle depart =
           std::max(arr + 3, link_free_[static_cast<size_t>(l)]);
       link_free_[static_cast<size_t>(l)] = depart + link_service(l, flits);
       arr = depart + 2;
-    }
+    });
     const Cycle ej = std::max(arr + 3, eject_free_[static_cast<size_t>(dst)]);
     eject_free_[static_cast<size_t>(dst)] = ej + static_cast<Cycle>(flits);
-    ps_energy(rt.hops, flits, is_data);
+    ps_energy(mesh_.hop_distance(src, dst), flits, is_data);
     return ej + 2 + static_cast<Cycle>(flits - 1);
   }
 
   /// Launch one data packet: serialize at the source NI, then walk the route
   /// hop by hop via HopEvents so links serve heads in arrival order.
   void ps_launch(NodeId src, NodeId dst, Cycle t, int flits) {
-    const size_t key =
-        static_cast<size_t>(src) * static_cast<size_t>(n_) +
-        static_cast<size_t>(dst);
-    RouteRef rr = route_ref_[key];
-    if (rr.hops < 0) {
-      route(src, dst);
-      rr = route_ref_[key];
-    }
     const Cycle head = std::max(t, ni_free_[static_cast<size_t>(src)]);
     ni_free_[static_cast<size_t>(src)] = head + static_cast<Cycle>(flits);
     if (tdm_) {
       // The base NI's ewma_inject_delay congestion signal.
       smooth_inject_delay(ni_[static_cast<size_t>(src)].ewma, head - t);
     }
-    ps_energy(rr.hops, flits, /*is_data=*/true);
-    const HopEvent ev{rr.off, static_cast<std::uint16_t>(rr.hops),
-                      static_cast<std::uint16_t>(dst),
+    const Coord at = mesh_.coord(src), to = mesh_.coord(dst);
+    ps_energy(Mesh::hop_distance(at, to), flits, /*is_data=*/true);
+    const HopEvent ev{Xy8(at), Xy8(to),
                       static_cast<std::uint32_t>(t),
                       static_cast<std::uint16_t>(flits)};
     if (head == t) {
@@ -597,9 +590,11 @@ class FastModel {
     }
   }
 
-  void process_hop(Cycle at, const HopEvent& h) {
-    const int l = links_flat_[h.link_idx];
-    const Cycle ready = at + 3;
+  void process_hop(Cycle t, const HopEvent& h) {
+    const Coord here = h.at.coord(), dst = h.dst.coord();
+    const Port out = route_xy(here, dst);
+    const int l = link_id(mesh_.node(here), out);
+    const Cycle ready = t + 3;
     const Cycle free = link_free_[static_cast<size_t>(l)];
     const Cycle depart = ready < free ? free : ready;
     // The +1 is a switch-turnaround bubble: the cycle core's allocator
@@ -609,18 +604,15 @@ class FastModel {
     // congestion spread a pure serialisation model otherwise understates.
     link_free_[static_cast<size_t>(l)] =
         depart + link_service(l, h.flits) + 1;
-    if (h.remaining > 1) {
-      hops_.push(depart + 2,
-                 HopEvent{h.link_idx + 1,
-                          static_cast<std::uint16_t>(h.remaining - 1), h.dst,
-                          h.created, h.flits});
+    const Coord next = Mesh::step(here, out);
+    if (next != dst) {
+      hops_.push(depart + 2, HopEvent{Xy8(next), h.dst, h.created, h.flits});
       return;
     }
     // Arrived at the destination router: pipeline, ejection channel, tail.
-    const Cycle ej =
-        std::max(depart + 2 + 3, eject_free_[static_cast<size_t>(h.dst)]);
-    eject_free_[static_cast<size_t>(h.dst)] =
-        ej + static_cast<Cycle>(h.flits);
+    Cycle& eject = eject_free_[static_cast<size_t>(mesh_.node(dst))];
+    const Cycle ej = std::max(depart + 2 + 3, eject);
+    eject = ej + static_cast<Cycle>(h.flits);
     push_delivery(ej + 2 + static_cast<Cycle>(h.flits - 1), h.created,
                   h.flits);
   }
@@ -630,37 +622,32 @@ class FastModel {
   void epoch_tick(NodeId v, Cycle t) {
     NiState& st = ni_[static_cast<size_t>(v)];
     if (!epoch_boundary(cfg_, st.epoch_start, t)) return;
-    std::fill(st.freq.begin(), st.freq.end(), 0);
+    st.freq.clear();
     idle_connections(cfg_, st.conns, t, idle_scratch_);
     for (const NodeId dst : idle_scratch_) teardown_connection(v, dst, t);
   }
 
-  /// Release the first `n` hops of `owner`'s reservation along `rt`.
-  void release_hops(const Route& rt, int slot, PacketId owner, int n) {
-    for (int i = 0; i < n; ++i) {
-      tables_[static_cast<size_t>(rt.routers[static_cast<size_t>(i)])].release(
-          (slot + 2 * i) & (slots_ - 1), dur_, rt.in[static_cast<size_t>(i)],
-          owner);
+  /// Release `owner`'s reservation at the first `n` routers of the src->dst
+  /// route, undoing do_setup's per-router reserve (table entry and link).
+  void release_hops(NodeId src, NodeId dst, int slot, PacketId owner, int n) {
+    for_each_xy_hop(mesh_, src, dst, [&](int i, NodeId r, Port in, Port out) {
+      if (i == n) return false;
+      tables_[static_cast<size_t>(r)].release((slot + 2 * i) & (slots_ - 1),
+                                              dur_, in, owner);
       dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
-    }
-  }
-
-  void release_window(NodeId src, NodeId dst, const Window& w) {
-    const Route& rt = route(src, dst);
-    release_hops(rt, w.slot, w.owner, rt.hops + 1);
-    if (!cfg_.time_slot_stealing) {
-      for (const int l : rt.links)
-        reserved_on_link_[static_cast<size_t>(l)] -= dur_;
-    }
+      reserve_link(r, out, -dur_);
+      return true;
+    });
   }
 
   void teardown_connection(NodeId src, NodeId dst, Cycle t) {
     NiState& st = ni_[static_cast<size_t>(src)];
     const auto it = st.conns.find(dst);
     if (it == st.conns.end()) return;
+    const int routers = mesh_.hop_distance(src, dst) + 1;
     for (const Window& w : it->second.windows) {
-      release_window(src, dst, w);
-      ps_transfer(route(src, dst), t, cfg_.config_flits, /*is_data=*/false);
+      release_hops(src, dst, w.slot, w.owner, routers);
+      ps_transfer(src, dst, t, cfg_.config_flits, /*is_data=*/false);
     }
     st.conns.erase(it);
   }
@@ -671,7 +658,6 @@ class FastModel {
   /// setup/nack/teardown config messages, and retry with a different slot.
   void do_setup(NodeId src, NodeId dst, Cycle t) {
     NiState& st = ni_[static_cast<size_t>(src)];
-    const Route& rt = route(src, dst);
     const int mask = slots_ - 1;
     int avoid = -1;
     const SlotTable& local = tables_[static_cast<size_t>(src)];
@@ -681,28 +667,25 @@ class FastModel {
           [&](int s) { return local.input_free(s, dur_, Port::Local); });
       const PacketId owner = next_owner_id_++;
       int fail_at = -1;
-      for (int i = 0; i <= rt.hops; ++i) {
-        SlotTable& tab =
-            tables_[static_cast<size_t>(rt.routers[static_cast<size_t>(i)])];
-        const int s = (slot0 + 2 * i) & mask;
+      NodeId fail_node = src;
+      for_each_xy_hop(mesh_, src, dst, [&](int i, NodeId r, Port in, Port out) {
+        SlotTable& tab = tables_[static_cast<size_t>(r)];
         if (tab.occupancy() >= cfg_.reservation_threshold ||
-            !tab.reserve(s, dur_, rt.in[static_cast<size_t>(i)],
-                         rt.out[static_cast<size_t>(i)], owner, t)) {
+            !tab.reserve((slot0 + 2 * i) & mask, dur_, in, out, owner, t)) {
           fail_at = i;
-          break;
+          fail_node = r;
+          return false;
         }
         dyn_.slot_table_writes += static_cast<std::uint64_t>(dur_);
-      }
+        reserve_link(r, out, dur_);
+        return true;
+      });
       if (fail_at < 0) {
-        if (!cfg_.time_slot_stealing) {
-          for (const int l : rt.links)
-            reserved_on_link_[static_cast<size_t>(l)] += dur_;
-        }
         // Setup rides to the destination, the ack rides back; the window
         // exists once the ack arrives.
         const Cycle d1 =
-            ps_transfer(rt, t, cfg_.config_flits, /*is_data=*/false);
-        const Cycle d2 = ps_transfer(route(dst, src), d1, cfg_.config_flits,
+            ps_transfer(src, dst, t, cfg_.config_flits, /*is_data=*/false);
+        const Cycle d2 = ps_transfer(dst, src, d1, cfg_.config_flits,
                                      /*is_data=*/false);
         Conn& conn = st.conns[dst];
         conn.windows.push_back(Window{slot0, d2, 0, owner});
@@ -712,13 +695,12 @@ class FastModel {
       }
       // Release the reserved prefix and account the partial setup, the
       // failure ack, and the prefix teardown (three config messages).
-      release_hops(rt, slot0, owner, fail_at);
-      const NodeId fail_node = rt.routers[static_cast<size_t>(fail_at)];
+      release_hops(src, dst, slot0, owner, fail_at);
       if (fail_node != src) {
-        ps_transfer(route(src, fail_node), t, cfg_.config_flits, false);
-        ps_transfer(route(fail_node, src), t, cfg_.config_flits, false);
+        ps_transfer(src, fail_node, t, cfg_.config_flits, false);
+        ps_transfer(fail_node, src, t, cfg_.config_flits, false);
         if (fail_at > 0)
-          ps_transfer(route(src, fail_node), t, cfg_.config_flits, false);
+          ps_transfer(src, fail_node, t, cfg_.config_flits, false);
       }
       avoid = slot0;
     }
@@ -731,14 +713,12 @@ class FastModel {
     FastModel& m;
     NodeId src;
     NiState& st;
-    int pair_count(NodeId dst) const {
-      return st.freq[static_cast<size_t>(dst)];
-    }
+    int pair_count(NodeId dst) const { return st.freq.get(dst); }
     bool setup_pending(NodeId dst, Cycle t) const {
-      return t < st.pending_until[static_cast<size_t>(dst)];
+      return t < st.pending_until.get(dst);
     }
     bool cooling_down(NodeId dst, Cycle t) const {
-      return t < st.cooldown_until[static_cast<size_t>(dst)];
+      return t < st.cooldown_until.get(dst);
     }
     double local_occupancy() const {
       return m.tables_[static_cast<size_t>(src)].occupancy();
@@ -761,8 +741,7 @@ class FastModel {
   CsAttempt try_circuit(NodeId src, NodeId dst, Cycle t, int payload_flits) {
     NiState& st = ni_[static_cast<size_t>(src)];
     Conn& conn = st.conns[dst];
-    const Route& rt = route(src, dst);
-    const int h = rt.hops;
+    const int h = mesh_.hop_distance(src, dst);
     const auto S = static_cast<Cycle>(slots_);
     Cycle best = kCycleNever;
     size_t best_w = 0;
@@ -800,10 +779,10 @@ class FastModel {
     cs_flits_ += f;
     // Circuit flits occupy their reserved link cycles; packet-switched
     // backlogs behind them slip by the circuit's footprint.
-    for (const int l : rt.links) {
+    for_each_link(src, dst, [&](int l) {
       if (link_free_[static_cast<size_t>(l)] > t)
         link_free_[static_cast<size_t>(l)] += static_cast<Cycle>(fcs_);
-    }
+    });
     push_delivery(best + flight, t, payload_flits);
     return CsAttempt::Scheduled;
   }
@@ -834,7 +813,7 @@ class FastModel {
 
     if (tdm_ && cs_eligible) {
       NiState& st = ni_[static_cast<size_t>(v)];
-      ++st.freq[static_cast<size_t>(dst)];
+      ++st.freq[dst];
       if (!st.conns.empty() && st.conns.find(dst) != st.conns.end()) {
         const CsAttempt r = try_circuit(v, dst, t, flits);
         if (r == CsAttempt::Scheduled) return;
@@ -854,19 +833,12 @@ class FastModel {
   /// coordinate math, and cross-library call. Returns -1 for "no packet"
   /// (the self-destination case pattern_destination reports as nullopt).
   NodeId draw_destination(NodeId src) {
+    if (dst_mode_ == DstMode::Table)
+      return dst_table_[static_cast<size_t>(src)];
     Rng& rng = dst_rng_[static_cast<size_t>(src)];
-    NodeId dst;
-    switch (dst_mode_) {
-      case DstMode::Table:
-        return dst_table_[static_cast<size_t>(src)];
-      case DstMode::Uniform:
-        dst = draw_uniform_node(rng);
-        break;
-      case DstMode::Hotspot:
-        dst = rng.bernoulli(0.25) ? hotspots_[rng.uniform_int(4)]
-                                  : draw_uniform_node(rng);
-        break;
-    }
+    const NodeId dst = dst_mode_ == DstMode::Hotspot && rng.bernoulli(0.25)
+                           ? hotspots_[rng.uniform_int(4)]
+                           : draw_uniform_node(rng);
     return dst == src ? -1 : dst;
   }
 
@@ -930,7 +902,6 @@ class FastModel {
   const int fps_, fcs_, dur_, slots_;
   const double p_;  ///< packet probability per node per cycle
 
-  std::vector<Route> routes_;
   std::vector<Cycle> ni_free_, eject_free_, link_free_;
   std::vector<int> reserved_on_link_;
   std::vector<Rng> inj_rng_, dst_rng_, slot_rng_;
@@ -951,8 +922,6 @@ class FastModel {
   Calendar<Delivery> deliveries_;  ///< finished transfers awaiting tallying
   Calendar<HopEvent> hops_;
   std::vector<NodeId> idle_scratch_;  ///< epoch_tick's idle-connection list
-  std::vector<int> links_flat_;        ///< per-route link ids, concatenated
-  std::vector<RouteRef> route_ref_;    ///< route -> {links_flat_ offset, hops}
 
   // measurement
   bool armed_ = false, measuring_ = false, saturated_ = false, done_ = false;
@@ -990,6 +959,9 @@ bool fast_model_supports(const NocConfig& cfg, std::string* why) {
     return fail("dynamic slot sizing is cycle-core only");
   if (cfg.link_ber > 0.0 || cfg.e2e_recovery)
     return fail("fault injection / e2e recovery are cycle-core only");
+  if (cfg.num_nodes() > 65536)
+    return fail("k > 256 overflows HopEvent's 16-bit node fields (one byte "
+                "per coordinate)");
   return true;
 }
 

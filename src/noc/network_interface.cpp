@@ -220,11 +220,11 @@ bool NetworkInterface::e2e_admit(const PacketPtr& pkt, Cycle now) {
       return false;
     }
   }
-  if (cfg_.e2e_recovery) e2e_track(pkt, now);
+  if (cfg_.e2e_recovery) e2e_track(pkt);
   return true;
 }
 
-void NetworkInterface::e2e_track(const PacketPtr& pkt, Cycle now) {
+void NetworkInterface::e2e_track(const PacketPtr& pkt) {
   // Only first transmissions of workload data are tracked: acks and
   // retransmission clones resolve against the original entry, and reinjected
   // copies (vicinity hop-off, hitchhiker bounce) are already tracked at

@@ -265,7 +265,7 @@ class NetworkInterface : public VcHolder {
     Cycle backoff = 0;   ///< current wait; doubles per attempt up to the cap
     int attempts = 0;    ///< retransmissions already sent
   };
-  void e2e_track(const PacketPtr& pkt, Cycle now);
+  void e2e_track(const PacketPtr& pkt);
   void e2e_tick(Cycle now);
   void e2e_acked(PacketId key, Cycle now);
   void send_e2e_ack(const PacketPtr& pkt, PacketId key, Cycle now);

@@ -12,9 +12,34 @@
 
 namespace hybridnoc {
 
-/// Output port for dimension-ordered X-then-Y routing from `here` to `dst`.
-/// Returns Port::Local when here == dst.
+/// Output port for dimension-ordered X-then-Y routing from coordinate `c` to
+/// `d`. Returns Port::Local when they coincide.
+inline Port route_xy(Coord c, Coord d) {
+  if (c.x != d.x) return c.x < d.x ? Port::East : Port::West;
+  if (c.y != d.y) return c.y < d.y ? Port::South : Port::North;
+  return Port::Local;
+}
+
+/// route_xy between node ids.
 Port route_xy(const Mesh& mesh, NodeId here, NodeId dst);
+
+/// Walk the XY route from `src` to `dst` without storing it: calls
+/// `f(i, router, in, out)` for the i-th router on the route (i = 0 at src),
+/// where `in` is the port the packet enters on (Local at src) and `out` is
+/// route_xy's choice there (Local at dst). `f` returns false to stop early.
+/// The walk steps coordinates, so a hop costs no division by k.
+template <typename F>
+void for_each_xy_hop(const Mesh& mesh, NodeId src, NodeId dst, F&& f) {
+  Coord here = mesh.coord(src);
+  const Coord to = mesh.coord(dst);
+  Port in = Port::Local;
+  for (int i = 0;; ++i) {
+    const Port out = route_xy(here, to);
+    if (!f(i, mesh.node(here), in, out) || out == Port::Local) return;
+    in = opposite(out);
+    here = Mesh::step(here, out);
+  }
+}
 
 /// Productive (minimal) output ports from `here` to `dst` under the
 /// west-first turn model: if the destination lies to the west, the packet

@@ -41,12 +41,10 @@ void SdmNetwork::set_deliver_handler(DeliverFn fn) { deliver_ = std::move(fn); }
 std::vector<SdmNetwork::LinkId> SdmNetwork::path_links(NodeId src,
                                                        NodeId dst) const {
   std::vector<LinkId> links;
-  NodeId here = src;
-  while (here != dst) {
-    const Port p = route_xy(mesh_, here, dst);
-    links.push_back(link_id(here, p));
-    here = mesh_.neighbor(here, p);
-  }
+  for_each_xy_hop(mesh_, src, dst, [&](int, NodeId here, Port, Port out) {
+    if (out != Port::Local) links.push_back(link_id(here, out));
+    return true;
+  });
   return links;
 }
 

@@ -104,6 +104,10 @@ ConfigFaultDecision::Action from_fault_action(FaultAction a) {
     case FaultAction::Drop: return ConfigFaultDecision::Action::Drop;
     case FaultAction::Delay: return ConfigFaultDecision::Action::Delay;
     case FaultAction::Duplicate: return ConfigFaultDecision::Action::Duplicate;
+    case FaultAction::Corrupt:  // link/router faults: never on config records
+    case FaultAction::Stuck:
+    case FaultAction::Kill:
+      break;
   }
   return ConfigFaultDecision::Action::None;
 }
@@ -144,11 +148,13 @@ ConfigFaultDecision HybridNetwork::on_config_dispatch(const PacketPtr& pkt,
       d.action = from_fault_action(r.action);
       d.delay = r.delay;
       ++replay_applied_;
-      switch (r.action) {
-        case FaultAction::Drop: ++faults_dropped_; break;
-        case FaultAction::Delay: ++faults_delayed_; break;
-        case FaultAction::Duplicate: ++faults_duplicated_; break;
-        case FaultAction::None: break;
+      switch (d.action) {
+        case ConfigFaultDecision::Action::Drop: ++faults_dropped_; break;
+        case ConfigFaultDecision::Action::Delay: ++faults_delayed_; break;
+        case ConfigFaultDecision::Action::Duplicate:
+          ++faults_duplicated_;
+          break;
+        case ConfigFaultDecision::Action::None: break;
       }
     }
     if (replay_audit_each_event_) {

@@ -130,5 +130,13 @@ TEST(FastModel, SupportGateNamesUnsupportedFeatures) {
                "sharing");
 }
 
+TEST(FastModel, RejectsMeshBeyond16BitNodeIds) {
+  std::string why;
+  EXPECT_TRUE(fast_model_supports(NocConfig::hybrid_tdm_vc4(256), &why));
+  EXPECT_FALSE(fast_model_supports(NocConfig::hybrid_tdm_vc4(257), &why));
+  EXPECT_NE(why.find("16-bit"), std::string::npos) << why;
+  EXPECT_NE(why.find("HopEvent"), std::string::npos) << why;
+}
+
 }  // namespace
 }  // namespace hybridnoc

@@ -23,6 +23,32 @@ TEST(RouteXy, MinimalAndCorrectForAllPairs) {
         ASSERT_LE(hops, mesh.hop_distance(src, dst));
       }
       EXPECT_EQ(hops, mesh.hop_distance(src, dst));
+
+      // for_each_xy_hop visits the same routers and ports, hop by hop.
+      NodeId expect = src;
+      Port prev_out = Port::Local;
+      int calls = 0;
+      for_each_xy_hop(mesh, src, dst, [&](int i, NodeId at, Port in, Port out) {
+        EXPECT_EQ(i, calls++);
+        EXPECT_EQ(at, expect);
+        EXPECT_EQ(out, route_xy(mesh, at, dst));
+        EXPECT_EQ(in, i == 0 ? Port::Local : opposite(prev_out));
+        if (out != Port::Local) expect = mesh.neighbor(at, out);
+        prev_out = out;
+        return true;
+      });
+      EXPECT_EQ(calls, hops + 1);
+      EXPECT_EQ(expect, dst);
+      EXPECT_EQ(prev_out, Port::Local);
+
+      // Returning false stops the walk at that router.
+      const int stop = hops / 2;
+      int stopped_calls = 0;
+      for_each_xy_hop(mesh, src, dst, [&](int i, NodeId, Port, Port) {
+        ++stopped_calls;
+        return i < stop;
+      });
+      EXPECT_EQ(stopped_calls, stop + 1);
     }
   }
 }

@@ -209,6 +209,13 @@ struct FixtureCase {
   const char* invariant;
 };
 
+// Without this gtest prints the raw bytes of the case, which include the
+// ASLR-randomised string pointers, so the listed test name would change from
+// one run to the next.
+void PrintTo(const FixtureCase& fc, std::ostream* os) {
+  *os << fc.file << " expects " << fc.invariant;
+}
+
 class FaultFixture : public testing::TestWithParam<FixtureCase> {};
 
 TEST_P(FaultFixture, ReplayReproducesViolationAndStaysAuditClean) {
