@@ -38,18 +38,12 @@ void BM_SlotTableReserveRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_SlotTableReserveRelease);
 
-/// state.range(0) selects the engine: 1 = active-set scheduler (default),
-/// 0 = legacy full sweep — kept benchmarkable so regressions in either
-/// engine (or in their gap) show up in BENCH_simspeed.json diffs.
-NocConfig engine_cfg(NocConfig cfg, benchmark::State& state) {
-  cfg.active_set_scheduler = state.range(0) != 0;
-  return cfg;
-}
-
-/// Drive `net` for the benchmark loop at a fixed per-node injection
-/// probability per cycle. items_per_second is node-cycles per wall second.
+/// Drive `net` for the benchmark loop at the per-node injection probability
+/// per cycle that benchmark argument `arg` gives in permille.
+/// items_per_second is node-cycles per wall second.
 template <typename Net>
-void run_injected_cycles_at(Net& net, benchmark::State& state, double rate) {
+void run_injected_cycles(Net& net, benchmark::State& state, int arg) {
+  const double rate = static_cast<double>(state.range(arg)) / 1000.0;
   Rng rng(1);
   PacketId id = 1;
   for (auto _ : state) {
@@ -71,41 +65,27 @@ void run_injected_cycles_at(Net& net, benchmark::State& state, double rate) {
   state.SetItemsProcessed(state.iterations() * net.num_nodes());
 }
 
-/// state.range(1), where present, is the per-node injection probability in
-/// permille. 40 is the historical near-saturation point; 5 is the sparse
-/// regime (most components idle most cycles) the active-set engine targets.
-template <typename Net>
-void run_injected_cycles(Net& net, benchmark::State& state) {
-  run_injected_cycles_at(net, state,
-                         static_cast<double>(state.range(1)) / 1000.0);
-}
-
 void BM_IdleNetworkCycle(benchmark::State& state) {
-  Network net(engine_cfg(NocConfig::packet_vc4(6), state));
+  Network net(NocConfig::packet_vc4(6));
   for (auto _ : state) net.tick();
   state.SetItemsProcessed(state.iterations() * 36);
 }
-BENCHMARK(BM_IdleNetworkCycle)->Arg(1)->Arg(0);
+BENCHMARK(BM_IdleNetworkCycle);
 
+/// The argument is the injection permille: 40 is the historical
+/// near-saturation point; 5 is the sparse regime (most components idle most
+/// cycles) the active-set engine targets.
 void BM_LoadedNetworkCycle(benchmark::State& state) {
-  Network net(engine_cfg(NocConfig::packet_vc4(6), state));
-  run_injected_cycles(net, state);
+  Network net(NocConfig::packet_vc4(6));
+  run_injected_cycles(net, state, 0);
 }
-BENCHMARK(BM_LoadedNetworkCycle)
-    ->Args({1, 40})
-    ->Args({0, 40})
-    ->Args({1, 5})
-    ->Args({0, 5});
+BENCHMARK(BM_LoadedNetworkCycle)->Arg(40)->Arg(5);
 
 void BM_HybridNetworkCycle(benchmark::State& state) {
-  HybridNetwork net(engine_cfg(NocConfig::hybrid_tdm_vc4(6), state));
-  run_injected_cycles(net, state);
+  HybridNetwork net(NocConfig::hybrid_tdm_vc4(6));
+  run_injected_cycles(net, state, 0);
 }
-BENCHMARK(BM_HybridNetworkCycle)
-    ->Args({1, 40})
-    ->Args({0, 40})
-    ->Args({1, 5})
-    ->Args({0, 5});
+BENCHMARK(BM_HybridNetworkCycle)->Arg(40)->Arg(5);
 
 /// Thread scaling of the sharded parallel tick engine: 8x8 mesh near
 /// saturation (0.30 injection probability per node per cycle), cycle
@@ -118,7 +98,7 @@ void BM_ParallelLoadedCycle(benchmark::State& state) {
   NocConfig cfg = NocConfig::packet_vc4(8);
   cfg.tick_threads = static_cast<int>(state.range(0));
   Network net(cfg);
-  run_injected_cycles(net, state);
+  run_injected_cycles(net, state, 1);
 }
 BENCHMARK(BM_ParallelLoadedCycle)
     ->Args({1, 300})
@@ -130,7 +110,7 @@ void BM_ParallelHybridLoadedCycle(benchmark::State& state) {
   NocConfig cfg = NocConfig::hybrid_tdm_vc4(8);
   cfg.tick_threads = static_cast<int>(state.range(0));
   HybridNetwork net(cfg);
-  run_injected_cycles(net, state);
+  run_injected_cycles(net, state, 1);
 }
 BENCHMARK(BM_ParallelHybridLoadedCycle)
     ->Args({1, 300})
@@ -234,8 +214,7 @@ void BM_LargeMeshCycle(benchmark::State& state) {
   NocConfig cfg = NocConfig::packet_vc4(k);
   cfg.tick_threads = static_cast<int>(state.range(1));
   Network net(cfg);
-  run_injected_cycles_at(net, state,
-                         static_cast<double>(state.range(2)) / 1000.0);
+  run_injected_cycles(net, state, 2);
 }
 BENCHMARK(BM_LargeMeshCycle)
     ->Args({8, 1, 0})
@@ -263,8 +242,7 @@ void BM_LoadedSaturation(benchmark::State& state) {
   NocConfig cfg = NocConfig::hybrid_tdm_vc4(static_cast<int>(state.range(0)));
   cfg.tick_threads = static_cast<int>(state.range(1));
   HybridNetwork net(cfg);
-  run_injected_cycles_at(net, state,
-                         static_cast<double>(state.range(2)) / 1000.0);
+  run_injected_cycles(net, state, 2);
 }
 BENCHMARK(BM_LoadedSaturation)
     ->Args({8, 1, 300})
@@ -319,11 +297,11 @@ BENCHMARK(BM_SweepCachedResume)->Unit(benchmark::kMillisecond);
 void BM_IdleFastForward(benchmark::State& state) {
   // Whole-window skip: what an idle stretch costs when the driver may jump
   // instead of ticking cycle by cycle.
-  Network net(engine_cfg(NocConfig::packet_vc4(6), state));
+  Network net(NocConfig::packet_vc4(6));
   for (auto _ : state) net.fast_forward(net.now() + 4096);
   state.SetItemsProcessed(state.iterations() * 4096);
 }
-BENCHMARK(BM_IdleFastForward)->Arg(1)->Arg(0);
+BENCHMARK(BM_IdleFastForward);
 
 }  // namespace
 }  // namespace hybridnoc

@@ -12,7 +12,10 @@
 # shared machine, which is exactly the tolerance; best-of-N is stable.
 # Aggregate rows (mean/median/stddev) are skipped. The baseline is
 # machine-specific: re-record it on your machine with the `bench_baseline`
-# target before trusting absolute numbers.
+# target before trusting absolute numbers. The script compares the
+# google-benchmark `context` blocks of the two files and reports every
+# machine field that differs, both on its own and inside a failure message;
+# a mismatch alone never fails the check.
 if(NOT DEFINED TOLERANCE)
   set(TOLERANCE 0.20)
 endif()
@@ -69,6 +72,25 @@ endfunction()
 parse_benchmarks("${current_json}" cur)
 parse_benchmarks("${baseline_json}" base)
 
+# Machine stamp: a throughput floor only means something on the machine the
+# baseline was recorded on. A missing field reads as context-<field>-NOTFOUND.
+set(machine_text "")
+foreach(field num_cpus mhz_per_cpu host_name library_build_type)
+  string(JSON base_value ERROR_VARIABLE err GET "${baseline_json}" context ${field})
+  string(JSON cur_value ERROR_VARIABLE err GET "${current_json}" context ${field})
+  if(NOT base_value STREQUAL cur_value)
+    string(APPEND machine_text
+           "machine mismatch: ${field} baseline=${base_value} current=${cur_value}\n")
+  endif()
+endforeach()
+if(machine_text)
+  string(APPEND machine_text
+         "The baseline was recorded on another machine. After `ctest -L bench` "
+         "on this one, re-record it with:\n"
+         "  cmake --build <build-dir> --target bench_baseline\n")
+  message(STATUS "${machine_text}")
+endif()
+
 # floor = baseline * (1 - TOLERANCE). CMake's math() is integer-only, so
 # express the tolerance as an integer keep-percentage.
 set(keep_pct 100)
@@ -108,6 +130,6 @@ if(compared EQUAL 0)
 endif()
 if(failures)
   string(REPLACE ";" "\n  " failure_text "${failures}")
-  message(FATAL_ERROR "cycle-throughput regression (> allowed tolerance):\n  ${failure_text}")
+  message(FATAL_ERROR "cycle-throughput regression (> allowed tolerance):\n  ${failure_text}\n${machine_text}")
 endif()
 message(STATUS "simspeed regression check passed: ${compared} benchmarks within tolerance")

@@ -146,12 +146,6 @@ struct NocConfig {
   std::uint64_t setup_backoff_cap_cycles = 1024;
 
   // --- simulation engine ---
-  /// Active-set scheduling: skip idle routers/NIs each cycle and
-  /// fast-forward over fully idle stretches, with lazily folded energy
-  /// integrals. Bit-identical to the legacy full sweep (asserted by the
-  /// scheduler-equivalence property tests); set false to force the legacy
-  /// every-component-every-cycle sweep.
-  bool active_set_scheduler = true;
   /// Worker threads for the sharded parallel tick engine: the mesh is split
   /// into contiguous node-range shards (one thread each) and every cycle
   /// runs compute -> barrier -> commit, with cross-shard channel writes

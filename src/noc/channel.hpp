@@ -145,7 +145,7 @@ class Channel : public ChannelBase {
   RingDeque<Entry> queue_;
   std::vector<Entry> staging_;  ///< cross-shard outbox (staged mode only)
   int latency_;
-  TickScheduler* sched_ = nullptr;  ///< null under the legacy full sweep
+  TickScheduler* sched_ = nullptr;  ///< null until set_consumer()
   int consumer_ = -1;
 };
 

@@ -12,8 +12,8 @@
 // Transient corruption is a stateless hash of (fault_seed, link, n-th
 // traversal of that link): whether a given traversal corrupts depends on
 // nothing but the traversal count of that one link, so the decision is
-// independent of global event ordering and identical under the active-set
-// and legacy tick engines. In Record mode every fired corruption is logged
+// independent of global event ordering and identical under the serial and
+// parallel tick engines. In Record mode every fired corruption is logged
 // as a (link, occurrence) pair; Replay mode applies exactly the recorded
 // occurrences and never evaluates the hash, so replays are RNG-free and
 // survive trace shrinking.

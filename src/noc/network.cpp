@@ -19,7 +19,7 @@ Network::Network(const NocConfig& cfg)
           }) {}
 
 Network::Network(const NocConfig& cfg, RouterFactory make_router, NiFactory make_ni)
-    : cfg_(cfg), mesh_(cfg.k), use_sched_(cfg.active_set_scheduler) {
+    : cfg_(cfg), mesh_(cfg.k) {
   cfg_.validate();
   routers_.reserve(static_cast<size_t>(num_nodes()));
   nis_.reserve(static_cast<size_t>(num_nodes()));
@@ -34,7 +34,7 @@ Network::Network(const NocConfig& cfg, RouterFactory make_router, NiFactory make
   watchdog_enabled_ = cfg_.watchdog_stall_cycles > 0;
   if (cfg_.tick_threads > 1) {
     engine_ = std::make_unique<ParallelTickEngine>(*this, cfg_.tick_threads);
-  } else if (use_sched_) {
+  } else {
     sched_.reset(2 * num_nodes());
   }
   build();
@@ -94,8 +94,7 @@ void Network::build() {
   // Per-consumer scheduler: the single global one, or — under the parallel
   // engine — the scheduler of the shard that owns the consuming component.
   auto sched_for = [&](int id) -> TickScheduler* {
-    if (engine_) return engine_->sched_for(id);
-    return use_sched_ ? &sched_ : nullptr;
+    return engine_ ? engine_->sched_for(id) : &sched_;
   };
   for (NodeId n = 0; n < num_nodes(); ++n) {
     Router& r = *routers_[static_cast<size_t>(n)];
@@ -165,23 +164,15 @@ void Network::tick() {
     ++now_;
     return;
   }
-  if (!use_sched_) {
-    for (NetworkInterface* ni : ni_ptrs_) ni->tick(now_);
-    for (Router* r : router_ptrs_) r->tick(now_);
-    profile_.ni_ticks += static_cast<std::uint64_t>(ni_ptrs_.size());
-    profile_.router_ticks += static_cast<std::uint64_t>(router_ptrs_.size());
-    ++now_;
-    return;
-  }
   sched_.begin_cycle(now_);
   if (sched_.anything_active()) {
     // Drain the scheduler's sorted active run list (NIs then routers —
-    // scheduler ids are assigned so ascending id == legacy order). The cost
-    // is O(active components), not O(nodes): an idle 64x64 mesh pays the
-    // same per-cycle dispatch cost as an idle 8x8. Components activated
-    // mid-sweep are handled exactly as under the full flag-scan: still
-    // ahead -> spliced in and ticked this cycle, already passed -> ticks
-    // next cycle (see TickScheduler::sweep).
+    // scheduler ids are assigned so ascending id == full-sweep order). The
+    // cost is O(active components), not O(nodes): an idle 64x64 mesh pays
+    // the same per-cycle dispatch cost as an idle 8x8. Components activated
+    // mid-sweep are handled exactly as under a full flag-scan: still ahead
+    // -> spliced in and ticked this cycle, already passed -> ticks next
+    // cycle (see TickScheduler::sweep).
     const int nn = num_nodes();
     sched_.sweep([&](int id) {
       if (id < nn) {
@@ -208,38 +199,36 @@ void Network::tick() {
 
 void Network::fast_forward(Cycle target) {
   while (now_ < target) {
-    if (use_sched_) {
-      // With the parallel engine the wake state lives in per-shard
-      // schedulers; quiescence is the conjunction over shards and the jump
-      // target the minimum of their wake heaps. begin_cycle is idempotent
-      // at a fixed cycle, so the compute phase re-running it is harmless.
-      if (engine_) {
-        engine_->begin_cycle(now_);
-      } else {
-        sched_.begin_cycle(now_);
+    // With the parallel engine the wake state lives in per-shard
+    // schedulers; quiescence is the conjunction over shards and the jump
+    // target the minimum of their wake heaps. begin_cycle is idempotent at
+    // a fixed cycle, so the compute phase re-running it is harmless.
+    if (engine_) {
+      engine_->begin_cycle(now_);
+    } else {
+      sched_.begin_cycle(now_);
+    }
+    const bool active =
+        engine_ ? engine_->anything_active() : sched_.anything_active();
+    if (!active) {
+      // Nothing can happen until the earliest component wake or external
+      // (controller) event: jump there in one step. Skipped cycles are
+      // provably no-ops, and their energy constants fold in lazily.
+      Cycle jump = std::min({target,
+                             engine_ ? engine_->next_wake_cycle()
+                                     : sched_.next_wake_cycle(),
+                             external_next_event(now_)});
+      // The starvation watchdog must observe every sweep boundary, or its
+      // flags would differ from a cycle-by-cycle run.
+      if (watchdog_enabled_) {
+        jump = std::min(jump, (now_ | 1023) + 1);
       }
-      const bool active =
-          engine_ ? engine_->anything_active() : sched_.anything_active();
-      if (!active) {
-        // Nothing can happen until the earliest component wake or external
-        // (controller) event: jump there in one step. Skipped cycles are
-        // provably no-ops, and their energy constants fold in lazily.
-        Cycle jump = std::min({target,
-                               engine_ ? engine_->next_wake_cycle()
-                                       : sched_.next_wake_cycle(),
-                               external_next_event(now_)});
-        // The starvation watchdog must observe every sweep boundary, or its
-        // flags would differ between the engines.
-        if (watchdog_enabled_) {
-          jump = std::min(jump, (now_ | 1023) + 1);
-        }
-        if (jump > now_) {
-          ++profile_.ff_jumps;
-          profile_.ff_skipped_cycles += jump - now_;
-          now_ = jump;
-        }
-        if (now_ >= target) break;
+      if (jump > now_) {
+        ++profile_.ff_jumps;
+        profile_.ff_skipped_cycles += jump - now_;
+        now_ = jump;
       }
+      if (now_ >= target) break;
     }
     tick();
   }

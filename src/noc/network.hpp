@@ -81,19 +81,19 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Advance one cycle: NIs first, then routers (all communication is
-  /// channel-pipelined, so intra-cycle order is not observable). With
-  /// cfg.active_set_scheduler, only components with pending work are
-  /// ticked — bit-identical to the full sweep, since idle ticks are
-  /// deterministic no-ops whose energy constants are folded lazily. With
+  /// channel-pipelined, so intra-cycle order is not observable). Only
+  /// components with pending work are ticked — bit-identical to ticking
+  /// every component every cycle, since idle ticks are deterministic no-ops
+  /// whose energy constants are folded lazily (the scheduler-equivalence
+  /// suite checks this against a full-sweep test oracle). With
   /// cfg.tick_threads > 1 the cycle is executed by the sharded parallel
   /// engine (noc/parallel_engine.hpp) — bit-identical again, for any
   /// thread count.
   virtual void tick();
 
   /// Advance until now() == target, skipping fully idle stretches in one
-  /// step when the active-set scheduler is on (falls back to per-cycle
-  /// ticking otherwise). Never skips a cycle where any component, or the
-  /// subclass's external machinery (controller timers), has work.
+  /// step. Never skips a cycle where any component, or the subclass's
+  /// external machinery (controller timers), has work.
   void fast_forward(Cycle target);
 
   Cycle now() const { return now_; }
@@ -181,11 +181,12 @@ class Network {
 
  private:
   friend class ParallelTickEngine;
+  friend struct FullSweepOracle;  // test-only reference engine
 
   void build();
   void watchdog_tick();
   /// Component ids for the scheduler: NIs are [0, N), routers [N, 2N), so
-  /// ascending-id order reproduces the legacy NIs-then-routers sweep.
+  /// ascending-id order is the NIs-then-routers sweep order.
   int ni_sched_id(NodeId n) const { return n; }
   int router_sched_id(NodeId n) const { return num_nodes() + n; }
 
@@ -205,7 +206,6 @@ class Network {
   std::unique_ptr<FaultModel> faults_;
 
   TickScheduler sched_;
-  bool use_sched_ = false;
   /// cfg_.watchdog_stall_cycles > 0, hoisted so the per-tick check is one
   /// branch on a bool instead of a 64-bit compare.
   bool watchdog_enabled_ = false;

@@ -195,7 +195,7 @@ class NetworkInterface : public VcHolder {
     (void)pkt;
     (void)now;
   }
-  /// Wake this NI at `at` (no-op under the legacy full sweep).
+  /// Wake this NI at `at` (no-op before a scheduler is attached).
   void sched_wake(Cycle at) {
     if (sched_) sched_->wake_at(sched_id_, at);
   }

@@ -34,8 +34,7 @@ constexpr int kBarrierSpinLimit = 1 << 10;
 ParallelTickEngine::ParallelTickEngine(Network& net, int threads)
     : net_(net),
       num_nodes_(net.num_nodes()),
-      num_shards_(std::min(threads, net.num_nodes())),
-      use_sched_(net.cfg().active_set_scheduler) {
+      num_shards_(std::min(threads, net.num_nodes())) {
   HN_CHECK(threads >= 2);
   shards_.resize(static_cast<size_t>(num_shards_));
   node_shard_.resize(static_cast<size_t>(num_nodes_));
@@ -61,7 +60,7 @@ ParallelTickEngine::ParallelTickEngine(Network& net, int threads)
     for (int n = sh.node_lo; n < sh.node_hi; ++n) {
       node_shard_[static_cast<size_t>(n)] = s;
     }
-    if (use_sched_) sh.sched.reset_ranges(sh.node_lo, sh.node_hi, num_nodes_);
+    sh.sched.reset_ranges(sh.node_lo, sh.node_hi, num_nodes_);
   }
 }
 
@@ -149,21 +148,9 @@ void ParallelTickEngine::barrier_arrive() {
 
 void ParallelTickEngine::compute_phase(int s, Cycle now) {
   Shard& sh = shards_[static_cast<size_t>(s)];
-  if (!use_sched_) {
-    for (int n = sh.node_lo; n < sh.node_hi; ++n) {
-      net_.ni_ptrs_[static_cast<size_t>(n)]->tick(now);
-    }
-    for (int n = sh.node_lo; n < sh.node_hi; ++n) {
-      net_.router_ptrs_[static_cast<size_t>(n)]->tick(now);
-    }
-    const auto span = static_cast<std::uint64_t>(sh.node_hi - sh.node_lo);
-    sh.ni_ticks += span;
-    sh.router_ticks += span;
-    return;
-  }
   // Drain the shard scheduler's run list directly — O(active in shard), not
   // O(shard size). Ascending slot order within the shard is its NIs then its
-  // routers, matching the slice of the legacy global sweep this shard owns.
+  // routers, matching the slice of the global sweep order this shard owns.
   sh.sched.begin_cycle(now);
   sh.sched.sweep([&](int id) {
     if (id < num_nodes_) {
@@ -182,7 +169,6 @@ void ParallelTickEngine::commit_compact_phase(int s, Cycle now) {
   // consumer-side channel fronts, which must include this cycle's sends —
   // exactly what the serial engine's eager sends would have left behind.
   for (ChannelBase* ch : sh.commit_list) ch->commit_staged();
-  if (!use_sched_) return;
   sh.sched.compact(
       [&](int id) {
         return id < num_nodes_
@@ -202,23 +188,16 @@ void ParallelTickEngine::serial_cycle(Cycle now) {
   // Exact global sweep order (every NI ascending, then every router): the
   // modes that force this path observe the dispatch sequence itself, so it
   // must match the single-threaded engine event for event.
-  if (use_sched_) {
-    for (Shard& sh : shards_) sh.sched.begin_cycle(now);
-    for (int n = 0; n < num_nodes_; ++n) {
-      if (shards_[static_cast<size_t>(node_shard_[static_cast<size_t>(n)])]
-              .sched.component_active(n)) {
-        net_.ni_ptrs_[static_cast<size_t>(n)]->tick(now);
-      }
+  begin_cycle(now);
+  for (int n = 0; n < num_nodes_; ++n) {
+    if (sched_for(n)->component_active(n)) {
+      net_.ni_ptrs_[static_cast<size_t>(n)]->tick(now);
     }
-    for (int n = 0; n < num_nodes_; ++n) {
-      if (shards_[static_cast<size_t>(node_shard_[static_cast<size_t>(n)])]
-              .sched.component_active(num_nodes_ + n)) {
-        net_.router_ptrs_[static_cast<size_t>(n)]->tick(now);
-      }
+  }
+  for (int n = 0; n < num_nodes_; ++n) {
+    if (sched_for(num_nodes_ + n)->component_active(num_nodes_ + n)) {
+      net_.router_ptrs_[static_cast<size_t>(n)]->tick(now);
     }
-  } else {
-    for (NetworkInterface* ni : net_.ni_ptrs_) ni->tick(now);
-    for (Router* r : net_.router_ptrs_) r->tick(now);
   }
   // Staged channels stay staged; their outboxes just drain on one thread.
   // Cross-channel commit order is irrelevant (one producer per channel,
@@ -271,12 +250,10 @@ void ParallelTickEngine::accumulate_profile(TickProfile& p) const {
 }
 
 void ParallelTickEngine::begin_cycle(Cycle now) {
-  if (!use_sched_) return;
   for (Shard& sh : shards_) sh.sched.begin_cycle(now);
 }
 
 bool ParallelTickEngine::anything_active() const {
-  if (!use_sched_) return true;
   for (const Shard& sh : shards_) {
     if (sh.sched.anything_active()) return true;
   }
@@ -285,7 +262,6 @@ bool ParallelTickEngine::anything_active() const {
 
 Cycle ParallelTickEngine::next_wake_cycle() {
   Cycle earliest = kCycleNever;
-  if (!use_sched_) return earliest;
   for (Shard& sh : shards_) {
     earliest = std::min(earliest, sh.sched.next_wake_cycle());
   }

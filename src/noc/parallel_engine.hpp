@@ -75,10 +75,8 @@ class ParallelTickEngine {
   int num_shards() const { return num_shards_; }
 
   /// Scheduler that owns component `id` (NIs are [0, N), routers [N, 2N)).
-  /// nullptr when the active-set scheduler is configured off.
   TickScheduler* sched_for(int id) {
-    return use_sched_ ? &shards_[static_cast<size_t>(shard_of(id))].sched
-                      : nullptr;
+    return &shards_[static_cast<size_t>(shard_of(id))].sched;
   }
 
   /// Called during network wiring for every mesh-link channel: marks the
@@ -132,7 +130,6 @@ class ParallelTickEngine {
   Network& net_;
   const int num_nodes_;
   const int num_shards_;
-  const bool use_sched_;
   bool force_serial_ = false;
   std::vector<Shard> shards_;
   std::vector<int> node_shard_;

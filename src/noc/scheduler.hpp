@@ -2,8 +2,9 @@
 // their tick() called this cycle, so the network can skip idle ones and
 // fast-forward over cycles where nothing at all happens.
 //
-// Correctness contract (what keeps the active-set path bit-identical to the
-// legacy full sweep):
+// Correctness contract (what keeps the active-set path bit-identical to a
+// full sweep that ticks every component every cycle — the reference the
+// scheduler-equivalence tests run, tests/properties/full_sweep_oracle.hpp):
 //  * A spurious wake is harmless: ticking an idle component is a
 //    deterministic no-op — the per-cycle energy constants it would accrue
 //    are folded in closed form when it sleeps (see accumulate_idle_energy).
@@ -21,7 +22,7 @@
 // so a cycle's dispatch is O(active) — not O(components) — which is what
 // lets a 64x64 mesh tick at 8x8 cost when only a handful of nodes are busy.
 // sweep() walks the run list in ascending slot order (identical to the
-// legacy full sweep's visit order); components that activate mid-sweep at a
+// full sweep's visit order); components that activate mid-sweep at a
 // position the cursor has not reached yet are spliced in through a small
 // side-heap, so they tick this cycle exactly as the flag-scan would have
 // ticked them, and components that activate at an already-passed position
@@ -111,9 +112,9 @@ class TickScheduler {
   }
 
   /// Dispatch the cycle: call `tick(id)` for every active component in
-  /// ascending slot order (NIs then routers — the legacy sweep order),
+  /// ascending slot order (NIs then routers — the full-sweep order),
   /// touching only the run list, never the full slot range. Components
-  /// activated from inside a tick behave exactly as under the legacy
+  /// activated from inside a tick behave exactly as under a full
   /// flag-scan: a position still ahead of the cursor ticks this cycle (the
   /// side-heap splices it in in order), an already-passed position ticks
   /// next cycle.
@@ -269,7 +270,7 @@ class TickScheduler {
       incoming_.push_back(slot);
       // Activated from inside a tick at a position the cursor has not
       // reached: splice it into this sweep so it runs this cycle, exactly
-      // where the legacy flag-scan would have found its flag set. (If the
+      // where a full flag-scan would have found its flag set. (If the
       // slot is already listed ahead of the cursor, the run-list entry
       // itself will dispatch it — entries behind the cursor were either
       // dispatched or dropped with their membership flag cleared.)

@@ -58,10 +58,9 @@ void put_config(StateWriter& w, const NocConfig& cfg) {
   w.u64(cfg.watchdog_stall_cycles);
   w.u64(cfg.setup_backoff_base_cycles);
   w.u64(cfg.setup_backoff_cap_cycles);
-  // active_set_scheduler and tick_threads are proven bit-identical to the
-  // legacy engine (scheduler/thread equivalence suites), so they are
-  // deliberately NOT part of a point's identity: a cache filled on one
-  // engine is valid on another.
+  // tick_threads is proven bit-identical to the serial engine (thread
+  // equivalence suite), so it is deliberately NOT part of a point's
+  // identity: a cache filled at one thread count is valid at another.
   w.u64(cfg.seed);
 }
 

@@ -1,9 +1,10 @@
-// Bit-identity of the active-set tick scheduler against the legacy full
-// sweep (NocConfig::active_set_scheduler). The active-set engine skips idle
-// components and — via Network::fast_forward — whole idle cycles, folding
-// their per-cycle energy constants in closed form; none of that may change
-// a single observable bit. Every scenario here runs twice, once per engine,
-// and the two runs must agree exactly on:
+// Bit-identity of the active-set tick scheduler against the full-sweep
+// oracle (full_sweep_oracle.hpp), which ticks every component every cycle.
+// The active-set engine skips idle components and — via
+// Network::fast_forward — whole idle cycles, folding their per-cycle energy
+// constants in closed form; none of that may change a single observable
+// bit. Every scenario here runs twice, once stepped by Network::tick and
+// once by the oracle, and the two runs must agree exactly on:
 //  * every delivered packet's id and delivery cycle (hence every latency),
 //  * every EnergyCounters field (dynamic events AND closed-form idle
 //    integrals: cycles, vc/slot/dlt/link active-cycle time integrals),
@@ -13,12 +14,14 @@
 // (drops, delays, duplicates, dynamic resizes) where a missed wake would
 // show up as a diverged digest; the quiescence cases check fast_forward
 // never jumps over a controller resize poll or a reservation-lease sweep.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <string>
 
+#include "full_sweep_oracle.hpp"
 #include "noc/network.hpp"
 #include "tdm/fault_trace.hpp"
 #include "tdm/hybrid_network.hpp"
@@ -32,6 +35,11 @@ namespace {
 std::string fixture_path(const std::string& name) {
   return std::string(HN_FIXTURE_DIR) + "/" + name;
 }
+
+/// One cycle of a twin run: the engine under test, or the full-sweep oracle.
+using Step = void (*)(Network&);
+void engine(Network& net) { net.tick(); }
+void oracle(Network& net) { FullSweepOracle::tick(net); }
 
 /// Everything one run exposes for exact comparison.
 struct RunFingerprint {
@@ -162,9 +170,8 @@ void harvest_hybrid(HybridNetwork& net, RunFingerprint& fp) {
 /// Inject from a seeded synthetic source every cycle for `cycles` cycles.
 /// The traffic stream is a pure function of (pattern, rate, seed), so both
 /// twin runs see the identical schedule.
-template <typename NetT>
-void drive_synthetic(NetT& net, TrafficPattern pattern, double rate,
-                     Cycle cycles, std::uint64_t seed) {
+void drive_synthetic(Network& net, Step step, TrafficPattern pattern,
+                     double rate, Cycle cycles, std::uint64_t seed) {
   SyntheticTraffic traffic(net.mesh(), pattern, rate, 5, seed);
   PacketId next_id = 1;
   while (net.now() < cycles) {
@@ -176,35 +183,33 @@ void drive_synthetic(NetT& net, TrafficPattern pattern, double rate,
       p->num_flits = 5;
       net.ni(src).send(std::move(p), net.now());
     });
-    net.tick();
+    step(net);
   }
 }
 
-RunFingerprint run_packet(NocConfig cfg, bool active_set,
+RunFingerprint run_packet(const NocConfig& cfg, Step step,
                           TrafficPattern pattern, double rate, Cycle cycles,
                           std::uint64_t seed) {
-  cfg.active_set_scheduler = active_set;
   RunFingerprint fp;
   Network net(cfg);
   install_delivery_capture(net, fp);
-  drive_synthetic(net, pattern, rate, cycles, seed);
+  drive_synthetic(net, step, pattern, rate, cycles, seed);
   // An idle drain tail exercises component sleep on the active-set side.
   const Cycle end = net.now() + 3000;
-  while (net.now() < end) net.tick();
+  while (net.now() < end) step(net);
   harvest_common(net, fp);
   return fp;
 }
 
-RunFingerprint run_hybrid(NocConfig cfg, bool active_set,
+RunFingerprint run_hybrid(const NocConfig& cfg, Step step,
                           TrafficPattern pattern, double rate, Cycle cycles,
                           std::uint64_t seed) {
-  cfg.active_set_scheduler = active_set;
   RunFingerprint fp;
   HybridNetwork net(cfg);
   install_delivery_capture(net, fp);
-  drive_synthetic(net, pattern, rate, cycles, seed);
+  drive_synthetic(net, step, pattern, rate, cycles, seed);
   const Cycle end = net.now() + 3000;
-  while (net.now() < end) net.tick();
+  while (net.now() < end) step(net);
   harvest_hybrid(net, fp);
   return fp;
 }
@@ -219,50 +224,49 @@ NocConfig small_hybrid_cfg(bool sharing) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded traffic, both engines
+// Seeded traffic, engine and oracle
 // ---------------------------------------------------------------------------
 
 TEST(SchedulerEquivalence, PacketSwitchedUniform) {
   const NocConfig cfg = NocConfig::packet_vc4(4);
   expect_same(
-      run_packet(cfg, true, TrafficPattern::UniformRandom, 0.12, 5000, 11),
-      run_packet(cfg, false, TrafficPattern::UniformRandom, 0.12, 5000, 11));
+      run_packet(cfg, engine, TrafficPattern::UniformRandom, 0.12, 5000, 11),
+      run_packet(cfg, oracle, TrafficPattern::UniformRandom, 0.12, 5000, 11));
 }
 
 TEST(SchedulerEquivalence, PacketSwitchedHotspotWithGating) {
   NocConfig cfg = NocConfig::packet_vc4(4);
   cfg.vc_power_gating = true;  // epoch catch-up must align exactly
-  expect_same(run_packet(cfg, true, TrafficPattern::Hotspot, 0.08, 5000, 7),
-              run_packet(cfg, false, TrafficPattern::Hotspot, 0.08, 5000, 7));
+  expect_same(run_packet(cfg, engine, TrafficPattern::Hotspot, 0.08, 5000, 7),
+              run_packet(cfg, oracle, TrafficPattern::Hotspot, 0.08, 5000, 7));
 }
 
 TEST(SchedulerEquivalence, HybridUniform) {
   const NocConfig cfg = small_hybrid_cfg(/*sharing=*/false);
   const RunFingerprint active =
-      run_hybrid(cfg, true, TrafficPattern::UniformRandom, 0.10, 6000, 21);
+      run_hybrid(cfg, engine, TrafficPattern::UniformRandom, 0.10, 6000, 21);
   // Non-vacuity: the scenario must actually exercise delivery and circuits.
   EXPECT_GT(active.delivered, 100u);
   EXPECT_GT(active.cs_packets, 0u);
   expect_same(
       active,
-      run_hybrid(cfg, false, TrafficPattern::UniformRandom, 0.10, 6000, 21));
+      run_hybrid(cfg, oracle, TrafficPattern::UniformRandom, 0.10, 6000, 21));
 }
 
 TEST(SchedulerEquivalence, HybridSharingHotspot) {
   const NocConfig cfg = small_hybrid_cfg(/*sharing=*/true);
-  expect_same(run_hybrid(cfg, true, TrafficPattern::Hotspot, 0.08, 6000, 31),
-              run_hybrid(cfg, false, TrafficPattern::Hotspot, 0.08, 6000, 31));
+  expect_same(run_hybrid(cfg, engine, TrafficPattern::Hotspot, 0.08, 6000, 31),
+              run_hybrid(cfg, oracle, TrafficPattern::Hotspot, 0.08, 6000, 31));
 }
 
 // ---------------------------------------------------------------------------
-// Seeded fault storm, both engines
+// Seeded fault storm, engine and oracle
 // ---------------------------------------------------------------------------
 
-RunFingerprint run_storm(bool active_set) {
+RunFingerprint run_storm(Step step) {
   NocConfig cfg = small_hybrid_cfg(/*sharing=*/false);
   cfg.dynamic_slot_sizing = true;
   cfg.initial_active_slots = 8;
-  cfg.active_set_scheduler = active_set;
 
   RunFingerprint fp;
   HybridNetwork net(cfg);
@@ -291,34 +295,33 @@ RunFingerprint run_storm(bool active_set) {
       p2->num_flits = 5;
       net.ni(src).send(std::move(p2), net.now());
     });
-    net.tick();
+    step(net);
   }
   net.disable_config_faults();
   // Fault-free cooldown: timeouts fire, the lease reclaims orphans, and on
   // the active-set side most of the fabric goes to sleep.
   const Cycle end = net.now() + 6000;
-  while (net.now() < end) net.tick();
+  while (net.now() < end) step(net);
   harvest_hybrid(net, fp);
   return fp;
 }
 
 TEST(SchedulerEquivalence, SeededFaultStorm) {
-  const RunFingerprint active = run_storm(true);
+  const RunFingerprint active = run_storm(engine);
   // Non-vacuity: faults and resizes must actually have fired.
   EXPECT_GT(active.faults_dropped + active.faults_delayed +
                 active.faults_duplicated,
             0u);
   EXPECT_GE(active.resizes, 1);
-  expect_same(active, run_storm(false));
+  expect_same(active, run_storm(oracle));
 }
 
 // ---------------------------------------------------------------------------
-// Seeded link-fault storm, both engines
+// Seeded link-fault storm, engine and oracle
 // ---------------------------------------------------------------------------
 
-RunFingerprint run_link_fault_storm(bool active_set) {
+RunFingerprint run_link_fault_storm(Step step) {
   NocConfig cfg = small_hybrid_cfg(/*sharing=*/false);
-  cfg.active_set_scheduler = active_set;
   // Data-plane faults: a transient bit-error rate plus a scheduled permanent
   // link death and a stuck window, recovered by CRC + end-to-end retransmit.
   // Per-hop corruption draws come from a stateless hash of
@@ -336,17 +339,17 @@ RunFingerprint run_link_fault_storm(bool active_set) {
   fm.kill_link(5, Port::East, 2500);
   fm.stick_link(9, Port::North, 4000, 600);
 
-  drive_synthetic(net, TrafficPattern::UniformRandom, 0.08, 6000, 17);
+  drive_synthetic(net, step, TrafficPattern::UniformRandom, 0.08, 6000, 17);
   // Fault-free cooldown long enough for retransmission backoff tails and the
-  // circuit-liveness teardowns to finish on both engines.
+  // circuit-liveness teardowns to finish on both sides.
   const Cycle end = net.now() + 8000;
-  while (net.now() < end) net.tick();
+  while (net.now() < end) step(net);
   harvest_hybrid(net, fp);
   return fp;
 }
 
 TEST(SchedulerEquivalence, SeededLinkFaultStorm) {
-  const RunFingerprint active = run_link_fault_storm(true);
+  const RunFingerprint active = run_link_fault_storm(engine);
   // Non-vacuity: transients fired and were recovered, and the scheduled
   // link death is live in the final report.
   EXPECT_GT(active.corrupted_traversals, 0u);
@@ -354,11 +357,11 @@ TEST(SchedulerEquivalence, SeededLinkFaultStorm) {
   EXPECT_GT(active.retransmits, 0u);
   EXPECT_EQ(active.failed_links, 1);
   EXPECT_GT(active.delivered, 100u);
-  expect_same(active, run_link_fault_storm(false));
+  expect_same(active, run_link_fault_storm(oracle));
 }
 
 // ---------------------------------------------------------------------------
-// Workload-zoo storms, both engines
+// Workload-zoo storms, engine and oracle
 // ---------------------------------------------------------------------------
 // The NN-dataflow and coherence generators double as fault-storm substrates:
 // their traces mix circuit-forming long-lived flows (NN bursts, coherence
@@ -395,8 +398,8 @@ std::vector<TraceEntry> storm_coherence_trace() {
 
 /// Replay a workload trace once through (no looping). Short entries are
 /// circuit-ineligible, mirroring run_trace's rule.
-void drive_trace(HybridNetwork& net, const std::vector<TraceEntry>& entries,
-                 int cs_data_flits) {
+void drive_trace(HybridNetwork& net, Step step,
+                 const std::vector<TraceEntry>& entries, int cs_data_flits) {
   std::size_t pos = 0;
   PacketId next_id = 1;
   const Cycle total = entries.back().cycle + 1;
@@ -411,15 +414,14 @@ void drive_trace(HybridNetwork& net, const std::vector<TraceEntry>& entries,
       p->cs_eligible = e.flits >= cs_data_flits;
       net.ni(e.src).send(std::move(p), net.now());
     }
-    net.tick();
+    step(net);
   }
 }
 
-RunFingerprint run_nn_storm(bool active_set) {
+RunFingerprint run_nn_storm(Step step) {
   NocConfig cfg = small_hybrid_cfg(/*sharing=*/false);
   cfg.dynamic_slot_sizing = true;
   cfg.initial_active_slots = 8;
-  cfg.active_set_scheduler = active_set;
 
   RunFingerprint fp;
   HybridNetwork net(cfg);
@@ -432,16 +434,16 @@ RunFingerprint run_nn_storm(bool active_set) {
   p.max_delay_cycles = 40;
   p.seed = 4321;
   net.enable_config_faults(p);
-  drive_trace(net, storm_nn_trace(), cfg.cs_data_flits);
+  drive_trace(net, step, storm_nn_trace(), cfg.cs_data_flits);
   net.disable_config_faults();
   const Cycle end = net.now() + 6000;
-  while (net.now() < end) net.tick();
+  while (net.now() < end) step(net);
   harvest_hybrid(net, fp);
   return fp;
 }
 
 TEST(SchedulerEquivalence, NnDataflowFaultStorm) {
-  const RunFingerprint active = run_nn_storm(true);
+  const RunFingerprint active = run_nn_storm(engine);
   // Non-vacuity: the pipeline delivered, its recurring pairs formed
   // circuits, and config faults actually fired against the setups.
   EXPECT_GT(active.delivered, 100u);
@@ -449,12 +451,11 @@ TEST(SchedulerEquivalence, NnDataflowFaultStorm) {
   EXPECT_GT(active.faults_dropped + active.faults_delayed +
                 active.faults_duplicated,
             0u);
-  expect_same(active, run_nn_storm(false));
+  expect_same(active, run_nn_storm(oracle));
 }
 
-RunFingerprint run_coherence_storm(bool active_set) {
+RunFingerprint run_coherence_storm(Step step) {
   NocConfig cfg = small_hybrid_cfg(/*sharing=*/false);
-  cfg.active_set_scheduler = active_set;
   cfg.link_ber = 1e-3;
   cfg.fault_seed = 42;
   cfg.e2e_recovery = true;
@@ -465,26 +466,26 @@ RunFingerprint run_coherence_storm(bool active_set) {
   install_delivery_capture(net, fp);
   net.ensure_fault_model().kill_link(6, Port::East, 1500);
 
-  drive_trace(net, storm_coherence_trace(), cfg.cs_data_flits);
+  drive_trace(net, step, storm_coherence_trace(), cfg.cs_data_flits);
   const Cycle end = net.now() + 8000;
-  while (net.now() < end) net.tick();
+  while (net.now() < end) step(net);
   harvest_hybrid(net, fp);
   return fp;
 }
 
 TEST(SchedulerEquivalence, CoherenceLinkFaultStorm) {
-  const RunFingerprint active = run_coherence_storm(true);
+  const RunFingerprint active = run_coherence_storm(engine);
   // Non-vacuity: bimodal traffic delivered through BER corruption, CRC
   // recovery fired, and the scheduled link death stuck.
   EXPECT_GT(active.delivered, 100u);
   EXPECT_GT(active.corrupted_traversals, 0u);
   EXPECT_GT(active.crc_flagged, 0u);
   EXPECT_EQ(active.failed_links, 1);
-  expect_same(active, run_coherence_storm(false));
+  expect_same(active, run_coherence_storm(oracle));
 }
 
 // ---------------------------------------------------------------------------
-// 32x32 scale twin-runs, both engines
+// 32x32 scale twin-runs, engine and oracle
 // ---------------------------------------------------------------------------
 // The run-list scheduler's O(active) sweep only pays off at scale, and its
 // stale-entry pruning and mid-sweep activation heap only see real pressure
@@ -494,10 +495,10 @@ TEST(SchedulerEquivalence, CoherenceLinkFaultStorm) {
 TEST(SchedulerEquivalence, Mesh32Uniform) {
   const NocConfig cfg = NocConfig::packet_vc4(32);
   const RunFingerprint active =
-      run_packet(cfg, true, TrafficPattern::UniformRandom, 0.02, 2000, 13);
+      run_packet(cfg, engine, TrafficPattern::UniformRandom, 0.02, 2000, 13);
   // Non-vacuity: sparse but real traffic across the whole mesh.
   EXPECT_GT(active.delivered, 500u);
-  expect_same(active, run_packet(cfg, false, TrafficPattern::UniformRandom,
+  expect_same(active, run_packet(cfg, oracle, TrafficPattern::UniformRandom,
                                  0.02, 2000, 13));
 }
 
@@ -512,10 +513,9 @@ edge in  mid 8192
 edge mid out 4096
 )";
 
-RunFingerprint run_mesh32_nn(bool active_set) {
+RunFingerprint run_mesh32_nn(Step step) {
   NocConfig cfg = NocConfig::hybrid_tdm_vc4(32);
   cfg.path_freq_threshold = 2;  // circuits form within the short trace
-  cfg.active_set_scheduler = active_set;
 
   RunFingerprint fp;
   HybridNetwork net(cfg);
@@ -524,30 +524,28 @@ RunFingerprint run_mesh32_nn(bool active_set) {
   NnGenParams p;
   p.iterations = 4;
   p.seed = 9;
-  drive_trace(net, generate_nn_trace(d, p), cfg.cs_data_flits);
+  drive_trace(net, step, generate_nn_trace(d, p), cfg.cs_data_flits);
   const Cycle end = net.now() + 3000;
-  while (net.now() < end) net.tick();
+  while (net.now() < end) step(net);
   harvest_hybrid(net, fp);
   return fp;
 }
 
 TEST(SchedulerEquivalence, Mesh32NnDataflow) {
-  const RunFingerprint active = run_mesh32_nn(true);
+  const RunFingerprint active = run_mesh32_nn(engine);
   // Non-vacuity: the pipeline delivered and its recurring pairs formed
   // circuits on the large mesh.
   EXPECT_GT(active.delivered, 100u);
   EXPECT_GT(active.cs_packets, 0u);
-  expect_same(active, run_mesh32_nn(false));
+  expect_same(active, run_mesh32_nn(oracle));
 }
 
 // ---------------------------------------------------------------------------
-// Replayed shrunk fixtures, both engines
+// Replayed shrunk fixtures, engine and oracle
 // ---------------------------------------------------------------------------
 
-RunFingerprint replay_fixture(const FaultScenario& s, bool active_set) {
-  NocConfig cfg = s.to_config();
-  cfg.active_set_scheduler = active_set;
-
+RunFingerprint replay_fixture(const FaultScenario& s, Step step) {
+  const NocConfig cfg = s.to_config();
   RunFingerprint fp;
   HybridNetwork net(cfg);
   install_delivery_capture(net, fp);
@@ -598,12 +596,12 @@ RunFingerprint replay_fixture(const FaultScenario& s, bool active_set) {
       p->num_flits = e.flits;
       net.ni(e.src).send(std::move(p), net.now());
     }
-    net.tick();
+    step(net);
   }
   // One reservation lease of quiet time so orphaned entries expire (the
   // lost_teardown fixture's whole point) with the fabric mostly asleep.
   const Cycle end = net.now() + 2 * s.reservation_lease_cycles;
-  while (net.now() < end) net.tick();
+  while (net.now() < end) step(net);
   harvest_hybrid(net, fp);
   return fp;
 }
@@ -612,7 +610,7 @@ class FixtureEquivalence : public testing::TestWithParam<const char*> {};
 
 TEST_P(FixtureEquivalence, ReplayedStormMatchesAcrossEngines) {
   const FaultScenario s = read_fault_scenario_file(fixture_path(GetParam()));
-  expect_same(replay_fixture(s, true), replay_fixture(s, false));
+  expect_same(replay_fixture(s, engine), replay_fixture(s, oracle));
 }
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, FixtureEquivalence,
@@ -623,6 +621,60 @@ INSTANTIATE_TEST_SUITE_P(Fixtures, FixtureEquivalence,
                            std::string n = info.param;
                            return n.substr(0, n.find('.'));
                          });
+
+// ---------------------------------------------------------------------------
+// The oracle can see a missed wake
+// ---------------------------------------------------------------------------
+// Every case above would pass if the oracle matched the active-set engine
+// no matter what. A router that never reports a next event sleeps through
+// its own gating epochs, so on an idle VC-gated mesh it never powers its
+// spare VCs down. The oracle never asks, so it must stay on the correct run
+// while the active-set engine drifts from it. (With traffic the same router
+// would also sleep through channel fronts and trip the channel's
+// unconsumed-item check instead.)
+
+class SleepyRouter : public Router {
+ public:
+  using Router::Router;
+  Cycle sched_next_event(Cycle now) const override {
+    (void)now;
+    return kCycleNever;
+  }
+};
+
+template <typename RouterT>
+RunFingerprint run_idle_gated(Step step) {
+  NocConfig cfg = NocConfig::packet_vc4(4);
+  cfg.vc_power_gating = true;
+  RunFingerprint fp;
+  Network net(
+      cfg,
+      [](const NocConfig& c, NodeId n, const Mesh& m) -> std::unique_ptr<Router> {
+        return std::make_unique<RouterT>(c, n, m);
+      },
+      [](const NocConfig& c, NodeId n, const Mesh& m) {
+        return std::make_unique<NetworkInterface>(c, n, m);
+      });
+  while (net.now() < 5000) step(net);
+  harvest_common(net, fp);
+  return fp;
+}
+
+TEST(SchedulerEquivalence, OracleCatchesDroppedWake) {
+  // The oracle never calls sched_next_event, so with sleepy routers it still
+  // reproduces the engine on plain ones.
+  const RunFingerprint reference = run_idle_gated<SleepyRouter>(oracle);
+  expect_same(reference, run_idle_gated<Router>(engine));
+  // The engine with sleepy routers must differ from it in at least one field.
+  testing::TestPartResultArray mismatches;
+  {
+    testing::ScopedFakeTestPartResultReporter capture(
+        testing::ScopedFakeTestPartResultReporter::INTERCEPT_ONLY_CURRENT_THREAD,
+        &mismatches);
+    expect_same(run_idle_gated<SleepyRouter>(engine), reference);
+  }
+  EXPECT_GT(mismatches.size(), 0);
+}
 
 // ---------------------------------------------------------------------------
 // Quiescence: fast_forward must not skip controller or lease boundaries

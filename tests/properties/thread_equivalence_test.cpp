@@ -238,17 +238,6 @@ TEST(ThreadEquivalence, PacketSwitchedUniform) {
                               0.12, 5000, 11));
 }
 
-TEST(ThreadEquivalence, PacketSwitchedLegacySweep) {
-  // The parallel engine must also reproduce the legacy full sweep when the
-  // active-set scheduler is configured off (per-shard sweeps, no wake heaps).
-  NocConfig cfg = NocConfig::packet_vc4(4);
-  cfg.active_set_scheduler = false;
-  const RunFingerprint one =
-      run_packet(cfg, 1, TrafficPattern::Hotspot, 0.08, 4000, 7);
-  expect_same(one, run_packet(cfg, max_threads(), TrafficPattern::Hotspot, 0.08,
-                              4000, 7));
-}
-
 TEST(ThreadEquivalence, HybridUniform) {
   const NocConfig cfg = small_hybrid_cfg(/*sharing=*/false);
   const RunFingerprint one =

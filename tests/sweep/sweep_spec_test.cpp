@@ -154,7 +154,7 @@ TEST(Canonical, HashSeparatesBehavioralKnobs) {
 
   // Engine knobs proven bit-identical are NOT part of the identity.
   NocConfig cfg3 = cfg;
-  cfg3.active_set_scheduler = !cfg3.active_set_scheduler;
+  cfg3.tick_threads = 4;
   EXPECT_EQ(config_hash(cfg3, params), base);
 }
 

@@ -1,8 +1,7 @@
 // profile_tick — per-subsystem cycle-cost profile of the cycle core.
 //
 //   profile_tick [--k 32] [--arch packet|tdm] [--inject 0.05] [--cycles 20000]
-//                [--threads 1] [--no-active-set] [--watchdog 1024]
-//                [--fast-forward]
+//                [--threads 1] [--watchdog 1024] [--fast-forward]
 //
 // Runs seeded uniform-random injection against a k x k mesh and prints the
 // Network::tick_profile() counters — tick dispatches per subsystem, watchdog
@@ -13,11 +12,10 @@
 //   tools/profile_tick --k 64 --inject 0            # idle floor
 //   tools/profile_tick --k 64 --inject 0.005        # sparse regime
 //   tools/profile_tick --k 64 --inject 0.1 --threads 4
-//   tools/profile_tick --k 64 --inject 0 --no-active-set   # legacy sweep
 //
-// Dispatches/cycle is the headline number: at --inject 0 the active-set
-// engine should show ~0 while the legacy sweep shows 2*k*k — the O(nodes)
-// per-cycle cost the run-list scheduler eliminates.
+// Dispatches/cycle is the headline number, printed against the 2*k*k
+// components a sweep of every NI and router would tick: at --inject 0 the
+// run-list scheduler should show ~0, and under load it approaches 2*k*k.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -41,7 +39,6 @@ struct Options {
   double inject = 0.05;
   std::uint64_t cycles = 20000;
   int threads = 1;
-  bool active_set = true;
   std::uint64_t watchdog = 0;
   bool fast_forward = false;
 };
@@ -50,7 +47,7 @@ struct Options {
   std::fprintf(
       stderr,
       "usage: profile_tick [--k N] [--arch packet|tdm] [--inject RATE]\n"
-      "                    [--cycles N] [--threads N] [--no-active-set]\n"
+      "                    [--cycles N] [--threads N]\n"
       "                    [--watchdog STALL_CYCLES] [--fast-forward]\n");
   std::exit(2);
 }
@@ -73,8 +70,6 @@ Options parse(int argc, char** argv) {
       o.cycles = std::strtoull(next(), nullptr, 10);
     } else if (a == "--threads") {
       o.threads = std::atoi(next());
-    } else if (a == "--no-active-set") {
-      o.active_set = false;
     } else if (a == "--watchdog") {
       o.watchdog = std::strtoull(next(), nullptr, 10);
     } else if (a == "--fast-forward") {
@@ -133,7 +128,7 @@ void run(Net& net, const Options& o) {
               static_cast<unsigned long long>(p.ni_ticks));
   std::printf("router ticks         %llu\n",
               static_cast<unsigned long long>(p.router_ticks));
-  std::printf("dispatches/cycle     %.2f  (legacy full sweep would be %llu)\n",
+  std::printf("dispatches/cycle     %.2f  of %llu components\n",
               p.cycles ? static_cast<double>(dispatches) /
                              static_cast<double>(p.cycles)
                        : 0.0,
@@ -171,7 +166,6 @@ int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
   NocConfig cfg = o.arch == "tdm" ? NocConfig::hybrid_tdm_vc4(o.k)
                                   : NocConfig::packet_vc4(o.k);
-  cfg.active_set_scheduler = o.active_set;
   cfg.tick_threads = o.threads;
   cfg.watchdog_stall_cycles = o.watchdog;
   if (o.arch == "tdm") {
