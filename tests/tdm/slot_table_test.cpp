@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "common/state_io.hpp"
+
 namespace hybridnoc {
 namespace {
 
@@ -151,6 +159,229 @@ TEST(SlotTable, LeaseExpiryReclaimsStaleEntriesOnly) {
   EXPECT_EQ(t.lookup_slot(0, Port::West), std::nullopt);
   EXPECT_EQ(t.lookup_slot(8, Port::North), Port::South);
   EXPECT_EQ(t.valid_entries(), 2);
+}
+
+/// (slot, input) pairs one lease sweep released, sorted.
+using Expired = std::vector<std::pair<int, int>>;
+
+Expired sweep(SlotTable& t, Cycle cutoff, int& count) {
+  Expired out;
+  count = t.expire_older_than(
+      cutoff, [&](int s, Port in) { out.emplace_back(s, static_cast<int>(in)); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void expect_same_entries(const SlotTable& a, const SlotTable& b) {
+  ASSERT_EQ(a.valid_entries(), b.valid_entries());
+  for (int j = 0; j < kNumPorts; ++j) {
+    const Port in = static_cast<Port>(j);
+    for (int s = 0; s < a.active_size(); ++s) {
+      ASSERT_EQ(a.lookup_slot(s, in), b.lookup_slot(s, in))
+          << "slot " << s << " port " << j;
+      ASSERT_EQ(a.owner_at(s, in), b.owner_at(s, in))
+          << "slot " << s << " port " << j;
+    }
+  }
+}
+
+// The expiry-bucket index is an accelerator for the full scan the untracked
+// table does: over seeded random reserve / release / refresh / sweep
+// sequences whose stamps cross many 1024-cycle buckets, the tracked table
+// must expire exactly the entries the scanning twin expires. The tracked
+// twin also toggles its index off and on mid-run (a full rebuild).
+TEST(SlotTable, ExpiryIndexMatchesFullScan) {
+  int sweeps_with_expiries = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(seed);
+    SlotTable tracked(64, 64);
+    SlotTable scanned(64, 64);
+    scanned.set_expiry_tracking(false);
+    bool tracking = true;
+    Rng rng(seed);
+    Cycle now = 0;
+    for (int step = 0; step < 4000; ++step) {
+      now += rng.uniform_int(48);  // a bucket boundary every ~40 steps
+      const int slot = static_cast<int>(rng.uniform_int(64));
+      const int duration = 1 + static_cast<int>(rng.uniform_int(6));
+      const Port in = static_cast<Port>(rng.uniform_int(kNumPorts));
+      const Port out = static_cast<Port>(rng.uniform_int(kNumPorts));
+      const PacketId owner = 1 + rng.uniform_int(4);
+      switch (rng.uniform_int(8)) {
+        case 0:
+        case 1:
+          ASSERT_EQ(tracked.reserve(slot, duration, in, out, owner, now),
+                    scanned.reserve(slot, duration, in, out, owner, now));
+          break;
+        case 2:
+          ASSERT_EQ(tracked.release(slot, duration, in, owner),
+                    scanned.release(slot, duration, in, owner));
+          break;
+        case 3:
+          ASSERT_EQ(tracked.release(slot, duration, in),
+                    scanned.release(slot, duration, in));
+          break;
+        case 4: {
+          // Release, then re-reserve the same window inside one bucket: the
+          // old bucket reference must not resurrect or double-expire it.
+          ASSERT_EQ(tracked.release(slot, duration, in),
+                    scanned.release(slot, duration, in));
+          const Cycle later = now + rng.uniform_int(8);
+          ASSERT_EQ(tracked.reserve(slot, duration, in, out, owner, later),
+                    scanned.reserve(slot, duration, in, out, owner, later));
+          break;
+        }
+        case 5:
+          tracked.refresh(slot, duration, in, now);
+          scanned.refresh(slot, duration, in, now);
+          break;
+        case 6: {
+          const Cycle age = rng.uniform_int(2600);
+          const Cycle cutoff = now > age ? now - age : 0;
+          int n_tracked = 0;
+          int n_scanned = 0;
+          const Expired a = sweep(tracked, cutoff, n_tracked);
+          const Expired b = sweep(scanned, cutoff, n_scanned);
+          ASSERT_EQ(n_tracked, n_scanned) << "step " << step;
+          ASSERT_EQ(a, b) << "step " << step;
+          ASSERT_EQ(static_cast<int>(a.size()), n_tracked);
+          if (n_tracked > 0) ++sweeps_with_expiries;
+          expect_same_entries(tracked, scanned);
+          break;
+        }
+        default:
+          if (rng.bernoulli(tracking ? 0.05 : 0.3)) {
+            tracking = !tracking;
+            tracked.set_expiry_tracking(tracking);
+          }
+          break;
+      }
+    }
+    expect_same_entries(tracked, scanned);
+  }
+  EXPECT_GT(sweeps_with_expiries, 100);  // the sweeps did real work
+}
+
+/// A slot-table archive: capacity, active size, tracking flag and, per input
+/// port, a valid count followed by (slot, out, owner, stamp) records. The
+/// valid count is written as given, so it may disagree with the records.
+struct ArchiveEntry {
+  int slot;
+  std::uint8_t out;
+};
+std::string slot_archive(int capacity, int active,
+                         const std::vector<int>& valid_counts,
+                         const std::vector<std::vector<ArchiveEntry>>& ports) {
+  StateWriter w;
+  w.section("slot_table");
+  w.i32(capacity);
+  w.i32(active);
+  w.b(true);
+  for (int j = 0; j < kNumPorts; ++j) {
+    const size_t p = static_cast<size_t>(j);
+    w.i32(p < valid_counts.size() ? valid_counts[p] : 0);
+    if (p >= ports.size()) continue;
+    for (const ArchiveEntry& e : ports[p]) {
+      w.i32(e.slot);
+      w.u8(e.out);
+      w.u64(/*owner=*/3);
+      w.u64(/*stamp=*/100);
+    }
+  }
+  return w.seal();
+}
+
+void restore_from(SlotTable& t, const std::string& sealed) {
+  StateReader r(sealed);
+  t.restore_state(r);
+}
+
+std::string saved(const SlotTable& t) {
+  StateWriter w;
+  t.save_state(w);
+  return w.seal();
+}
+
+TEST(SlotTableRestore, WellFormedArchiveRestores) {
+  SlotTable t(64, 16);
+  restore_from(t, slot_archive(64, 16, {2}, {{{3, 2}, {9, 4}}}));
+  EXPECT_EQ(t.lookup_slot(3, Port::Local), Port::East);
+  EXPECT_EQ(t.lookup_slot(9, Port::Local), Port::West);
+  EXPECT_EQ(t.owner_at(9, Port::Local), PacketId{3});
+  EXPECT_EQ(t.valid_entries(), 2);
+}
+
+TEST(SlotTableRestore, PortOutOfRangeThrows) {
+  SlotTable t(64, 16);
+  const auto bad = static_cast<std::uint8_t>(kNumPorts);
+  EXPECT_THROW(restore_from(t, slot_archive(64, 16, {1}, {{{3, bad}}})),
+               StateError);
+  EXPECT_THROW(restore_from(t, slot_archive(64, 16, {0, 1}, {{}, {{0, 0xFF}}})),
+               StateError);
+}
+
+TEST(SlotTableRestore, DuplicateSlotThrows) {
+  SlotTable t(64, 16);
+  EXPECT_THROW(restore_from(t, slot_archive(64, 16, {2}, {{{5, 1}, {5, 2}}})),
+               StateError);
+}
+
+TEST(SlotTableRestore, SlotBeyondActiveThrows) {
+  SlotTable t(64, 16);
+  EXPECT_THROW(restore_from(t, slot_archive(64, 16, {1}, {{{16, 1}}})),
+               StateError);
+  EXPECT_THROW(restore_from(t, slot_archive(64, 16, {1}, {{{-1, 1}}})),
+               StateError);
+}
+
+TEST(SlotTableRestore, ValidCountBeyondActiveThrows) {
+  SlotTable t(64, 16);
+  EXPECT_THROW(restore_from(t, slot_archive(64, 16, {17}, {})), StateError);
+  EXPECT_THROW(restore_from(t, slot_archive(64, 16, {-1}, {})), StateError);
+}
+
+TEST(SlotTableRestore, CapacityMismatchThrows) {
+  SlotTable t(64, 16);
+  EXPECT_THROW(restore_from(t, slot_archive(32, 16, {}, {})), StateError);
+}
+
+SlotTable leased_table(bool tracking) {
+  SlotTable t(64, 32);
+  t.set_expiry_tracking(tracking);
+  EXPECT_TRUE(t.reserve(30, 4, Port::West, Port::East, 7, /*now=*/100));
+  EXPECT_TRUE(t.reserve(5, 3, Port::North, Port::South, 8, /*now=*/1500));
+  EXPECT_TRUE(t.reserve(10, 2, Port::Local, Port::West, 0, /*now=*/2100));
+  t.refresh(31, 2, Port::West, /*now=*/3000);  // slots 31 and 0 renewed
+  EXPECT_TRUE(t.release(6, 1, Port::North, 8).has_value());
+  return t;
+}
+
+TEST(SlotTableRestore, SaveRestoreSaveIsByteIdentical) {
+  for (const bool tracking : {true, false}) {
+    SCOPED_TRACE(tracking);
+    const SlotTable source = leased_table(tracking);
+    const std::string first = saved(source);
+    SlotTable copy(64, 64);
+    restore_from(copy, first);
+    EXPECT_EQ(saved(copy), first);
+    expect_same_entries(copy, source);
+  }
+}
+
+TEST(SlotTableRestore, RestoredTrackedTableExpiresLikeItsSource) {
+  SlotTable source = leased_table(true);
+  SlotTable copy(64, 8);
+  restore_from(copy, saved(source));
+  for (const Cycle cutoff : {Cycle{1000}, Cycle{2048}, Cycle{2200}, Cycle{4000}}) {
+    int n_source = 0;
+    int n_copy = 0;
+    const Expired a = sweep(source, cutoff, n_source);
+    const Expired b = sweep(copy, cutoff, n_copy);
+    EXPECT_EQ(n_copy, n_source) << "cutoff " << cutoff;
+    EXPECT_EQ(b, a) << "cutoff " << cutoff;
+    expect_same_entries(copy, source);
+  }
+  EXPECT_EQ(source.valid_entries(), 0);
 }
 
 TEST(SlotTableDeathTest, DurationBeyondActiveSizeRejected) {
