@@ -1,5 +1,7 @@
 #include "tdm/slot_table.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "common/state_io.hpp"
 
@@ -12,20 +14,22 @@ bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 SlotTable::SlotTable(int capacity, int active)
     : capacity_(capacity), active_(active) {
   HN_CHECK(is_pow2(capacity) && is_pow2(active) && active <= capacity);
-  for (auto& column : entries_) column.resize(static_cast<size_t>(capacity));
+  const size_t cells = static_cast<size_t>(kNumPorts) * capacity;
+  out_.assign(cells, kFree);
+  lease_.resize(cells);
 }
 
 bool SlotTable::can_reserve(int slot, int duration, Port in, Port out) const {
   HN_CHECK(duration >= 1 && duration <= active_);
+  const auto want = static_cast<std::uint8_t>(out);
   for (int d = 0; d < duration; ++d) {
     const int s = wrap(slot + d);
-    if (at(s, in).valid) return false;  // input conflict (Fig 1, setup 2)
+    if (out_[cell(s, in)] != kFree) return false;  // input conflict (setup 2)
     for (int j = 0; j < kNumPorts; ++j) {
       const Port pj = static_cast<Port>(j);
       if (pj == in) continue;
       if (valid_by_port_[static_cast<size_t>(j)] == 0) continue;
-      const Entry& e = at(s, pj);
-      if (e.valid && e.out == out) return false;  // output conflict (setup 3)
+      if (out_[cell(s, pj)] == want) return false;  // output conflict (setup 3)
     }
   }
   return true;
@@ -36,13 +40,11 @@ bool SlotTable::reserve(int slot, int duration, Port in, Port out,
   if (!can_reserve(slot, duration, in, out)) return false;
   for (int d = 0; d < duration; ++d) {
     const int s = wrap(slot + d);
-    Entry& e = at(s, in);
-    e.valid = true;
-    e.out = out;
-    e.owner = owner;
-    e.stamp = now;
+    const size_t c = cell(s, in);
+    out_[c] = static_cast<std::uint8_t>(out);
+    lease_[c] = Lease{owner, now};
     ++valid_by_port_[static_cast<size_t>(in)];
-    note_expiry(s, in, e);
+    note_expiry(s, in, kCycleNever, now);
   }
   return true;
 }
@@ -51,12 +53,11 @@ std::optional<Port> SlotTable::release(int slot, int duration, Port in,
                                        PacketId owner) {
   std::optional<Port> first_out;
   for (int d = 0; d < duration; ++d) {
-    Entry& e = at(wrap(slot + d), in);
-    if (!e.valid) continue;
-    if (owner != 0 && e.owner != owner) continue;  // someone else's entry
-    if (!first_out) first_out = e.out;
-    e.valid = false;
-    e.bucket = kNoExpiryBucket;  // its bucket reference is now stale
+    const size_t c = cell(wrap(slot + d), in);
+    if (out_[c] == kFree) continue;
+    if (owner != 0 && lease_[c].owner != owner) continue;  // someone else's
+    if (!first_out) first_out = static_cast<Port>(out_[c]);
+    out_[c] = kFree;  // its bucket reference is now stale
     --valid_by_port_[static_cast<size_t>(in)];
   }
   return first_out;
@@ -67,33 +68,34 @@ std::optional<Port> SlotTable::lookup(Cycle cycle, Port in) const {
 }
 
 std::optional<Port> SlotTable::lookup_slot(int slot, Port in) const {
-  const Entry& e = at(wrap(slot), in);
-  if (!e.valid) return std::nullopt;
-  return e.out;
+  const std::uint8_t out = out_[cell(wrap(slot), in)];
+  if (out == kFree) return std::nullopt;
+  return static_cast<Port>(out);
 }
 
 std::optional<PacketId> SlotTable::owner_at(int slot, Port in) const {
-  const Entry& e = at(wrap(slot), in);
-  if (!e.valid) return std::nullopt;
-  return e.owner;
+  const size_t c = cell(wrap(slot), in);
+  if (out_[c] == kFree) return std::nullopt;
+  return lease_[c].owner;
 }
 
 void SlotTable::refresh(int slot, int count, Port in, Cycle now) {
   for (int d = 0; d < count; ++d) {
     const int s = wrap(slot + d);
-    Entry& e = at(s, in);
-    if (!e.valid) continue;
-    e.stamp = now;
-    note_expiry(s, in, e);
+    const size_t c = cell(s, in);
+    if (out_[c] == kFree) continue;
+    const Cycle prev = lease_[c].stamp;
+    lease_[c].stamp = now;
+    note_expiry(s, in, prev, now);
   }
 }
 
 std::optional<Port> SlotTable::output_reserved_at(Cycle cycle, Port out) const {
   const int s = slot_of(cycle);
+  const auto want = static_cast<std::uint8_t>(out);
   for (int j = 0; j < kNumPorts; ++j) {
     if (valid_by_port_[static_cast<size_t>(j)] == 0) continue;
-    const Entry& e = at(s, static_cast<Port>(j));
-    if (e.valid && e.out == out) return static_cast<Port>(j);
+    if (out_[cell(s, static_cast<Port>(j))] == want) return static_cast<Port>(j);
   }
   return std::nullopt;
 }
@@ -106,18 +108,13 @@ double SlotTable::occupancy() const {
 bool SlotTable::input_free(int slot, int duration, Port in) const {
   if (valid_by_port_[static_cast<size_t>(in)] == 0) return true;
   for (int d = 0; d < duration; ++d) {
-    if (at(wrap(slot + d), in).valid) return false;
+    if (out_[cell(wrap(slot + d), in)] != kFree) return false;
   }
   return true;
 }
 
 void SlotTable::reset() {
-  for (auto& column : entries_) {
-    for (auto& e : column) {
-      e.valid = false;
-      e.bucket = kNoExpiryBucket;
-    }
-  }
+  std::fill(out_.begin(), out_.end(), kFree);
   valid_by_port_.fill(0);
   for (auto& buckets : expiry_buckets_) buckets.clear();
 }
@@ -126,16 +123,13 @@ void SlotTable::set_expiry_tracking(bool on) {
   if (track_expiry_ == on) return;
   track_expiry_ = on;
   for (auto& buckets : expiry_buckets_) buckets.clear();
-  for (auto& column : entries_) {
-    for (auto& e : column) e.bucket = kNoExpiryBucket;
-  }
   if (!on) return;
   for (int j = 0; j < kNumPorts; ++j) {
     const Port in = static_cast<Port>(j);
     if (valid_by_port_[static_cast<size_t>(j)] == 0) continue;
-    for (int s = 0; s < capacity_; ++s) {
-      Entry& e = at(s, in);
-      if (e.valid) note_expiry(s, in, e);
+    for (int s = 0; s < active_; ++s) {
+      const size_t c = cell(s, in);
+      if (out_[c] != kFree) note_expiry(s, in, kCycleNever, lease_[c].stamp);
     }
   }
 }
@@ -161,12 +155,12 @@ void SlotTable::save_state(StateWriter& w) const {
     const Port in = static_cast<Port>(j);
     w.i32(valid_by_port_[static_cast<size_t>(j)]);
     for (int s = 0; s < active_; ++s) {
-      const Entry& e = at(s, in);
-      if (!e.valid) continue;
+      const size_t c = cell(s, in);
+      if (out_[c] == kFree) continue;
       w.i32(s);
-      w.u8(static_cast<std::uint8_t>(e.out));
-      w.u64(e.owner);
-      w.u64(e.stamp);
+      w.u8(out_[c]);
+      w.u64(lease_[c].owner);
+      w.u64(lease_[c].stamp);
     }
   }
 }
@@ -194,15 +188,13 @@ void SlotTable::restore_state(StateReader& r) {
     for (int n = 0; n < valid; ++n) {
       const int s = r.i32();
       if (s < 0 || s >= active) throw StateError("slot index out of range");
-      Entry& e = at(s, in);
-      if (e.valid) throw StateError("duplicate slot entry");
-      e.valid = true;
-      e.out = static_cast<Port>(r.u8());
-      if (static_cast<int>(e.out) >= kNumPorts) {
-        throw StateError("slot entry port out of range");
-      }
-      e.owner = r.u64();
-      e.stamp = r.u64();
+      const size_t c = cell(s, in);
+      if (out_[c] != kFree) throw StateError("duplicate slot entry");
+      const std::uint8_t out = r.u8();
+      if (out >= kNumPorts) throw StateError("slot entry port out of range");
+      out_[c] = out;
+      lease_[c].owner = r.u64();
+      lease_[c].stamp = r.u64();
       ++valid_by_port_[static_cast<size_t>(j)];
     }
   }

@@ -20,12 +20,17 @@
 // no circuit traffic for a long time are reclaimed (expire_older_than),
 // bounding the damage of a lost teardown.
 //
-// Storage is sharded by input port: one entry column and one expiry-bucket
-// index per port, with per-port valid counts. A reservation only ever lives
-// under its input port, so the lease sweep and the consistency audit skip
-// whole ports the moment their count is zero — on a quiet router that turns
-// the periodic sweeps into five integer reads instead of a walk over the
-// dense active x kNumPorts array.
+// Storage follows the hardware split: a hot column of one byte per
+// (input port, slot) holding the output port, or kFree when the valid bit is
+// clear, and a cold column of 16-byte leases (owner, stamp). Both are flat,
+// one allocation each, indexed port-major, so every read that needs only the
+// valid bit and output port (lookup, conflict checks, the untracked sweep)
+// touches bytes. Per-port valid counts let the lease sweep and the
+// consistency audit skip whole ports the moment their count is zero: on a
+// quiet router the periodic sweeps are five integer reads. The expiry index
+// stores no per-entry bucket: a valid entry's bucket is its stamp >>
+// kExpiryBucketShift, so a bucket reference is live exactly while its entry
+// is valid and still stamped inside that bucket.
 //
 // Section II-C's dynamic time-division granularity is supported through the
 // active size: only the first `active` entries participate (arithmetic is
@@ -98,8 +103,9 @@ class SlotTable {
   /// stamp >> kExpiryBucketShift, so a sweep visits only buckets that can
   /// hold expirable stamps — O(expired + stale refs retired + one straddling
   /// bucket per port) instead of a full active x kNumPorts scan. Bucket
-  /// references go stale when an entry is released or re-stamped; they are
-  /// validated (and discarded) lazily here, which keeps reserve/refresh O(1).
+  /// references go stale when an entry is released or re-stamped into
+  /// another bucket; they are validated (and discarded) lazily here, which
+  /// keeps reserve/refresh O(1).
   ///
   /// Expiry order is port-major (all of port 0's expirations before port
   /// 1's). Callers' on_expire actions (DLT invalidation, counter bumps) are
@@ -112,9 +118,9 @@ class SlotTable {
       const Port in = static_cast<Port>(j);
       if (!track_expiry_) {
         for (int s = 0; s < active_; ++s) {
-          Entry& e = at(s, in);
-          if (!e.valid || e.stamp >= cutoff) continue;
-          e.valid = false;
+          const size_t c = cell(s, in);
+          if (out_[c] == kFree || lease_[c].stamp >= cutoff) continue;
+          out_[c] = kFree;
           --valid_by_port_[static_cast<size_t>(j)];
           ++expired;
           on_expire(s, in);
@@ -129,14 +135,16 @@ class SlotTable {
              (it->first << kExpiryBucketShift) < cutoff) {
         SlotList survivors;
         for (const std::uint32_t slot : it->second) {
-          Entry& e = at(static_cast<int>(slot), in);
-          if (!e.valid || e.bucket != it->first) continue;  // stale reference
-          if (e.stamp >= cutoff) {  // straddling bucket: not old enough yet
+          const size_t c = cell(static_cast<int>(slot), in);
+          const Cycle stamp = lease_[c].stamp;
+          if (out_[c] == kFree || (stamp >> kExpiryBucketShift) != it->first) {
+            continue;  // stale reference
+          }
+          if (stamp >= cutoff) {  // straddling bucket: not old enough yet
             survivors.push_back(slot);
             continue;
           }
-          e.valid = false;
-          e.bucket = kNoExpiryBucket;
+          out_[c] = kFree;
           --valid_by_port_[static_cast<size_t>(j)];
           ++expired;
           on_expire(static_cast<int>(slot), in);
@@ -173,6 +181,11 @@ class SlotTable {
     return valid_by_port_[static_cast<size_t>(in)];
   }
 
+  /// Heap bytes of the entry columns (port bytes plus leases).
+  size_t storage_bytes() const {
+    return out_.capacity() + lease_.capacity() * sizeof(Lease);
+  }
+
   /// True if all entries [slot, slot+duration) for `in` are invalid —
   /// the NI-side pre-check before proposing a slot id for a setup.
   bool input_free(int slot, int duration, Port in) const;
@@ -199,38 +212,41 @@ class SlotTable {
  private:
   /// 1024-cycle expiry buckets, matching the routers' sweep cadence.
   static constexpr int kExpiryBucketShift = 10;
-  static constexpr Cycle kNoExpiryBucket = kCycleNever;
+  /// Port byte of an invalid entry (valid bit clear).
+  static constexpr std::uint8_t kFree = 0xFF;
+  static_assert(kNumPorts < kFree, "port ids must fit below kFree");
 
-  struct Entry {
-    bool valid = false;
-    Port out = Port::Local;
+  /// Cold half of an entry: read by owner-fenced releases, the lease and
+  /// checkpoints, never by lookups.
+  struct Lease {
     PacketId owner = 0;  ///< id of the setup that wrote the entry
     Cycle stamp = 0;     ///< last reserve/traversal cycle (lease clock)
-    /// Expiry bucket this entry was last indexed under (kNoExpiryBucket =
-    /// none); detects stale bucket references after release/re-stamp.
-    Cycle bucket = kNoExpiryBucket;
   };
-  Entry& at(int slot, Port in) {
-    return entries_[static_cast<size_t>(in)][static_cast<size_t>(slot)];
-  }
-  const Entry& at(int slot, Port in) const {
-    return entries_[static_cast<size_t>(in)][static_cast<size_t>(slot)];
+  static_assert(sizeof(Lease) == 16, "lease column is two 64-bit words");
+
+  /// Port-major index of (slot, in) in both columns.
+  size_t cell(int slot, Port in) const {
+    return static_cast<size_t>(in) * static_cast<size_t>(capacity_) +
+           static_cast<size_t>(slot);
   }
   int wrap(int slot) const { return slot & (active_ - 1); }
-  /// Index (or re-index) a just-stamped valid entry at (slot, in).
-  void note_expiry(int slot, Port in, Entry& e) {
+  /// Index the valid entry at (slot, in) just stamped `stamp`, unless it was
+  /// already valid with stamp `prev` in the same bucket, whose reference
+  /// still finds it. Callers pass prev = kCycleNever for a fresh entry.
+  void note_expiry(int slot, Port in, Cycle prev, Cycle stamp) {
     if (!track_expiry_) return;
-    const Cycle key = e.stamp >> kExpiryBucketShift;
-    if (e.bucket == key) return;  // the existing reference still finds it
-    e.bucket = key;
+    const Cycle key = stamp >> kExpiryBucketShift;
+    if (prev != kCycleNever && (prev >> kExpiryBucketShift) == key) return;
     expiry_buckets_[static_cast<size_t>(in)][key].push_back(
         static_cast<std::uint32_t>(slot));
   }
 
   int capacity_;
   int active_;
-  /// One entry column per input port, each `capacity` slots long.
-  std::array<std::vector<Entry>, kNumPorts> entries_;
+  /// Output port per (input port, slot), kFree when invalid.
+  std::vector<std::uint8_t> out_;
+  /// Owner and stamp per (input port, slot); meaningful only where valid.
+  std::vector<Lease> lease_;
   std::array<int, kNumPorts> valid_by_port_{};
   bool track_expiry_ = true;
   /// Per input port: stamp bucket -> slot indices, lazily validated.

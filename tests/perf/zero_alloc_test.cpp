@@ -30,6 +30,7 @@
 #include "common/rng.hpp"
 #include "fastmodel/fast_model.hpp"
 #include "tdm/hybrid_network.hpp"
+#include "tdm/slot_table.hpp"
 
 namespace {
 
@@ -167,6 +168,27 @@ TEST(ZeroAlloc, PoolOffFallbackCarriesLoadedTraffic) {
     EXPECT_GT(net.total_data_delivered(), 0u);
   }
   BlockPool::set_enabled(true);
+}
+
+/// A slot-table entry is a valid bit plus an output port (Section II) and a
+/// 16-byte lease (owner, stamp): constructing a table may request at most 18
+/// heap bytes per (input port, slot) entry. Every router and the fast model
+/// build one table per node, so this bounds both fidelities' largest array.
+TEST(ZeroAlloc, SlotTableBytesPerEntry) {
+#if HN_POOL_DISABLED
+  GTEST_SKIP() << "pool disabled under sanitizers: the counting hook is "
+                  "compiled out";
+#else
+  constexpr std::uint64_t kSlots = 256;
+  const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  const SlotTable table(static_cast<int>(kSlots), static_cast<int>(kSlots));
+  const std::uint64_t requested =
+      g_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(requested, kNumPorts * kSlots * 18)
+      << "bytes per entry: "
+      << static_cast<double>(requested) / (kNumPorts * kSlots);
+  EXPECT_GE(table.storage_bytes(), kNumPorts * kSlots * 17);
+#endif
 }
 
 /// Hybrid-TDM, uniform random at 0.05, 1000 warmup packets, seed 1.

@@ -16,6 +16,8 @@
 // Dispatches/cycle is the headline number, printed against the 2*k*k
 // components a sweep of every NI and router would tick: at --inject 0 the
 // run-list scheduler should show ~0, and under load it approaches 2*k*k.
+// The last line splits memory: peak RSS (VmHWM) and, with --arch tdm, the
+// bytes held by the routers' slot-table columns.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -160,6 +162,22 @@ void run(Net& net, const Options& o) {
               per_cycle(p.flight_releases));
 }
 
+/// Peak resident set size (VmHWM) in MiB, or -1 where /proc is unavailable.
+double peak_rss_mib() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1.0;
+  double kib = -1.0;
+  char line[256];
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      kib = std::atof(line + 6);
+      break;
+    }
+  }
+  std::fclose(f);
+  return kib < 0 ? -1.0 : kib / 1024.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -171,9 +189,17 @@ int main(int argc, char** argv) {
   if (o.arch == "tdm") {
     HybridNetwork net(cfg);
     run(net, o);
+    std::uint64_t slot_bytes = 0;
+    for (NodeId n = 0; n < net.num_nodes(); ++n) {
+      slot_bytes += net.hybrid_router(n).slots().storage_bytes();
+    }
+    std::printf("memory               peak RSS %.1f MiB, slot tables %.1f MiB\n",
+                peak_rss_mib(),
+                static_cast<double>(slot_bytes) / (1024.0 * 1024.0));
   } else {
     Network net(cfg);
     run(net, o);
+    std::printf("memory               peak RSS %.1f MiB\n", peak_rss_mib());
   }
   return 0;
 }
