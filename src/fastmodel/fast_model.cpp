@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -56,8 +57,10 @@ struct Conn {
 
 /// Per-destination values of one node, holding only the destinations it has
 /// used (an absent key reads as zero): linear probing over a power-of-two
-/// table, whose clear() keeps the table for the next epoch's counts. Looked
-/// up, never iterated, so slot order cannot reach a result.
+/// table. clear() keeps a table sized for the keys it held, so an epoch's
+/// counts usually fit without growing, but a table does not ratchet up to
+/// the busiest epoch a long run ever saw. Looked up, never iterated, so slot
+/// order cannot reach a result.
 template <typename V>
 class NodeMap {
  public:
@@ -78,7 +81,13 @@ class NodeMap {
   }
 
   void clear() {
-    std::fill(slots_.begin(), slots_.end(), Slot{});
+    const size_t fit =
+        used_ == 0 ? 0 : std::bit_ceil(std::max<size_t>(8, 2 * used_));
+    if (fit < slots_.size()) {
+      std::vector<Slot>(fit).swap(slots_);
+    } else {
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+    }
     used_ = 0;
   }
 
@@ -122,6 +131,7 @@ struct NiState {
 /// fast_model_supports keeps in range (k <= 256).
 struct Xy8 {
   std::uint8_t x = 0, y = 0;
+  Xy8() = default;  ///< calendar chunk slots are default-built
   explicit Xy8(Coord c)
       : x(static_cast<std::uint8_t>(c.x)), y(static_cast<std::uint8_t>(c.y)) {}
   Coord coord() const { return {x, y}; }
@@ -137,8 +147,9 @@ struct HopEvent {
   Xy8 at;                      ///< router whose output link is claimed next
   Xy8 dst;                     ///< destination router (ejection server)
   std::uint32_t created = 0;   ///< creation cycle; 32 bits keeps the event
-                               ///< small (~6M live copies per run, the
-                               ///< model checks max_cycles fits at startup)
+                               ///< at 12 bytes, the unit of the hop
+                               ///< calendar's chunk pool (the model
+                               ///< checks max_cycles fits at startup)
   std::uint16_t flits = 0;     ///< packet length (trace-driven runs vary it)
 };
 
@@ -158,6 +169,16 @@ struct Delivery {
 /// the heaps dominated the fast model's profile. Times beyond the ring's
 /// horizon (deep-backlog schedules) spill into a small overflow heap.
 ///
+/// A bucket is a singly linked list of fixed-size chunks drawn from one
+/// calendar-owned pool: push appends to the bucket's tail chunk, and consume
+/// hands each chunk back to the pool's free list as soon as it has been
+/// walked. The pool therefore holds the high-water of *live* events (plus
+/// one partly filled chunk per non-empty bucket), not every bucket's
+/// high-water, and the chunks just freed are the next ones pushed into, so
+/// they stay cache-hot. Chunks are addressed by index; the pool's storage
+/// may move when it grows, which only pushes can trigger, so consume copies
+/// each event out before handing it to the visitor.
+///
 /// The cursor only moves forward: push times must be strictly greater than
 /// the last time handed out by next_at(), which the simulation guarantees
 /// (every event schedules strictly-future successors). Events at one cycle
@@ -175,9 +196,20 @@ class Calendar {
     ++size_;
     if (at - cursor_ >= kSize) {
       over_.push(Far{at, over_seq_++, v});
-    } else {
-      buckets_[at & kMask].push_back(v);
+      return;
     }
+    Bucket& b = buckets_[at & kMask];
+    if (b.fill == kChunk) {
+      const std::uint32_t c = take_chunk();
+      if (b.head == kNone) {
+        b.head = c;
+      } else {
+        next_[b.tail] = c;
+      }
+      b.tail = c;
+      b.fill = 0;
+    }
+    items_[static_cast<size_t>(b.tail) * kChunk + b.fill++] = v;
   }
 
   /// Earliest event time in [cursor, limit], or kCycleNever when there is
@@ -190,7 +222,8 @@ class Calendar {
     }
     const Cycle oat = over_.empty() ? kCycleNever : over_.top().at;
     while (cursor_ <= limit) {
-      if (!buckets_[cursor_ & kMask].empty() || oat == cursor_) return cursor_;
+      if (buckets_[cursor_ & kMask].head != kNone || oat == cursor_)
+        return cursor_;
       ++cursor_;
     }
     return kCycleNever;
@@ -202,23 +235,34 @@ class Calendar {
   Cycle next_any() {
     const Cycle oat = over_.empty() ? kCycleNever : over_.top().at;
     if (size_ - over_.size() > 0) {
-      while (cursor_ < oat && buckets_[cursor_ & kMask].empty()) ++cursor_;
+      while (cursor_ < oat && buckets_[cursor_ & kMask].head == kNone)
+        ++cursor_;
       return cursor_;
     }
     if (oat != kCycleNever) cursor_ = oat;
     return oat;
   }
 
-  /// Visit every event at time `t` in place (ring first, then overflow).
-  /// The visitor may push into this calendar: pushed times are strictly
-  /// future, so they land in other buckets and never grow the one being
-  /// walked.
+  /// Visit every event at time `t` (ring first, then overflow). The visitor
+  /// may push into this calendar: pushed times are strictly future, so they
+  /// land in other buckets (or the overflow heap), never in the detached
+  /// chunk list being walked.
   template <typename F>
   void consume(Cycle t, F&& f) {
-    auto& b = buckets_[t & kMask];
-    size_ -= b.size();
-    for (size_t i = 0; i < b.size(); ++i) f(b[i]);
-    b.clear();
+    const Bucket b = buckets_[t & kMask];
+    buckets_[t & kMask] = Bucket{};
+    for (std::uint32_t c = b.head; c != kNone;) {
+      const std::uint32_t used = c == b.tail ? b.fill : kChunk;
+      size_ -= used;
+      for (std::uint32_t i = 0; i < used; ++i) {
+        const T v = items_[static_cast<size_t>(c) * kChunk + i];
+        f(v);
+      }
+      const std::uint32_t next = next_[c];
+      next_[c] = free_;
+      free_ = c;
+      c = c == b.tail ? kNone : next;
+    }
     while (!over_.empty() && over_.top().at == t) {
       const T v = over_.top().v;
       over_.pop();
@@ -230,6 +274,16 @@ class Calendar {
  private:
   static constexpr Cycle kSize = 4096;  ///< ring horizon, cycles
   static constexpr Cycle kMask = kSize - 1;
+  static constexpr std::uint32_t kChunk = 64;  ///< events per chunk
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  /// A bucket's chunk list; `fill` counts the events in its tail chunk (the
+  /// others are full). An empty bucket reads as a full tail, so its first
+  /// push takes a chunk like any other overflowing push.
+  struct Bucket {
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+    std::uint32_t fill = kChunk;
+  };
   struct Far {
     Cycle at;
     std::uint64_t seq;
@@ -238,7 +292,26 @@ class Calendar {
       return at != o.at ? at > o.at : seq > o.seq;
     }
   };
-  std::vector<std::vector<T>> buckets_;
+
+  /// An empty chunk: the most recently freed one, else a new one.
+  std::uint32_t take_chunk() {
+    if (free_ == kNone) return new_chunk();
+    const std::uint32_t c = free_;
+    free_ = next_[c];
+    return c;
+  }
+  /// Grow the pool by one chunk; out of line so push stays small.
+  [[gnu::noinline]] std::uint32_t new_chunk() {
+    items_.resize(items_.size() + kChunk);
+    next_.push_back(kNone);
+    return static_cast<std::uint32_t>(next_.size() - 1);
+  }
+
+  std::vector<Bucket> buckets_;
+  std::vector<T> items_;               ///< the pool: chunk c is items
+                                       ///< [c * kChunk, (c + 1) * kChunk)
+  std::vector<std::uint32_t> next_;    ///< per chunk: list / free-list link
+  std::uint32_t free_ = kNone;         ///< free-list head
   std::priority_queue<Far> over_;
   std::uint64_t over_seq_ = 0;
   Cycle cursor_ = 0;

@@ -14,7 +14,11 @@ bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 SlotTable::SlotTable(int capacity, int active)
     : capacity_(capacity), active_(active) {
   HN_CHECK(is_pow2(capacity) && is_pow2(active) && active <= capacity);
-  const size_t cells = static_cast<size_t>(kNumPorts) * capacity;
+}
+
+void SlotTable::allocate() {
+  if (!out_.empty()) return;
+  const size_t cells = static_cast<size_t>(kNumPorts) * capacity_;
   out_.assign(cells, kFree);
   lease_.resize(cells);
 }
@@ -22,9 +26,11 @@ SlotTable::SlotTable(int capacity, int active)
 bool SlotTable::can_reserve(int slot, int duration, Port in, Port out) const {
   HN_CHECK(duration >= 1 && duration <= active_);
   const auto want = static_cast<std::uint8_t>(out);
+  const bool in_empty = valid_entries(in) == 0;
   for (int d = 0; d < duration; ++d) {
     const int s = wrap(slot + d);
-    if (out_[cell(s, in)] != kFree) return false;  // input conflict (setup 2)
+    if (!in_empty && out_[cell(s, in)] != kFree)
+      return false;  // input conflict (setup 2)
     for (int j = 0; j < kNumPorts; ++j) {
       const Port pj = static_cast<Port>(j);
       if (pj == in) continue;
@@ -38,6 +44,7 @@ bool SlotTable::can_reserve(int slot, int duration, Port in, Port out) const {
 bool SlotTable::reserve(int slot, int duration, Port in, Port out,
                         PacketId owner, Cycle now) {
   if (!can_reserve(slot, duration, in, out)) return false;
+  allocate();
   for (int d = 0; d < duration; ++d) {
     const int s = wrap(slot + d);
     const size_t c = cell(s, in);
@@ -52,6 +59,7 @@ bool SlotTable::reserve(int slot, int duration, Port in, Port out,
 std::optional<Port> SlotTable::release(int slot, int duration, Port in,
                                        PacketId owner) {
   std::optional<Port> first_out;
+  if (valid_entries(in) == 0) return first_out;
   for (int d = 0; d < duration; ++d) {
     const size_t c = cell(wrap(slot + d), in);
     if (out_[c] == kFree) continue;
@@ -68,18 +76,21 @@ std::optional<Port> SlotTable::lookup(Cycle cycle, Port in) const {
 }
 
 std::optional<Port> SlotTable::lookup_slot(int slot, Port in) const {
+  if (valid_entries(in) == 0) return std::nullopt;
   const std::uint8_t out = out_[cell(wrap(slot), in)];
   if (out == kFree) return std::nullopt;
   return static_cast<Port>(out);
 }
 
 std::optional<PacketId> SlotTable::owner_at(int slot, Port in) const {
+  if (valid_entries(in) == 0) return std::nullopt;
   const size_t c = cell(wrap(slot), in);
   if (out_[c] == kFree) return std::nullopt;
   return lease_[c].owner;
 }
 
 void SlotTable::refresh(int slot, int count, Port in, Cycle now) {
+  if (valid_entries(in) == 0) return;
   for (int d = 0; d < count; ++d) {
     const int s = wrap(slot + d);
     const size_t c = cell(s, in);
@@ -154,6 +165,7 @@ void SlotTable::save_state(StateWriter& w) const {
   for (int j = 0; j < kNumPorts; ++j) {
     const Port in = static_cast<Port>(j);
     w.i32(valid_by_port_[static_cast<size_t>(j)]);
+    if (valid_entries(in) == 0) continue;
     for (int s = 0; s < active_; ++s) {
       const size_t c = cell(s, in);
       if (out_[c] == kFree) continue;
@@ -185,6 +197,7 @@ void SlotTable::restore_state(StateReader& r) {
     if (valid < 0 || valid > active) {
       throw StateError("slot-table valid count out of range");
     }
+    if (valid > 0) allocate();
     for (int n = 0; n < valid; ++n) {
       const int s = r.i32();
       if (s < 0 || s >= active) throw StateError("slot index out of range");

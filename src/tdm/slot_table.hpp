@@ -25,9 +25,13 @@
 // clear, and a cold column of 16-byte leases (owner, stamp). Both are flat,
 // one allocation each, indexed port-major, so every read that needs only the
 // valid bit and output port (lookup, conflict checks, the untracked sweep)
-// touches bytes. Per-port valid counts let the lease sweep and the
-// consistency audit skip whole ports the moment their count is zero: on a
-// quiet router the periodic sweeps are five integer reads. The expiry index
+// touches bytes. Both columns are allocated together on the first successful
+// reserve (or a restore that brings entries), never at construction: a
+// router that never carries a circuit holds no entry storage, so a table
+// with no storage has no valid entries. Per-port valid counts let every
+// reader skip a port the moment its count is zero, which is also what keeps
+// readers off the columns before they exist: on a quiet router the periodic
+// sweeps are five integer reads. The expiry index
 // stores no per-entry bucket: a valid entry's bucket is its stamp >>
 // kExpiryBucketShift, so a bucket reference is live exactly while its entry
 // is valid and still stamped inside that bucket.
@@ -181,7 +185,8 @@ class SlotTable {
     return valid_by_port_[static_cast<size_t>(in)];
   }
 
-  /// Heap bytes of the entry columns (port bytes plus leases).
+  /// Heap bytes of the entry columns (port bytes plus leases); zero until
+  /// the first reservation allocates them.
   size_t storage_bytes() const {
     return out_.capacity() + lease_.capacity() * sizeof(Lease);
   }
@@ -224,6 +229,8 @@ class SlotTable {
   };
   static_assert(sizeof(Lease) == 16, "lease column is two 64-bit words");
 
+  /// Allocate both columns, all entries free; no-op once allocated.
+  void allocate();
   /// Port-major index of (slot, in) in both columns.
   size_t cell(int slot, Port in) const {
     return static_cast<size_t>(in) * static_cast<size_t>(capacity_) +
@@ -243,7 +250,8 @@ class SlotTable {
 
   int capacity_;
   int active_;
-  /// Output port per (input port, slot), kFree when invalid.
+  /// Output port per (input port, slot), kFree when invalid; empty until
+  /// allocate(), and never read for a port whose valid count is zero.
   std::vector<std::uint8_t> out_;
   /// Owner and stamp per (input port, slot); meaningful only where valid.
   std::vector<Lease> lease_;

@@ -171,24 +171,52 @@ TEST(ZeroAlloc, PoolOffFallbackCarriesLoadedTraffic) {
 }
 
 /// A slot-table entry is a valid bit plus an output port (Section II) and a
-/// 16-byte lease (owner, stamp): constructing a table may request at most 18
-/// heap bytes per (input port, slot) entry. Every router and the fast model
-/// build one table per node, so this bounds both fidelities' largest array.
+/// 16-byte lease (owner, stamp), and a table stores entries only once it
+/// holds a reservation: constructing one requests no heap bytes, and the
+/// first reserve() requests at most 18 bytes per (input port, slot) entry
+/// for both columns at once. Every router and the fast model build one
+/// table per node, so this bounds both fidelities' largest array, and keeps
+/// it at zero on routers that never carry a circuit.
 TEST(ZeroAlloc, SlotTableBytesPerEntry) {
 #if HN_POOL_DISABLED
   GTEST_SKIP() << "pool disabled under sanitizers: the counting hook is "
                   "compiled out";
 #else
   constexpr std::uint64_t kSlots = 256;
-  const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
-  const SlotTable table(static_cast<int>(kSlots), static_cast<int>(kSlots));
+  constexpr std::uint64_t kEntries = kNumPorts * kSlots;
+  std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  SlotTable table(static_cast<int>(kSlots), static_cast<int>(kSlots));
+  EXPECT_EQ(g_bytes.load(std::memory_order_relaxed) - before, 0u)
+      << "constructing a table allocated";
+  EXPECT_EQ(table.storage_bytes(), 0u);
+
+  // The expiry index is pool-backed bookkeeping, not entry storage; with it
+  // off the reservation's requests are the two columns alone.
+  table.set_expiry_tracking(false);
+  before = g_bytes.load(std::memory_order_relaxed);
+  ASSERT_TRUE(table.reserve(0, 1, Port::West, Port::East, 1, 0));
   const std::uint64_t requested =
       g_bytes.load(std::memory_order_relaxed) - before;
-  EXPECT_LE(requested, kNumPorts * kSlots * 18)
-      << "bytes per entry: "
-      << static_cast<double>(requested) / (kNumPorts * kSlots);
-  EXPECT_GE(table.storage_bytes(), kNumPorts * kSlots * 17);
+  EXPECT_LE(requested, kEntries * 18)
+      << "bytes per entry: " << static_cast<double>(requested) / kEntries;
+  EXPECT_GE(table.storage_bytes(), kEntries * 17);
 #endif
+}
+
+/// A run that never sets up a circuit never reserves a slot, so no slot
+/// table may hold entry storage: uniform random at a low rate on a 16x16
+/// Hybrid-TDM mesh never repeats a pair often enough to request a setup.
+TEST(ZeroAlloc, CircuitFreeRunAllocatesNoSlotTables) {
+  HybridNetwork net(NocConfig::hybrid_tdm_vc4(16));
+  Rng rng(1);
+  PacketId id = 1;
+  drive(net, rng, id, 0.002, 5000);
+  ASSERT_GT(net.total_data_delivered(), 0u);
+  ASSERT_EQ(net.total_setups_sent(), 0u) << "the run set up circuits";
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    ASSERT_EQ(net.hybrid_router(n).slots().storage_bytes(), 0u)
+        << "router " << n;
+  }
 }
 
 /// Hybrid-TDM, uniform random at 0.05, 1000 warmup packets, seed 1.

@@ -138,6 +138,19 @@ RunParams short_params(TrafficPattern pattern, double rate) {
   return p;
 }
 
+/// A deep backlog: 6x6 uniform random far past saturation, with the
+/// latency cap lifted so the run keeps going while link queues grow beyond
+/// the fast model's 4096-cycle calendar ring. Hop and delivery events then
+/// spill into the calendars' overflow heaps, many of them due in a cycle
+/// that also has ring entries, so the record pins the tie order too.
+RunParams backlog_params() {
+  RunParams p = short_params(TrafficPattern::UniformRandom, 0.6);
+  p.measure_packets = 60000;
+  p.max_cycles = 40000;
+  p.latency_cap = 1e9;
+  return p;
+}
+
 /// The fixture repeats each pair only about four times per policy epoch, so
 /// the default frequency threshold would never set up a circuit; a lower one
 /// makes the trace runs exercise setups and circuit transfers.
@@ -398,6 +411,33 @@ const Record kExpectedFastTrace = {
     {"energy.cs_misc_active_cycles", 952128ULL},
     {"energy.link_active_cycles", 3173760ULL},
 };
+const Record kExpectedFastBacklog = {
+    {"offered_rate", 0x1.3333333333333p-1},
+    {"accepted_rate", 0x1.2f6ce010140f1p-2},
+    {"avg_latency", 0x1.99f6bbc5dad68p+12},
+    {"p99_latency", 0x1.b1a8p+14},
+    {"saturated", 1ULL},
+    {"measured_packets", 60001ULL},
+    {"cycles", 29155ULL},
+    {"cs_flit_fraction", 0x1.320ad67f0c67ap-3},
+    {"config_flit_fraction", 0x1.3cd037888b34ap-5},
+    {"energy.buffer_writes", 2655342ULL},
+    {"energy.buffer_reads", 2655342ULL},
+    {"energy.xbar_flits", 3040758ULL},
+    {"energy.vc_arbs", 582762ULL},
+    {"energy.sw_arbs", 2655342ULL},
+    {"energy.link_flits", 2424367ULL},
+    {"energy.slot_table_reads", 1049580ULL},
+    {"energy.slot_table_writes", 110724ULL},
+    {"energy.dlt_accesses", 0ULL},
+    {"energy.cs_latch_flits", 385416ULL},
+    {"energy.cycles", 1049580ULL},
+    {"energy.vc_active_cycles", 20991600ULL},
+    {"energy.slot_entry_active_cycles", 134346240ULL},
+    {"energy.dlt_active_cycles", 0ULL},
+    {"energy.cs_misc_active_cycles", 1049580ULL},
+    {"energy.link_active_cycles", 3498600ULL},
+};
 const Record kExpectedPolicyTotals = {
     {"now", 20000ULL},
     {"total_data_delivered", 27935ULL},
@@ -498,6 +538,12 @@ TEST(FidelityPin, FastSyntheticPacket) {
                     NocConfig::packet_vc4(6),
                     short_params(TrafficPattern::UniformRandom, 0.25))),
                 kExpectedFastPacket);
+}
+
+TEST(FidelityPin, FastSyntheticDeepBacklog) {
+  expect_pinned(record_of(run_synthetic_fast(NocConfig::hybrid_tdm_vc4(6),
+                                             backlog_params())),
+                kExpectedFastBacklog);
 }
 
 TEST(FidelityPin, FastTraceNn) {

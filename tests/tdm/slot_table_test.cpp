@@ -384,6 +384,92 @@ TEST(SlotTableRestore, RestoredTrackedTableExpiresLikeItsSource) {
   EXPECT_EQ(source.valid_entries(), 0);
 }
 
+// A table that never reserved holds no entry storage; one that reserved and
+// then released everything holds both columns, all free. Every query must
+// answer the same on the two, no query may allocate, and their archives
+// must be byte-identical and restore into either kind of table.
+TEST(SlotTable, UnallocatedTableAnswersLikeAnEmptiedOne) {
+  for (const bool tracking : {true, false}) {
+    SCOPED_TRACE(tracking);
+    SlotTable fresh(64, 32);
+    SlotTable emptied(64, 32);
+    fresh.set_expiry_tracking(tracking);
+    emptied.set_expiry_tracking(tracking);
+    ASSERT_TRUE(emptied.reserve(30, 4, Port::West, Port::East, 7, 100));
+    ASSERT_TRUE(emptied.reserve(5, 3, Port::North, Port::South, 8, 1500));
+    ASSERT_TRUE(emptied.reserve(10, 2, Port::Local, Port::West, 0, 2100));
+    ASSERT_TRUE(emptied.release(30, 4, Port::West, 7).has_value());
+    ASSERT_TRUE(emptied.release(5, 3, Port::North).has_value());
+    ASSERT_TRUE(emptied.release(10, 2, Port::Local, 0).has_value());
+    ASSERT_EQ(emptied.valid_entries(), 0);
+    EXPECT_EQ(fresh.storage_bytes(), 0u);
+    EXPECT_GT(emptied.storage_bytes(), 0u);
+
+    for (int j = 0; j < kNumPorts; ++j) {
+      const Port in = static_cast<Port>(j);
+      for (int s = 0; s < 32; ++s) {
+        const Cycle cycle = static_cast<Cycle>(s) + 3 * 32;
+        ASSERT_EQ(fresh.lookup(cycle, in), emptied.lookup(cycle, in));
+        ASSERT_EQ(fresh.lookup_slot(s, in), emptied.lookup_slot(s, in));
+        ASSERT_EQ(fresh.owner_at(s, in), emptied.owner_at(s, in));
+        ASSERT_EQ(fresh.output_reserved_at(cycle, in),
+                  emptied.output_reserved_at(cycle, in));
+        for (const int d : {1, 3, 32}) {
+          ASSERT_EQ(fresh.input_free(s, d, in), emptied.input_free(s, d, in));
+          for (int o = 0; o < kNumPorts; ++o) {
+            const Port out = static_cast<Port>(o);
+            ASSERT_EQ(fresh.can_reserve(s, d, in, out),
+                      emptied.can_reserve(s, d, in, out));
+          }
+        }
+        for (const PacketId owner : {PacketId{0}, PacketId{7}}) {
+          ASSERT_EQ(fresh.release(s, 2, in, owner),
+                    emptied.release(s, 2, in, owner));
+        }
+        fresh.refresh(s, 2, in, 5000);
+        emptied.refresh(s, 2, in, 5000);
+      }
+    }
+    int n_fresh = 0;
+    int n_emptied = 0;
+    EXPECT_EQ(sweep(fresh, kCycleNever, n_fresh),
+              sweep(emptied, kCycleNever, n_emptied));
+    EXPECT_EQ(n_fresh, 0);
+    EXPECT_EQ(n_emptied, 0);
+    EXPECT_EQ(fresh.occupancy(), emptied.occupancy());
+    EXPECT_EQ(fresh.storage_bytes(), 0u) << "a query allocated";
+
+    // Archives match, and each restores into the other kind of table.
+    const std::string archive = saved(fresh);
+    EXPECT_EQ(saved(emptied), archive);
+    SlotTable into_fresh(64, 8);
+    restore_from(into_fresh, saved(emptied));
+    EXPECT_EQ(into_fresh.storage_bytes(), 0u);
+    EXPECT_EQ(saved(into_fresh), archive);
+    SlotTable into_allocated = leased_table(tracking);
+    restore_from(into_allocated, archive);
+    EXPECT_EQ(into_allocated.valid_entries(), 0);
+    EXPECT_EQ(saved(into_allocated), archive);
+    expect_same_entries(into_allocated, into_fresh);
+
+    // An archive with entries allocates a fresh table on restore.
+    const SlotTable source = leased_table(tracking);
+    restore_from(fresh, saved(source));
+    EXPECT_GT(fresh.storage_bytes(), 0u);
+    EXPECT_EQ(saved(fresh), saved(source));
+    expect_same_entries(fresh, source);
+
+    // The first reservation allocates, and the twins agree from there on.
+    SlotTable first(64, 32);
+    first.set_expiry_tracking(tracking);
+    ASSERT_TRUE(first.reserve(3, 2, Port::East, Port::North, 9, 4000));
+    ASSERT_TRUE(emptied.reserve(3, 2, Port::East, Port::North, 9, 4000));
+    EXPECT_GT(first.storage_bytes(), 0u);
+    EXPECT_EQ(saved(first), saved(emptied));
+    expect_same_entries(first, emptied);
+  }
+}
+
 TEST(SlotTableDeathTest, DurationBeyondActiveSizeRejected) {
   SlotTable t(8, 8);
   EXPECT_DEATH((void)t.can_reserve(0, 9, Port::West, Port::East), "HN_CHECK");
