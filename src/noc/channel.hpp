@@ -10,7 +10,9 @@
 // (Section II-B).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -48,12 +50,32 @@ template <typename T>
 class Channel : public ChannelBase {
  public:
   explicit Channel(int latency) : latency_(latency) { HN_CHECK(latency >= 1); }
+  // pending_ may point at this channel's own sink_.
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
 
   /// Register the component that drains this channel, so every send wakes it
   /// at the item's ready cycle (the active-set scheduler's wake source).
   void set_consumer(TickScheduler* sched, int consumer_id) {
     sched_ = sched;
     consumer_ = consumer_id;
+  }
+
+  /// Register the consumer's occupancy word: `bit` is set in `*mask` while
+  /// the queue holds any item, ready or not, so the consumer polls only
+  /// channels that hold something. For flit channels `circuit_bit` is set
+  /// while the queue holds a circuit-switched flit, so the advance-signal
+  /// look-ahead peeks only channels that can answer yes. Called from the
+  /// consumer's side only, as are commit_staged() and receive(); an eager
+  /// send() shares the consumer's shard by construction.
+  void set_pending_mask(std::uint32_t* mask, std::uint32_t bit,
+                        std::uint32_t circuit_bit = 0) {
+    HN_CHECK(mask != nullptr);
+    pending_ = mask;
+    pending_bit_ = bit;
+    circuit_bit_ = circuit_bit;
+    if (!queue_.empty()) *pending_ |= pending_bit_;
+    if (circuit_count_ > 0) *pending_ |= circuit_bit_;
   }
 
   /// Enqueue `item` at the end of cycle `now`; readable at now + latency.
@@ -67,6 +89,7 @@ class Channel : public ChannelBase {
     }
     HN_CHECK_MSG(queue_.empty() || queue_.back().ready <= ready,
                  "channel writes must be issued in cycle order");
+    note_enqueued(item);
     queue_.push_back({ready, std::move(item)});
     if (sched_) sched_->wake_at(consumer_, ready);
   }
@@ -85,6 +108,7 @@ class Channel : public ChannelBase {
       HN_CHECK_MSG(prev <= e.ready, "staged channel writes out of cycle order");
       prev = e.ready;
       const Cycle ready = e.ready;
+      note_enqueued(e.item);
       queue_.push_back(std::move(e));
       if (sched_ && ready != last_waked) {
         sched_->wake_at(consumer_, ready);
@@ -100,6 +124,11 @@ class Channel : public ChannelBase {
     HN_CHECK_MSG(queue_.front().ready == now, "unconsumed channel item");
     T item = std::move(queue_.front().item);
     queue_.pop_front();
+    if (queue_.empty()) *pending_ &= ~pending_bit_;
+    if constexpr (kCountsCircuit) {
+      if (item.switching == Switching::Circuit && --circuit_count_ == 0)
+        *pending_ &= ~circuit_bit_;
+    }
     return item;
   }
 
@@ -138,15 +167,36 @@ class Channel : public ChannelBase {
   }
 
  private:
+  static constexpr bool kCountsCircuit = std::is_same_v<T, Flit>;
+
   struct Entry {
     Cycle ready = 0;
     T item{};
   };
+
+  /// Occupancy bookkeeping for an item entering the live queue.
+  void note_enqueued(const T& item) {
+    *pending_ |= pending_bit_;
+    if constexpr (kCountsCircuit) {
+      if (item.switching == Switching::Circuit) {
+        ++circuit_count_;
+        *pending_ |= circuit_bit_;
+      }
+    }
+  }
+
   RingDeque<Entry> queue_;
   std::vector<Entry> staging_;  ///< cross-shard outbox (staged mode only)
   int latency_;
   TickScheduler* sched_ = nullptr;  ///< null until set_consumer()
   int consumer_ = -1;
+  /// Consumer occupancy word (see set_pending_mask); until one is
+  /// registered the bits land in sink_, so the hot paths never branch on it.
+  std::uint32_t sink_ = 0;
+  std::uint32_t* pending_ = &sink_;
+  std::uint32_t pending_bit_ = 0;
+  std::uint32_t circuit_bit_ = 0;
+  std::uint32_t circuit_count_ = 0;  ///< circuit flits in the live queue
 };
 
 using FlitChannel = Channel<Flit>;

@@ -25,6 +25,8 @@ void NetworkInterface::connect(FlitChannel* inject, CreditChannel* inject_credit
   eject_ = eject;
   eject_credits_out_ = eject_credits_out;
   router_ = router;
+  if (inject_credits_in_) inject_credits_in_->set_pending_mask(&pending_, kCreditPending);
+  if (eject_) eject_->set_pending_mask(&pending_, kEjectPending);
 }
 
 void NetworkInterface::send(PacketPtr pkt, Cycle now) {
@@ -84,7 +86,7 @@ void NetworkInterface::tick(Cycle now) {
 }
 
 void NetworkInterface::receive_credits(Cycle now) {
-  if (!inject_credits_in_) return;
+  if (!(pending_ & kCreditPending)) return;
   while (auto c = inject_credits_in_->receive(now)) {
     auto& v = out_vcs_[static_cast<size_t>(c->vc)];
     ++v.credits;
@@ -97,7 +99,7 @@ void NetworkInterface::receive_credits(Cycle now) {
 }
 
 void NetworkInterface::eject_tick(Cycle now) {
-  if (!eject_) return;
+  if (!(pending_ & kEjectPending)) return;
   while (auto f = eject_->receive(now)) {
     on_eject_flit(*f, now);
     // Circuit-switched flits bypass buffers and flow control; only

@@ -234,6 +234,11 @@ class NetworkInterface : public VcHolder {
   CreditChannel* inject_credits_in_ = nullptr;
   FlitChannel* eject_ = nullptr;
   CreditChannel* eject_credits_out_ = nullptr;
+  /// Occupancy of the two inbound channels, kept by the channels (see
+  /// Channel::set_pending_mask): a tick polls only the ones that hold items.
+  static constexpr std::uint32_t kCreditPending = 1u << 0;
+  static constexpr std::uint32_t kEjectPending = 1u << 1;
+  std::uint32_t pending_ = 0;
 
   RingDeque<PacketPtr> queue_;
   std::vector<OutVc> out_vcs_;

@@ -17,8 +17,6 @@ Router::Router(const NocConfig& cfg, NodeId id, const Mesh& mesh)
   }
   for (auto& op : out_) {
     op.credits.assign(static_cast<size_t>(cfg_.num_vcs), cfg_.vc_buffer_depth);
-    op.vc_busy.assign(static_cast<size_t>(cfg_.num_vcs), false);
-    op.tail_sent.assign(static_cast<size_t>(cfg_.num_vcs), false);
     op.grantable_mask =
         cfg_.num_vcs >= 32 ? ~0u : ((1u << static_cast<unsigned>(cfg_.num_vcs)) - 1u);
   }
@@ -32,6 +30,8 @@ void Router::connect_input(Port p, FlitChannel* data_in, CreditChannel* credit_o
   ip.credit_out = credit_out;
   ip.upstream = upstream;
   ip.upstream_out = upstream_out;
+  data_in->set_pending_mask(&pending_, 1u << static_cast<unsigned>(p),
+                            1u << (kCircuitPendingShift + static_cast<unsigned>(p)));
   ++ports_present_;
 }
 
@@ -40,6 +40,8 @@ void Router::connect_output(Port p, FlitChannel* data_out, CreditChannel* credit
   HN_CHECK(op.data == nullptr);
   op.data = data_out;
   op.credit_in = credit_in;
+  credit_in->set_pending_mask(&pending_,
+                              1u << (kCreditPendingShift + static_cast<unsigned>(p)));
 }
 
 void Router::set_downstream_active_vcs(Port p, const int* active_vcs) {
@@ -48,7 +50,7 @@ void Router::set_downstream_active_vcs(Port p, const int* active_vcs) {
 
 bool Router::holds_vc_allocation(Port out_port, int vc) const {
   const auto& op = out_[static_cast<size_t>(out_port)];
-  return op.vc_busy[static_cast<size_t>(vc)];
+  return (op.vc_busy >> static_cast<unsigned>(vc)) & 1u;
 }
 
 int Router::free_credits(Port out) const {
@@ -84,27 +86,36 @@ void Router::tick(Cycle now) {
 }
 
 void Router::receive_credits(Cycle now) {
-  for (auto& op : out_) {
-    if (!op.credit_in) continue;
+  // Only credit inputs that hold something, in ascending output order.
+  std::uint32_t ready = (pending_ >> kCreditPendingShift) & kPortBits;
+  while (ready) {
+    auto& op = out_[static_cast<size_t>(std::countr_zero(ready))];
+    ready &= ready - 1;
     while (auto c = op.credit_in->receive(now)) {
       const auto v = static_cast<size_t>(c->vc);
       HN_CHECK(v < op.credits.size());
       ++op.credits[v];
       if (c->vc < op.cached_active) ++op.cached_free_credits;
       HN_CHECK_MSG(op.credits[v] <= cfg_.vc_buffer_depth, "credit overflow");
-      if (op.tail_sent[v] && op.credits[v] == cfg_.vc_buffer_depth) {
-        op.vc_busy[v] = false;
-        op.tail_sent[v] = false;
-        op.grantable_mask |= 1u << v;
+      const std::uint32_t bit = 1u << v;
+      if ((op.tail_sent & bit) && op.credits[v] == cfg_.vc_buffer_depth) {
+        op.vc_busy &= ~bit;
+        op.tail_sent &= ~bit;
+        op.grantable_mask |= bit;
       }
     }
   }
 }
 
 void Router::receive_flits(Cycle now) {
-  for (int p = 0; p < kNumPorts; ++p) {
+  // Only data inputs that hold something, in ascending port order. A send
+  // into one of them during this loop is ready at now + 1 at the earliest,
+  // so the snapshot misses nothing receivable now.
+  std::uint32_t ready = pending_ & kPortBits;
+  while (ready) {
+    const int p = std::countr_zero(ready);
+    ready &= ready - 1;
     auto& ip = in_[static_cast<size_t>(p)];
-    if (!ip.data) continue;
     while (auto f = ip.data->receive(now)) {
       // Per-hop CRC: detection only for data (the fail-dirty flit keeps
       // flowing and the destination NI squashes the packet) — but a damaged
@@ -192,7 +203,7 @@ void Router::vc_allocate(Cycle now) {
       const std::uint32_t at_or_after = eligible >> static_cast<unsigned>(start);
       const int grant = at_or_after != 0 ? start + std::countr_zero(at_or_after)
                                          : std::countr_zero(eligible);
-      op.vc_busy[static_cast<size_t>(grant)] = true;
+      op.vc_busy |= 1u << static_cast<unsigned>(grant);
       op.grantable_mask &= ~(1u << static_cast<unsigned>(grant));
       op.va_rr = (grant + 1) % active;
       st.out_vc = grant;
@@ -231,37 +242,39 @@ int Router::pick_sa_candidate(InputPort& ip, Port p, Cycle now) {
 
 void Router::switch_allocate(Cycle now) {
   // Separable allocation: one candidate VC per input port, then one input
-  // port per output port; both arbiters are round-robin.
-  std::array<int, kNumPorts> candidate{};
-  candidate.fill(-1);
-  bool any_candidate = false;
+  // port per output port; both arbiters are round-robin. Each candidate
+  // sets its input's bit in the request mask of the output it wants.
+  std::array<int, kNumPorts> candidate;
+  std::array<std::uint32_t, kNumPorts> requests{};
+  std::uint32_t requested = 0;  ///< outputs with at least one request
   for (int p = 0; p < kNumPorts; ++p) {
     auto& ip = in_[static_cast<size_t>(p)];
     if (!ip.active_mask) continue;  // no Active VC, no candidate
     const int c = pick_sa_candidate(ip, static_cast<Port>(p), now);
+    if (c < 0) continue;
     candidate[static_cast<size_t>(p)] = c;
-    any_candidate = any_candidate || c >= 0;
+    const auto o = static_cast<unsigned>(ip.vcs[static_cast<size_t>(c)].out_port);
+    requests[o] |= 1u << static_cast<unsigned>(p);
+    requested |= 1u << o;
   }
-  if (!any_candidate) return;
-  for (int o = 0; o < kNumPorts; ++o) {
+  // Grants, and so credit sends, go in ascending output order. Each input
+  // requests one output, so no input wins twice.
+  StRegBank& next = st_regs_[static_cast<size_t>(st_cur_ ^ 1)];
+  std::uint32_t& next_valid = st_valid_[static_cast<size_t>(st_cur_ ^ 1)];
+  while (requested) {
+    const int o = std::countr_zero(requested);
+    requested &= requested - 1;
     auto& op = out_[static_cast<size_t>(o)];
     if (!op.data) continue;
-    int winner = -1;
-    for (int i = 0; i < kNumPorts; ++i) {
-      const int p = (op.sa_rr + i) % kNumPorts;
-      const int v = candidate[static_cast<size_t>(p)];
-      if (v < 0) continue;
-      const VcState& st = in_[static_cast<size_t>(p)].vcs[static_cast<size_t>(v)];
-      if (static_cast<int>(st.out_port) != o) continue;
-      winner = p;
-      break;
-    }
-    if (winner < 0) continue;
+    // The first requesting input at or after sa_rr, wrapping round.
+    const std::uint32_t req = requests[static_cast<size_t>(o)];
+    const std::uint32_t at_or_after = req >> static_cast<unsigned>(op.sa_rr);
+    const int winner = at_or_after != 0 ? op.sa_rr + std::countr_zero(at_or_after)
+                                        : std::countr_zero(req);
     op.sa_rr = (winner + 1) % kNumPorts;
 
     auto& ip = in_[static_cast<size_t>(winner)];
     const int v = candidate[static_cast<size_t>(winner)];
-    candidate[static_cast<size_t>(winner)] = -1;  // one grant per input
     VcState& st = ip.vcs[static_cast<size_t>(v)];
     ip.sa_rr = (v + 1) % cfg_.num_vcs;
 
@@ -272,40 +285,47 @@ void Router::switch_allocate(Cycle now) {
     ++energy_.sw_arbs;
     if (ip.credit_out) ip.credit_out->send({bf.flit.vc}, now);
 
-    Flit flit = bf.flit;
-    flit.vc = st.out_vc;
+    StReg& reg = next[static_cast<size_t>(o)];
+    reg.flit = bf.flit;
+    reg.flit.vc = st.out_vc;
+    reg.st_cycle = now + 1;
+    next_valid |= 1u << static_cast<unsigned>(o);
     --op.credits[static_cast<size_t>(st.out_vc)];
     if (st.out_vc < op.cached_active) --op.cached_free_credits;
-    if (flit.is_tail()) {
+    if (reg.flit.is_tail()) {
       HN_CHECK_MSG(st.fifo.empty(), "flits behind a tail in a wormhole VC");
-      op.tail_sent[static_cast<size_t>(st.out_vc)] = true;
+      op.tail_sent |= 1u << static_cast<unsigned>(st.out_vc);
       st.state = VcState::S::Idle;
       ip.active_mask &= ~(1u << static_cast<unsigned>(v));
       st.pkt = nullptr;
       st.out_vc = -1;
     }
-    st_regs_.push_back({flit, static_cast<Port>(o), now + 1});
   }
 }
 
 void Router::switch_traverse(Cycle now) {
-  xbar_out_used_.fill(false);
-  auto it = st_regs_.begin();
-  while (it != st_regs_.end()) {
-    if (it->st_cycle != now) {
-      ++it;
-      continue;
-    }
-    claim_xbar_output(it->out);
-    send_flit(it->out, it->flit, now);
-    it = st_regs_.erase(it);
+  xbar_out_used_ = 0;
+  // Drain this cycle's bank in ascending output order (the order SA filled
+  // it in), then swap: the bank SA just filled becomes the next current.
+  StRegBank& cur = st_regs_[static_cast<size_t>(st_cur_)];
+  std::uint32_t valid = st_valid_[static_cast<size_t>(st_cur_)];
+  st_valid_[static_cast<size_t>(st_cur_)] = 0;
+  while (valid) {
+    const int o = std::countr_zero(valid);
+    valid &= valid - 1;
+    StReg& reg = cur[static_cast<size_t>(o)];
+    HN_CHECK_MSG(reg.st_cycle == now, "ST register missed its crossbar cycle");
+    claim_xbar_output(static_cast<Port>(o));
+    send_flit(static_cast<Port>(o), reg.flit, now);
   }
+  st_cur_ ^= 1;
   traverse_circuit(now);
 }
 
 void Router::claim_xbar_output(Port out) {
-  HN_CHECK_MSG(!xbar_out_used_[static_cast<size_t>(out)], "crossbar output conflict");
-  xbar_out_used_[static_cast<size_t>(out)] = true;
+  const std::uint32_t bit = 1u << static_cast<unsigned>(out);
+  HN_CHECK_MSG(!(xbar_out_used_ & bit), "crossbar output conflict");
+  xbar_out_used_ |= bit;
 }
 
 void Router::send_flit(Port out, Flit flit, Cycle now) {
@@ -377,12 +397,21 @@ void Router::collect_in_flight(std::vector<Packet*>& out) const {
       for (const auto& bf : st.fifo)
         if (bf.flit.pkt) out.push_back(bf.flit.pkt);
   }
-  for (const auto& sr : st_regs_)
-    if (sr.flit.pkt) out.push_back(sr.flit.pkt);
+  // Current bank (older grants) first.
+  for (int b = 0; b < 2; ++b) {
+    const int bank = st_cur_ ^ b;
+    std::uint32_t valid = st_valid_[static_cast<size_t>(bank)];
+    while (valid) {
+      const auto o = static_cast<size_t>(std::countr_zero(valid));
+      valid &= valid - 1;
+      if (Packet* pkt = st_regs_[static_cast<size_t>(bank)][o].flit.pkt)
+        out.push_back(pkt);
+    }
+  }
 }
 
 bool Router::idle() const {
-  if (!st_regs_.empty()) return false;
+  if (st_valid_[0] | st_valid_[1]) return false;
   // A non-Idle VC is exactly a set mask bit, and a buffered flit implies a
   // non-Idle VC (head flits flip Idle -> WaitVc before entering the FIFO,
   // and the tail leaves an empty FIFO behind when the VC goes Idle).
@@ -505,10 +534,12 @@ bool Router::sched_busy() const { return draining_vc_ >= 0 || !idle(); }
 
 Cycle Router::sched_next_event(Cycle now) const {
   Cycle next = kCycleNever;
-  for (const auto& ip : in_)
-    if (ip.data) next = std::min(next, ip.data->next_ready());
-  for (const auto& op : out_)
-    if (op.credit_in) next = std::min(next, op.credit_in->next_ready());
+  // Empty channels answer kCycleNever: visit only the occupied ones.
+  for (std::uint32_t m = pending_ & kPortBits; m; m &= m - 1)
+    next = std::min(next, in_[static_cast<size_t>(std::countr_zero(m))].data->next_ready());
+  for (std::uint32_t m = (pending_ >> kCreditPendingShift) & kPortBits; m; m &= m - 1)
+    next = std::min(next,
+                    out_[static_cast<size_t>(std::countr_zero(m))].credit_in->next_ready());
   if (cfg_.vc_power_gating) {
     // Wake for the next gating-epoch boundary whenever it is not provably a
     // no-op: pending integrals to fold, a drain in flight, a VC that could
@@ -554,9 +585,9 @@ void Router::save_state(StateWriter& w) const {
     const auto& op = out_[p];
     if (!op.data) continue;
     for (const int c : op.credits) w.i32(c);
-    for (size_t v = 0; v < op.vc_busy.size(); ++v) {
-      w.b(op.vc_busy[v]);
-      w.b(op.tail_sent[v]);
+    for (unsigned v = 0; v < op.credits.size(); ++v) {
+      w.b((op.vc_busy >> v) & 1u);
+      w.b((op.tail_sent >> v) & 1u);
     }
     w.i32(op.sa_rr);
     w.i32(op.va_rr);
@@ -583,9 +614,11 @@ void Router::restore_state(StateReader& r) {
     auto& op = out_[p];
     if (!op.data) continue;
     for (int& c : op.credits) c = r.i32();
-    for (size_t v = 0; v < op.vc_busy.size(); ++v) {
-      op.vc_busy[v] = r.b();
-      op.tail_sent[v] = r.b();
+    op.vc_busy = 0;
+    op.tail_sent = 0;
+    for (unsigned v = 0; v < op.credits.size(); ++v) {
+      if (r.b()) op.vc_busy |= 1u << v;
+      if (r.b()) op.tail_sent |= 1u << v;
     }
     op.sa_rr = r.i32();
     op.va_rr = r.i32();
@@ -593,8 +626,8 @@ void Router::restore_state(StateReader& r) {
     // have changed: recompute on first use.
     op.cached_active = -1;
     op.grantable_mask = 0;
-    for (size_t v = 0; v < op.vc_busy.size(); ++v) {
-      if (!op.vc_busy[v] && !op.tail_sent[v] &&
+    for (unsigned v = 0; v < op.credits.size(); ++v) {
+      if (!((op.vc_busy | op.tail_sent) >> v & 1u) &&
           op.credits[v] == cfg_.vc_buffer_depth) {
         op.grantable_mask |= 1u << v;
       }

@@ -14,6 +14,14 @@
 // use — exactly the look-ahead the hybrid router needs to honour slot-table
 // reservations and to perform time-slot stealing.
 //
+// A tick touches only state that has work. The inbound channels keep a
+// per-router occupancy word (pending_), so BW/RC and the credit return poll
+// only channels that hold something. SA builds one request mask of input
+// ports per output and grants the first requester at or after the output's
+// round-robin pointer. The winners wait in one of two banks of per-output
+// ST registers: SA in cycle C fills the bank that ST drains in C+1, and the
+// banks swap after each traversal.
+//
 // Flow control is credit-based with conservative atomic VC reallocation: an
 // output VC is granted to a new packet only when it is unallocated and all
 // its credits are home.
@@ -148,12 +156,12 @@ class Router : public VcHolder {
   };
 
   struct InputPort {
-    FlitChannel* data = nullptr;
-    CreditChannel* credit_out = nullptr;
+    FlitChannel* data = nullptr;        ///< occupancy: pending_ bit p
+    CreditChannel* credit_out = nullptr;  ///< credits back to the upstream holder
     VcHolder* upstream = nullptr;
     Port upstream_out = Port::Local;
     std::vector<VcState> vcs;
-    int sa_rr = 0;  ///< round-robin pointer over VCs
+    int sa_rr = 0;  ///< round-robin pointer over VCs (input arbiter)
     /// Bitmask caches of the per-VC states (bit v set <=> vcs[v].state is
     /// WaitVc / Active). The allocation stages and the gating census scan
     /// set bits instead of walking every VcState each cycle, which is the
@@ -164,12 +172,16 @@ class Router : public VcHolder {
 
   struct OutputPort {
     FlitChannel* data = nullptr;
-    CreditChannel* credit_in = nullptr;
+    CreditChannel* credit_in = nullptr;  ///< occupancy: pending_ bit 8 + p
     const int* downstream_active_vcs = nullptr;
     std::vector<int> credits;
-    std::vector<bool> vc_busy;    ///< allocated to an in-flight packet
-    std::vector<bool> tail_sent;  ///< tail gone; waiting for credits to refill
-    int sa_rr = 0;   ///< round-robin pointer over input ports
+    /// Bit v set <=> downstream VC v is allocated to an in-flight packet.
+    std::uint32_t vc_busy = 0;
+    /// Bit v set <=> VC v's tail is gone and it waits for credits to refill.
+    std::uint32_t tail_sent = 0;
+    /// Round-robin pointer over input ports: SA grants the first requesting
+    /// input at or after it, wrapping round.
+    int sa_rr = 0;
     int va_rr = 0;   ///< round-robin pointer over downstream VCs
     /// Incrementally maintained sum of credits[0..cached_active), the
     /// adaptive-routing congestion metric. cached_active == -1 until the
@@ -185,12 +197,27 @@ class Router : public VcHolder {
     std::uint32_t grantable_mask = 0;
   };
 
-  /// A switch-allocation winner waiting for its crossbar cycle.
+  /// A switch-allocation winner waiting for its crossbar cycle; one
+  /// register per crossbar output, indexed by the output port.
   struct StReg {
     Flit flit;
-    Port out = Port::Local;
     Cycle st_cycle = 0;
   };
+  using StRegBank = std::array<StReg, kNumPorts>;
+
+  /// pending_ layout, maintained by the inbound channels themselves (see
+  /// Channel::set_pending_mask): bit p while data input p holds a flit,
+  /// bit 8 + p while the credit input of output p holds a credit, bit
+  /// 16 + p while data input p holds a circuit-switched flit.
+  static constexpr unsigned kCreditPendingShift = 8;
+  static constexpr unsigned kCircuitPendingShift = 16;
+  static constexpr std::uint32_t kPortBits = (1u << kNumPorts) - 1u;
+
+  /// May data input `p` hold a circuit-switched flit? When false no
+  /// circuit flit is queued there, so the advance signal is certainly low.
+  bool may_hold_circuit(Port p) const {
+    return (pending_ >> (kCircuitPendingShift + static_cast<unsigned>(p))) & 1u;
+  }
 
   // --- extension points for the hybrid router ---
   /// First chance at an arriving flit. Return true if consumed (the hybrid
@@ -249,6 +276,8 @@ class Router : public VcHolder {
   /// energy_ (== the cycle after the last accounted one). Cycles in
   /// [accounted_until_, now) were slept through and are folded lazily.
   Cycle accounted_until_ = 0;
+  /// Inbound-channel occupancy bits (layout at kCreditPendingShift).
+  std::uint32_t pending_ = 0;
 
  private:
   void receive_credits(Cycle now);
@@ -262,8 +291,13 @@ class Router : public VcHolder {
   /// Index of the VC (if any) from input `p` picked by the input arbiter.
   int pick_sa_candidate(InputPort& ip, Port p, Cycle now);
 
-  std::vector<StReg> st_regs_;
-  std::array<bool, kNumPorts> xbar_out_used_{};
+  /// Two banks of ST registers: switch_allocate fills bank st_cur_ ^ 1 for
+  /// the next cycle while switch_traverse drains bank st_cur_, then the
+  /// banks swap. st_valid_ holds one bit per occupied output register.
+  std::array<StRegBank, 2> st_regs_{};
+  std::array<std::uint32_t, 2> st_valid_{};
+  int st_cur_ = 0;
+  std::uint32_t xbar_out_used_ = 0;  ///< bit per crossbar output used this cycle
   std::uint64_t flits_traversed_ = 0;
   std::uint64_t crc_flagged_flits_ = 0;
 

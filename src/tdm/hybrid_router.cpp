@@ -24,11 +24,15 @@ const Flit* HybridRouter::peek_arrival(Port port, Cycle cycle) const {
 }
 
 bool HybridRouter::cs_arrival_expected(Port port, Cycle cycle) const {
+  // No circuit flit queued on the port: the advance signal is low without
+  // looking at the channel.
+  if (!may_hold_circuit(port)) return false;
   const Flit* f = peek_arrival(port, cycle);
   return f != nullptr && f->switching == Switching::Circuit;
 }
 
 std::optional<Port> HybridRouter::local_cs_target(Cycle cycle) const {
+  if (!may_hold_circuit(Port::Local)) return std::nullopt;
   const Flit* f = peek_arrival(Port::Local, cycle);
   if (!f || f->switching != Switching::Circuit) return std::nullopt;
   if (f->pkt->is_hitchhiker()) return static_cast<Port>(f->pkt->share_out_port);

@@ -102,6 +102,7 @@ void SlotTable::refresh(int slot, int count, Port in, Cycle now) {
 }
 
 std::optional<Port> SlotTable::output_reserved_at(Cycle cycle, Port out) const {
+  if (out_.empty()) return std::nullopt;  // never reserved: no storage
   const int s = slot_of(cycle);
   const auto want = static_cast<std::uint8_t>(out);
   for (int j = 0; j < kNumPorts; ++j) {

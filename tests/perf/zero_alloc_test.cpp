@@ -40,6 +40,11 @@ std::atomic<std::uint64_t> g_live{0};  ///< bytes held now (usable sizes)
 std::atomic<std::uint64_t> g_peak{0};  ///< high-water mark of g_live
 std::atomic<bool> g_trace{false};
 
+}  // namespace
+
+#if !HN_POOL_DISABLED
+namespace {
+
 void count(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_bytes.fetch_add(n, std::memory_order_relaxed);
@@ -78,7 +83,6 @@ void* counted_alloc(std::size_t n) {
 
 }  // namespace
 
-#if !HN_POOL_DISABLED
 // Global replacement set: plain, array, aligned and nothrow forms all funnel
 // through the counter. Sanitizer builds keep the sanitizer's own interposers
 // (and skip the assertion), so the override is compiled out there.
@@ -219,6 +223,7 @@ TEST(ZeroAlloc, CircuitFreeRunAllocatesNoSlotTables) {
   }
 }
 
+#if !HN_POOL_DISABLED
 /// Hybrid-TDM, uniform random at 0.05, 1000 warmup packets, seed 1.
 RunParams fast_run_params(std::uint64_t measure_packets) {
   RunParams p;
@@ -248,6 +253,7 @@ double fast_run_peak_bytes(int k, std::uint64_t measure_packets) {
                            fast_run_params(measure_packets));
   return static_cast<double>(g_peak.load(std::memory_order_relaxed) - base);
 }
+#endif  // !HN_POOL_DISABLED
 
 /// The fast model's state is O(nodes): quadrupling the node count must not
 /// grow the heap per node by more than half (per-pair tables would double it).

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstddef>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace hybridnoc {
@@ -34,25 +35,44 @@ TEST(ParallelFor, PropagatesFirstExceptionUnderContention) {
   // after the failure is published — without fences a worker could pass the
   // `failed` check, have the claim reordered around it, and keep running
   // long after the stop request.
+  //
+  // Both bounds count from the publication, not from the throw: the thrower
+  // unwinds, records the exception and only then stores `failed`, and how
+  // long that takes is up to the host scheduler. So every other worker that
+  // sees the throw waits until it is published before it goes on. The
+  // thrower's thread-local marker fires when its thread exits, which is
+  // after it stored `failed`.
   constexpr std::size_t kN = 200000;
+  struct FlagOnThreadExit {
+    std::atomic<bool>* flag = nullptr;
+    ~FlagOnThreadExit() {
+      if (flag) flag->store(true, std::memory_order_release);
+    }
+  };
   std::atomic<std::size_t> ran{0};
   std::atomic<std::size_t> after_failure{0};
   std::atomic<bool> thrown{false};
+  std::atomic<bool> published{false};
   EXPECT_THROW(
       parallel_for(
           kN,
           [&](std::size_t i) {
-            if (thrown.load(std::memory_order_acquire)) {
+            thread_local FlagOnThreadExit marker;  // flag set on the thrower only
+            if (thrown.load(std::memory_order_acquire) && marker.flag == nullptr) {
+              while (!published.load(std::memory_order_acquire))
+                std::this_thread::yield();
               after_failure.fetch_add(1, std::memory_order_relaxed);
             }
             ran.fetch_add(1, std::memory_order_relaxed);
             if (i == 17) {
+              marker.flag = &published;
               thrown.store(true, std::memory_order_release);
               throw std::runtime_error("boom at 17");
             }
           },
           /*threads=*/8),
       std::runtime_error);
+  EXPECT_TRUE(published.load());
   // Abandonment, not completion: the failure must cut the sweep short. A
   // handful of in-flight iterations may still finish after the throw, but
   // nowhere near the full range.

@@ -64,7 +64,9 @@ TEST(CoherenceTest, MessageSizesAreBimodal) {
     if (m == CoherenceMsg::Request || m == CoherenceMsg::Forward) {
       EXPECT_EQ(flits, p.ctrl_flits);
     }
-    if (m == CoherenceMsg::Data) EXPECT_EQ(flits, p.data_flits);
+    if (m == CoherenceMsg::Data) {
+      EXPECT_EQ(flits, p.data_flits);
+    }
   }
   // Both modes are exercised: short control dominates by count, data bursts
   // exist.

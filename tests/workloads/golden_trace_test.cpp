@@ -5,12 +5,13 @@
 // contents shows up as a diff against a reviewable fixture; save/load round
 // trips prove the trace format carries the workloads losslessly.
 //
-// Regenerating a fixture after an intentional generator change:
-//   build/tools/hybridnoc trace-gen --workload nn:resnet50 --k 6 \
-//     --intensity 0.05 --iterations 1 --seed 9 \
+// Regenerating a fixture after an intentional generator change (one shell
+// command per fixture, wrapped here):
+//   build/tools/hybridnoc trace-gen --workload nn:resnet50 --k 6
+//     --intensity 0.05 --iterations 1 --seed 9
 //     --out tests/workloads/fixtures/nn_resnet50_6x6.trace
-//   build/tools/hybridnoc trace-gen --workload coherence --k 6 \
-//     --cycles 300 --seed 9 \
+//   build/tools/hybridnoc trace-gen --workload coherence --k 6
+//     --cycles 300 --seed 9
 //     --out tests/workloads/fixtures/coherence_6x6.trace
 #include <gtest/gtest.h>
 
