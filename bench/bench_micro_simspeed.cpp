@@ -91,8 +91,8 @@ BENCHMARK(BM_HybridNetworkCycle)->Arg(40)->Arg(5);
 /// saturation (0.30 injection probability per node per cycle), cycle
 /// throughput at 1 / 2 / 4 tick threads. items_per_second here is
 /// node-cycles per wall second; divide by 64 for cycles/sec. The 1-thread
-/// row runs the plain single-threaded engine (tick_threads=1 constructs no
-/// engine at all), so the 4-vs-1 ratio is the paper's speedup figure —
+/// row runs the engine's one-shard case (no worker thread, barrier or
+/// staging), so the 4-vs-1 ratio is the paper's speedup figure —
 /// meaningful only on a machine with at least that many free cores.
 void BM_ParallelLoadedCycle(benchmark::State& state) {
   NocConfig cfg = NocConfig::packet_vc4(8);

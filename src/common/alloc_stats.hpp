@@ -48,8 +48,6 @@ struct AllocStats {
     s.flight_releases = flight_releases.load(std::memory_order_relaxed);
     return s;
   }
-
-  void bump(std::atomic<std::uint64_t>& c) { c.fetch_add(1, std::memory_order_relaxed); }
 };
 
 inline void alloc_stats_bump(std::atomic<std::uint64_t>& c) {

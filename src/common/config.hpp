@@ -146,14 +146,14 @@ struct NocConfig {
   std::uint64_t setup_backoff_cap_cycles = 1024;
 
   // --- simulation engine ---
-  /// Worker threads for the sharded parallel tick engine: the mesh is split
-  /// into contiguous node-range shards (one thread each) and every cycle
-  /// runs compute -> barrier -> commit, with cross-shard channel writes
-  /// staged so results are bit-identical to the serial engine for any
-  /// thread count (asserted by the thread-equivalence property tests).
-  /// 1 (the default) bypasses the engine entirely — the serial tick path
-  /// is byte-for-byte the pre-engine code. Incompatible with
-  /// vc_power_gating, whose cross-router VC announcements are read
+  /// Shards of the sharded tick engine (noc/parallel_engine.hpp): the mesh
+  /// is split into contiguous node-range shards, one thread each, and every
+  /// cycle runs compute -> barrier -> commit, with cross-shard channel
+  /// writes staged so results are bit-identical for any thread count
+  /// (asserted by the thread-equivalence property tests). 1 (the default)
+  /// is the one-shard case: the same engine on the caller's thread, with
+  /// no worker thread, barrier or staging. Values above 1 are incompatible
+  /// with vc_power_gating, whose cross-router VC announcements are read
   /// mid-cycle without a channel in between.
   int tick_threads = 1;
 

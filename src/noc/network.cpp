@@ -19,7 +19,7 @@ Network::Network(const NocConfig& cfg)
           }) {}
 
 Network::Network(const NocConfig& cfg, RouterFactory make_router, NiFactory make_ni)
-    : cfg_(cfg), mesh_(cfg.k) {
+    : cfg_(cfg), mesh_(cfg.k), engine_(*this, cfg.tick_threads) {
   cfg_.validate();
   routers_.reserve(static_cast<size_t>(num_nodes()));
   nis_.reserve(static_cast<size_t>(num_nodes()));
@@ -32,13 +32,8 @@ Network::Network(const NocConfig& cfg, RouterFactory make_router, NiFactory make
   for (auto& r : routers_) router_ptrs_.push_back(r.get());
   for (auto& ni : nis_) ni_ptrs_.push_back(ni.get());
   watchdog_enabled_ = cfg_.watchdog_stall_cycles > 0;
-  if (cfg_.tick_threads > 1) {
-    engine_ = std::make_unique<ParallelTickEngine>(*this, cfg_.tick_threads);
-  } else {
-    sched_.reset(2 * num_nodes());
-  }
   build();
-  if (engine_) {
+  if (engine_.num_shards() > 1) {
     for (auto& ni : nis_) ni->set_stage_deliveries(true);
   }
   if (cfg_.link_ber > 0.0) ensure_fault_model();
@@ -69,7 +64,7 @@ Network::~Network() {
 }
 
 void Network::set_engine_force_serial(bool on) {
-  if (engine_) engine_->set_force_serial(on);
+  engine_.set_force_serial(on);
 }
 
 FaultModel& Network::ensure_fault_model() {
@@ -91,11 +86,8 @@ void Network::build() {
     return credit_channels_.back().get();
   };
 
-  // Per-consumer scheduler: the single global one, or — under the parallel
-  // engine — the scheduler of the shard that owns the consuming component.
-  auto sched_for = [&](int id) -> TickScheduler* {
-    return engine_ ? engine_->sched_for(id) : &sched_;
-  };
+  // Per-consumer scheduler: that of the shard owning the consuming component.
+  auto sched_for = [&](int id) { return engine_.sched_for(id); };
   for (NodeId n = 0; n < num_nodes(); ++n) {
     Router& r = *routers_[static_cast<size_t>(n)];
     NetworkInterface& ni = *nis_[static_cast<size_t>(n)];
@@ -129,14 +121,12 @@ void Network::build() {
       CreditChannel* cr = new_credit_ch();
       data->set_consumer(sched_for(router_sched_id(m)), router_sched_id(m));
       cr->set_consumer(sched_for(router_sched_id(n)), router_sched_id(n));
-      if (engine_) {
-        // Mesh links are the only channels that can cross a shard boundary
-        // (data flows n -> m, the matching credits m -> n).
-        engine_->register_link_channel(data, router_sched_id(n),
-                                       router_sched_id(m));
-        engine_->register_link_channel(cr, router_sched_id(m),
-                                       router_sched_id(n));
-      }
+      // Mesh links are the only channels that can cross a shard boundary
+      // (data flows n -> m, the matching credits m -> n).
+      engine_.register_link_channel(data, router_sched_id(n),
+                                     router_sched_id(m));
+      engine_.register_link_channel(cr, router_sched_id(m),
+                                     router_sched_id(n));
       r.connect_output(p, data, cr);
       nb.connect_input(opposite(p), data, cr, &r, p);
       r.set_downstream_active_vcs(p, nb.announced_active_vcs_ptr());
@@ -159,65 +149,22 @@ void Network::watchdog_tick() {
 void Network::tick() {
   ++profile_.cycles;
   if (watchdog_enabled_ && now_ != 0 && (now_ & 1023) == 0) watchdog_tick();
-  if (engine_) {
-    engine_->run_cycle(now_);
-    ++now_;
-    return;
-  }
-  sched_.begin_cycle(now_);
-  if (sched_.anything_active()) {
-    // Drain the scheduler's sorted active run list (NIs then routers —
-    // scheduler ids are assigned so ascending id == full-sweep order). The
-    // cost is O(active components), not O(nodes): an idle 64x64 mesh pays
-    // the same per-cycle dispatch cost as an idle 8x8. Components activated
-    // mid-sweep are handled exactly as under a full flag-scan: still ahead
-    // -> spliced in and ticked this cycle, already passed -> ticks next
-    // cycle (see TickScheduler::sweep).
-    const int nn = num_nodes();
-    sched_.sweep([&](int id) {
-      if (id < nn) {
-        ni_ptrs_[static_cast<size_t>(id)]->tick(now_);
-        ++profile_.ni_ticks;
-      } else {
-        router_ptrs_[static_cast<size_t>(id - nn)]->tick(now_);
-        ++profile_.router_ticks;
-      }
-    });
-    sched_.compact(
-        [&](int id) {
-          return id < nn ? ni_ptrs_[static_cast<size_t>(id)]->sched_busy()
-                         : router_ptrs_[static_cast<size_t>(id - nn)]->sched_busy();
-        },
-        [&](int id) {
-          return id < nn
-                     ? ni_ptrs_[static_cast<size_t>(id)]->sched_next_event(now_)
-                     : router_ptrs_[static_cast<size_t>(id - nn)]->sched_next_event(now_);
-        });
-  }
+  engine_.run_cycle(now_);
   ++now_;
 }
 
 void Network::fast_forward(Cycle target) {
   while (now_ < target) {
-    // With the parallel engine the wake state lives in per-shard
-    // schedulers; quiescence is the conjunction over shards and the jump
-    // target the minimum of their wake heaps. begin_cycle is idempotent at
-    // a fixed cycle, so the compute phase re-running it is harmless.
-    if (engine_) {
-      engine_->begin_cycle(now_);
-    } else {
-      sched_.begin_cycle(now_);
-    }
-    const bool active =
-        engine_ ? engine_->anything_active() : sched_.anything_active();
-    if (!active) {
+    // The wake state lives in the per-shard schedulers; quiescence is the
+    // conjunction over shards and the jump target the minimum of their wake
+    // heaps. Promoting due wakes is idempotent at a fixed cycle, so the
+    // tick re-running it is harmless.
+    Cycle wake;
+    if (engine_.idle_at(now_, &wake)) {
       // Nothing can happen until the earliest component wake or external
       // (controller) event: jump there in one step. Skipped cycles are
       // provably no-ops, and their energy constants fold in lazily.
-      Cycle jump = std::min({target,
-                             engine_ ? engine_->next_wake_cycle()
-                                     : sched_.next_wake_cycle(),
-                             external_next_event(now_)});
+      Cycle jump = std::min({target, wake, external_next_event(now_)});
       // The starvation watchdog must observe every sweep boundary, or its
       // flags would differ from a cycle-by-cycle run.
       if (watchdog_enabled_) {
@@ -267,7 +214,7 @@ EnergyCounters Network::total_energy() const {
 
 TickProfile Network::tick_profile() const {
   TickProfile p = profile_;
-  if (engine_) engine_->accumulate_profile(p);
+  engine_.accumulate_profile(p);
   const AllocStats::Snapshot now = AllocStats::instance().snapshot();
   p.packets_minted = now.packets_minted - alloc_base_.packets_minted;
   p.pool_hits = now.pool_hits - alloc_base_.pool_hits;
@@ -350,7 +297,8 @@ bool Network::drain(Cycle max_cycles) {
 std::string Network::save_state() const {
   HN_CHECK_MSG(quiescent(), "checkpoint requires a drained network");
   HN_CHECK_MSG(!faults_, "checkpoint does not cover the fault model");
-  HN_CHECK_MSG(!engine_, "checkpoint requires tick_threads == 1");
+  HN_CHECK_MSG(engine_.num_shards() == 1,
+               "checkpoint requires tick_threads == 1");
   StateWriter w;
   w.section("network");
   w.u64(now_);
@@ -367,7 +315,8 @@ void Network::restore_state(const std::string& sealed) {
   HN_CHECK_MSG(now_ == 0 && quiescent(),
                "restore requires a freshly constructed network");
   HN_CHECK_MSG(!faults_, "restore does not cover the fault model");
-  HN_CHECK_MSG(!engine_, "restore requires tick_threads == 1");
+  HN_CHECK_MSG(engine_.num_shards() == 1,
+               "restore requires tick_threads == 1");
   StateReader r(sealed);  // verifies magic/version/digest, throws StateError
   r.section("network");
   const Cycle now = r.u64();

@@ -14,12 +14,11 @@
 #include "noc/channel.hpp"
 #include "noc/fault_model.hpp"
 #include "noc/network_interface.hpp"
+#include "noc/parallel_engine.hpp"
 #include "noc/router.hpp"
-#include "noc/scheduler.hpp"
 
 namespace hybridnoc {
 
-class ParallelTickEngine;
 class StateWriter;
 class StateReader;
 
@@ -75,7 +74,7 @@ class Network {
   /// Packet-switched-only network (the Packet-VC4 baseline).
   explicit Network(const NocConfig& cfg);
   Network(const NocConfig& cfg, RouterFactory make_router, NiFactory make_ni);
-  virtual ~Network();  // out of line: engine_ is incomplete here
+  virtual ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -85,11 +84,12 @@ class Network {
   /// components with pending work are ticked — bit-identical to ticking
   /// every component every cycle, since idle ticks are deterministic no-ops
   /// whose energy constants are folded lazily (the scheduler-equivalence
-  /// suite checks this against a full-sweep test oracle). With
-  /// cfg.tick_threads > 1 the cycle is executed by the sharded parallel
-  /// engine (noc/parallel_engine.hpp) — bit-identical again, for any
-  /// thread count.
-  virtual void tick();
+  /// suite checks this against a full-sweep test oracle). The cycle runs on
+  /// the sharded tick engine (noc/parallel_engine.hpp): one shard on the
+  /// caller's thread at cfg.tick_threads == 1, worker threads above that —
+  /// bit-identical again, for any thread count. Never inlined into
+  /// fast_forward: its idle-jump loop stays small (BM_IdleFastForward).
+  [[gnu::noinline]] virtual void tick();
 
   /// Advance until now() == target, skipping fully idle stretches in one
   /// step. Never skips a cycle where any component, or the subclass's
@@ -142,8 +142,8 @@ class Network {
   /// a bad checkpoint as "recompute from scratch".
   void restore_state(const std::string& sealed);
 
-  /// Dispatch-cost counters since construction (see TickProfile). Sums the
-  /// parallel engine's per-shard counters when one is running.
+  /// Dispatch-cost counters since construction (see TickProfile). The
+  /// dispatch counts are the sum of the engine's per-shard counters.
   TickProfile tick_profile() const;
 
   /// Settled energy of every component as of now(). O(components) on the
@@ -168,10 +168,10 @@ class Network {
     return kCycleNever;
   }
 
-  /// Subclass switch for the parallel engine's serial fallback: modes whose
+  /// Subclass switch for the tick engine's serial fallback: modes whose
   /// event *order* is observable (config-fault hooks, trace recording) must
-  /// run cycles in the exact global component order. No-op when the engine
-  /// is off.
+  /// run cycles in the exact global component order. No effect at
+  /// tick_threads == 1, whose one shard already runs in that order.
   void set_engine_force_serial(bool on);
 
   /// Checkpoint hooks for machinery outside the NIs/routers (the TDM
@@ -205,7 +205,6 @@ class Network {
   std::vector<std::unique_ptr<CreditChannel>> credit_channels_;
   std::unique_ptr<FaultModel> faults_;
 
-  TickScheduler sched_;
   /// cfg_.watchdog_stall_cycles > 0, hoisted so the per-tick check is one
   /// branch on a bool instead of a 64-bit compare.
   bool watchdog_enabled_ = false;
@@ -218,9 +217,10 @@ class Network {
   /// so a repeated query at one cycle is provably the same sum.
   mutable Cycle energy_memo_at_ = kCycleNever;
   mutable EnergyCounters energy_memo_;
-  /// Sharded parallel tick engine, created when cfg.tick_threads > 1. When
-  /// null the tick path is byte-for-byte the single-threaded engine.
-  std::unique_ptr<ParallelTickEngine> engine_;
+  /// Sharded tick engine: cfg.tick_threads shards, capped at the node
+  /// count. Declared last so it is built after the mesh it partitions and
+  /// destroyed (joining any workers) before the components it ticks.
+  ParallelTickEngine engine_;
 };
 
 }  // namespace hybridnoc

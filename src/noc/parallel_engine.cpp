@@ -35,7 +35,7 @@ ParallelTickEngine::ParallelTickEngine(Network& net, int threads)
     : net_(net),
       num_nodes_(net.num_nodes()),
       num_shards_(std::min(threads, net.num_nodes())) {
-  HN_CHECK(threads >= 2);
+  HN_CHECK(threads >= 1);
   shards_.resize(static_cast<size_t>(num_shards_));
   node_shard_.resize(static_cast<size_t>(num_nodes_));
   // Row-aligned partitioning: with row-major node ids, cutting only on row
@@ -167,7 +167,7 @@ void ParallelTickEngine::commit_compact_phase(int s, Cycle now) {
   Shard& sh = shards_[static_cast<size_t>(s)];
   // Commit before compact: compaction's next-event derivation reads the
   // consumer-side channel fronts, which must include this cycle's sends —
-  // exactly what the serial engine's eager sends would have left behind.
+  // exactly what the one-shard engine's eager sends would have left behind.
   for (ChannelBase* ch : sh.commit_list) ch->commit_staged();
   sh.sched.compact(
       [&](int id) {
@@ -187,8 +187,8 @@ void ParallelTickEngine::commit_compact_phase(int s, Cycle now) {
 void ParallelTickEngine::serial_cycle(Cycle now) {
   // Exact global sweep order (every NI ascending, then every router): the
   // modes that force this path observe the dispatch sequence itself, so it
-  // must match the single-threaded engine event for event.
-  begin_cycle(now);
+  // must match the one-shard engine event for event.
+  for (Shard& sh : shards_) sh.sched.begin_cycle(now);
   for (int n = 0; n < num_nodes_; ++n) {
     if (sched_for(n)->component_active(n)) {
       net_.ni_ptrs_[static_cast<size_t>(n)]->tick(now);
@@ -205,7 +205,12 @@ void ParallelTickEngine::serial_cycle(Cycle now) {
   for (int s = 0; s < num_shards_; ++s) commit_compact_phase(s, now);
 }
 
-void ParallelTickEngine::run_cycle(Cycle now) {
+void ParallelTickEngine::run_one_shard(Cycle now) {
+  compute_phase(0, now);
+  commit_compact_phase(0, now);
+}
+
+void ParallelTickEngine::run_sharded(Cycle now) {
   const bool serial =
       force_serial_ || (net_.faults_ && net_.faults_->recording());
   if (serial) {
@@ -235,6 +240,16 @@ void ParallelTickEngine::run_cycle(Cycle now) {
   drain_deliveries();
 }
 
+bool ParallelTickEngine::idle_at_sharded(Cycle now, Cycle* next_wake) {
+  *next_wake = kCycleNever;
+  for (Shard& sh : shards_) {
+    sh.sched.begin_cycle(now);
+    if (sh.sched.anything_active()) return false;
+    *next_wake = std::min(*next_wake, sh.sched.next_wake_cycle());
+  }
+  return true;
+}
+
 void ParallelTickEngine::drain_deliveries() {
   for (NetworkInterface* ni : net_.ni_ptrs_) ni->flush_staged_deliveries();
 }
@@ -247,25 +262,6 @@ void ParallelTickEngine::accumulate_profile(TickProfile& p) const {
     p.ni_ticks += sh.ni_ticks;
     p.router_ticks += sh.router_ticks;
   }
-}
-
-void ParallelTickEngine::begin_cycle(Cycle now) {
-  for (Shard& sh : shards_) sh.sched.begin_cycle(now);
-}
-
-bool ParallelTickEngine::anything_active() const {
-  for (const Shard& sh : shards_) {
-    if (sh.sched.anything_active()) return true;
-  }
-  return false;
-}
-
-Cycle ParallelTickEngine::next_wake_cycle() {
-  Cycle earliest = kCycleNever;
-  for (Shard& sh : shards_) {
-    earliest = std::min(earliest, sh.sched.next_wake_cycle());
-  }
-  return earliest;
 }
 
 }  // namespace hybridnoc

@@ -1,4 +1,5 @@
-// Deterministic sharded parallel tick engine.
+// Deterministic sharded tick engine: the one engine behind Network::tick,
+// for every NocConfig::tick_threads >= 1.
 //
 // The mesh is partitioned into contiguous spatial shards — whole rows per
 // shard when shards <= k (so only North/South links cross a seam), the plain
@@ -9,15 +10,22 @@
 //   compute: every shard ticks its own components against last cycle's
 //            channel state. Sends into a channel whose consumer lives in
 //            another shard are *staged* into a producer-private outbox
-//            (ChannelBase::set_staged); everything else is eager exactly as
-//            under the serial engine.
+//            (ChannelBase::set_staged); everything else is eager.
 //   barrier
 //   commit:  every shard applies the staged outboxes of the channels it
 //            consumes, in the fixed channel-construction order, then runs
 //            its TickScheduler compaction.
 //   barrier
 //
-// Bit-identity with the serial engine for ANY thread count rests on:
+// One shard (tick_threads == 1) is the serial engine: the shard owns every
+// node, so no channel crosses a seam and none is staged, no worker thread is
+// started, NI deliveries are handed to the deliver callback in place, and a
+// cycle is the shard's sweep then its compaction on the caller's thread —
+// after an inline "nothing active" test, so an idle cycle costs a few loads.
+// Its sweep visits every NI ascending then every router ascending, the exact
+// global order, which the full-sweep test oracle checks it against.
+//
+// Bit-identity with the one-shard engine for ANY thread count rests on:
 //  * every cross-component write goes through a Channel with latency >= 1,
 //    so nothing written in cycle T is readable before T+1 — the intra-cycle
 //    tick order is unobservable (the simulator's founding invariant);
@@ -36,8 +44,8 @@
 //    staged per-NI and drained in ascending NI order after the barrier.
 //
 // Modes whose *event order* is observable (config-fault injection hooks,
-// fault-trace recording) force the engine into a serial fallback that walks
-// the exact global component order of the single-threaded engine, so
+// fault-trace recording) force a multi-shard engine into a serial fallback
+// that walks the exact global component order of the one-shard engine, so
 // recorded traces and seeded fault streams stay byte-identical.
 //
 // Workers synchronise on a go-sequence (spin-then-park between cycles, so an
@@ -63,9 +71,10 @@ struct TickProfile;
 
 class ParallelTickEngine {
  public:
-  /// Shards = min(threads, nodes). The engine must be constructed before the
-  /// network wires its channels (they register consumers against the shard
-  /// schedulers) and destroyed before the components it ticks.
+  /// Shards = min(threads, nodes), threads >= 1. The engine must be
+  /// constructed before the network wires its channels (they register
+  /// consumers against the shard schedulers) and destroyed before the
+  /// components it ticks.
   ParallelTickEngine(Network& net, int threads);
   ~ParallelTickEngine();
 
@@ -87,15 +96,35 @@ class ParallelTickEngine {
                              int consumer_id);
 
   /// Execute component cycle `now` (the network still owns watchdog sweeps,
-  /// clock advance, and any controller machinery around it).
-  void run_cycle(Cycle now);
+  /// clock advance, and any controller machinery around it). The one-shard
+  /// idle test stays inline so an idle cycle makes no call at all.
+  void run_cycle(Cycle now) {
+    if (num_shards_ == 1) {
+      TickScheduler& sched = shards_.front().sched;
+      sched.begin_cycle(now);
+      if (sched.anything_active()) run_one_shard(now);
+      return;
+    }
+    run_sharded(now);
+  }
 
-  // --- fast-forward support (mirrors the single-scheduler calls) ---
-  void begin_cycle(Cycle now);
-  bool anything_active() const;
-  Cycle next_wake_cycle();
+  /// Is every component idle at cycle `now`? One pass over the shards
+  /// promotes the wakes due by `now` and, when nothing is active, leaves
+  /// the earliest pending wake in `*next_wake` (kCycleNever if none) — the
+  /// fast-forward jump target. Inline for one shard, like run_cycle.
+  bool idle_at(Cycle now, Cycle* next_wake) {
+    if (num_shards_ == 1) {
+      TickScheduler& sched = shards_.front().sched;
+      sched.begin_cycle(now);
+      if (sched.anything_active()) return false;
+      *next_wake = sched.next_wake_cycle();
+      return true;
+    }
+    return idle_at_sharded(now, next_wake);
+  }
 
   /// Serial-fallback switch for order-observing modes (see file comment).
+  /// One shard already runs in the global order, so it ignores the switch.
   void set_force_serial(bool on) { force_serial_ = on; }
 
   /// Fold the per-shard dispatch counters into `p` (Network::tick_profile).
@@ -118,6 +147,9 @@ class ParallelTickEngine {
                                                            : id - num_nodes_)];
   }
 
+  void run_one_shard(Cycle now);
+  void run_sharded(Cycle now);
+  bool idle_at_sharded(Cycle now, Cycle* next_wake);
   void compute_phase(int s, Cycle now);
   void commit_compact_phase(int s, Cycle now);
   void serial_cycle(Cycle now);

@@ -28,12 +28,12 @@
 // ticked them, and components that activate at an already-passed position
 // wait for the next cycle, again exactly like the flag-scan.
 //
-// The scheduler can serve either the whole network (reset: one flat id
-// range) or one shard of the parallel tick engine (reset_ranges: the shard's
-// NI ids plus its router ids, two disjoint global ranges mapped onto one
-// dense internal slot space). All public methods take global component ids
-// either way; with the flat range the mapping is the identity, so the
-// single-scheduler path compiles to exactly the pre-shard arithmetic.
+// Each scheduler serves one shard of the tick engine (noc/parallel_engine.hpp):
+// the shard's NI ids plus its router ids, two disjoint global ranges mapped
+// onto one dense internal slot space. All public methods take global
+// component ids. A shard that owns every node (the one-shard engine) maps
+// ids flat: the NI-vs-router test in slot_of/id_of then always takes the
+// same branch, which keeps the serial dispatch free of mispredictions.
 #pragma once
 
 #include <algorithm>
@@ -50,42 +50,42 @@ namespace hybridnoc {
 
 class TickScheduler {
  public:
-  /// (Re)initialize for `num_components` components, all active. Starting
-  /// everyone active means the first tick behaves exactly like a full sweep
-  /// and components earn their way out of the active set.
-  void reset(int num_components) {
-    lo1_ = 0;
-    lo2_ = num_components;  // degenerate split: slot(id) == id everywhere
-    count1_ = num_components;
-    init(num_components);
-  }
-
-  /// Per-shard form (parallel tick engine): this scheduler owns the global
-  /// NI ids [ni_lo, ni_hi) and the global router ids
-  /// [num_nodes + ni_lo, num_nodes + ni_hi). Ascending internal slot order
-  /// is the shard's NIs then its routers — the same relative order the
-  /// global sweep visits them in.
+  /// (Re)initialize to own the global NI ids [ni_lo, ni_hi) and the global
+  /// router ids [num_nodes + ni_lo, num_nodes + ni_hi), all active. Ascending
+  /// internal slot order is the shard's NIs then its routers — the same
+  /// relative order the global sweep visits them in. Starting everyone
+  /// active means the first tick behaves exactly like a full sweep and
+  /// components earn their way out of the active set.
   void reset_ranges(int ni_lo, int ni_hi, int num_nodes) {
     HN_CHECK(0 <= ni_lo && ni_lo < ni_hi && ni_hi <= num_nodes);
+    const int num_slots = 2 * (ni_hi - ni_lo);
     lo1_ = ni_lo;
     lo2_ = num_nodes + ni_lo;
     count1_ = ni_hi - ni_lo;
-    init(2 * count1_);
+    if (num_slots == 2 * num_nodes) {
+      // Every node: one flat range. Same mapping, but the NI-vs-router test
+      // in slot_of/id_of then always takes its first branch.
+      lo2_ = count1_ = num_slots;
+    }
+    active_count_ = num_slots;
+    active_.assign(static_cast<size_t>(num_slots), 1);
+    next_wake_.assign(static_cast<size_t>(num_slots), kCycleNever);
+    // Everyone starts active, so the run list starts as the full slot range.
+    run_list_.resize(static_cast<size_t>(num_slots));
+    for (int s = 0; s < num_slots; ++s) run_list_[static_cast<size_t>(s)] = s;
+    in_list_.assign(static_cast<size_t>(num_slots), 1);
+    incoming_.clear();
+    sweep_extra_ = {};
+    in_sweep_ = false;
+    cursor_ = 0;
+    heap_ = {};
+    now_ = 0;
   }
 
   /// Start cycle `now`: promote every component whose wake is due.
   void begin_cycle(Cycle now) {
     now_ = now;
-    while (!heap_.empty() && heap_.top().first <= now) {
-      const auto [cycle, slot] = heap_.top();
-      heap_.pop();
-      // Stale entries (superseded by an earlier wake, or the component was
-      // activated through another path meanwhile) are simply dropped.
-      if (!active_[static_cast<size_t>(slot)] &&
-          next_wake_[static_cast<size_t>(slot)] == cycle) {
-        activate(slot);
-      }
-    }
+    if (!heap_.empty() && heap_.top().first <= now) promote_due_wakes();
   }
 
   /// Component `id` has (or may have) observable work at cycle `at`.
@@ -201,41 +201,46 @@ class TickScheduler {
     run_list_.resize(w);
   }
 
+  bool anything_active() const { return active_count_ > 0; }
+
   /// Earliest pending wake, or kCycleNever. Discards stale heap entries.
   Cycle next_wake_cycle() {
-    while (!heap_.empty()) {
-      const auto [cycle, slot] = heap_.top();
-      if (!active_[static_cast<size_t>(slot)] &&
-          next_wake_[static_cast<size_t>(slot)] == cycle) {
-        return cycle;
-      }
-      heap_.pop();
-    }
-    return kCycleNever;
+    if (heap_.empty()) return kCycleNever;
+    return live(heap_.top()) ? heap_.top().first : drop_stale_wakes();
   }
-
-  bool anything_active() const { return active_count_ > 0; }
-  int active_count() const { return active_count_; }
 
  private:
   /// Cycles between sleep-eligibility checks per component (power of two).
   static constexpr Cycle kSamplePeriod = 8;
 
-  void init(int num_slots) {
-    num_ = num_slots;
-    active_count_ = num_slots;
-    active_.assign(static_cast<size_t>(num_slots), 1);
-    next_wake_.assign(static_cast<size_t>(num_slots), kCycleNever);
-    // Everyone starts active, so the run list starts as the full slot range.
-    run_list_.resize(static_cast<size_t>(num_slots));
-    for (int s = 0; s < num_slots; ++s) run_list_[static_cast<size_t>(s)] = s;
-    in_list_.assign(static_cast<size_t>(num_slots), 1);
-    incoming_.clear();
-    sweep_extra_ = {};
-    in_sweep_ = false;
-    cursor_ = 0;
-    heap_ = {};
-    now_ = 0;
+  using HeapEntry = std::pair<Cycle, int>;  ///< (wake cycle, internal slot)
+
+  /// A heap entry is live while its slot sleeps with exactly that wake;
+  /// anything else (superseded by an earlier wake, or the component was
+  /// activated through another path meanwhile) is stale and just dropped.
+  bool live(const HeapEntry& e) const {
+    const auto i = static_cast<size_t>(e.second);
+    return !active_[i] && next_wake_[i] == e.first;
+  }
+
+  /// Activate every slot whose wake is due by now_. Out of line, like
+  /// drop_stale_wakes: the heap work stays off the inlined idle-cycle and
+  /// fast-forward paths, which only test the heap top.
+  [[gnu::noinline]] void promote_due_wakes() {
+    while (!heap_.empty() && heap_.top().first <= now_) {
+      const HeapEntry e = heap_.top();
+      heap_.pop();
+      if (live(e)) activate(e.second);
+    }
+  }
+
+  /// Pop stale entries; returns the earliest live wake, or kCycleNever.
+  [[gnu::noinline]] Cycle drop_stale_wakes() {
+    while (!heap_.empty()) {
+      if (live(heap_.top())) return heap_.top().first;
+      heap_.pop();
+    }
+    return kCycleNever;
   }
 
   /// Fold newly-listed slots into the sorted run list. Incoming batches are
@@ -252,7 +257,8 @@ class TickScheduler {
   }
 
   /// Global component id -> dense internal slot. With the flat mapping
-  /// (lo1_ = 0, lo2_ = count1_ = n) both branches are the identity.
+  /// (lo1_ = 0, lo2_ = count1_ = slot count) every id takes the first
+  /// branch, which is the identity.
   int slot_of(int id) const {
     return id < lo2_ ? id - lo1_ : count1_ + (id - lo2_);
   }
@@ -278,7 +284,6 @@ class TickScheduler {
     }
   }
 
-  using HeapEntry = std::pair<Cycle, int>;  ///< (wake cycle, internal slot)
   std::vector<std::uint8_t> active_;
   std::vector<Cycle> next_wake_;  ///< valid pending wake, kCycleNever if none
   /// Sorted slots the next sweep/compact must visit: every active slot plus
@@ -290,7 +295,6 @@ class TickScheduler {
   std::priority_queue<int, std::vector<int>, std::greater<int>> sweep_extra_;
   bool in_sweep_ = false;
   int cursor_ = 0;
-  int num_ = 0;
   int active_count_ = 0;
   int lo1_ = 0;     ///< first global id of range 1 (the NIs)
   int lo2_ = 0;     ///< first global id of range 2 (the routers)

@@ -8,20 +8,23 @@
 // no-op, so the two must agree bit for bit; a wake the scheduler misses
 // shows up as a difference.
 //
-// The network's scheduler stays attached but is never begun or compacted.
-// Every component therefore stays active, and every wake a channel or NI
-// registers returns early. Serial networks only (tick_threads == 1).
+// The network's one-shard engine stays attached but its scheduler is never
+// begun or compacted. Every component therefore stays active, and every wake
+// a channel or NI registers returns early. Serial networks only
+// (tick_threads == 1).
 #pragma once
 
 #include "common/assert.hpp"
 #include "noc/network.hpp"
+#include "noc/parallel_engine.hpp"
 #include "tdm/hybrid_network.hpp"
 
 namespace hybridnoc {
 
 struct FullSweepOracle {
   static void tick(Network& net) {
-    HN_CHECK_MSG(!net.engine_, "the full-sweep oracle is serial only");
+    HN_CHECK_MSG(net.engine_.num_shards() == 1,
+                 "the full-sweep oracle is serial only");
     Cycle& now = net.now_;
     if (net.watchdog_enabled_ && now != 0 && (now & 1023) == 0) {
       net.watchdog_tick();

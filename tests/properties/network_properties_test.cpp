@@ -202,7 +202,12 @@ TEST_P(ZeroLoadLatency, MatchesPipelineModelForAllPairs) {
 
 INSTANTIATE_TEST_SUITE_P(MeshSizes, ZeroLoadLatency, testing::Values(2, 3, 4, 6, 8),
                          [](const testing::TestParamInfo<int>& i) {
-                           return "k" + std::to_string(i.param);
+                           // Appending instead of "k" + to_string(...):
+                           // GCC 12 at -O3 reports a false -Wrestrict on
+                           // operator+(const char*, string&&).
+                           std::string name = "k";
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 // --- slot-table reservation algebra across table geometries ---

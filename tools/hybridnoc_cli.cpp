@@ -11,15 +11,19 @@
 // `hybridnoc --workload ...` with no command is shorthand for `synth`.
 // Workloads: nn:resnet50 | nn:transformer | nn:gnmt | nn:@file | coherence
 // Architectures: packet | sdm | tdm | tdm-vct | hop | hop-vct
+#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/fileio.hpp"
 #include "common/table.hpp"
+#include "hetero/benchmarks.hpp"
 #include "hetero/hetero_system.hpp"
 #include "sim/driver.hpp"
 #include "traffic/trace.hpp"
@@ -37,9 +41,20 @@ struct Args {
     const auto it = kv.find(k);
     return it == kv.end() ? dflt : it->second;
   }
+  /// Numeric value of --k, or `dflt` when absent. A value that is not
+  /// wholly a number is a usage error (exit 2), not an uncaught exception.
   double num(const std::string& k, double dflt) const {
     const auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::stod(it->second);
+    if (it == kv.end()) return dflt;
+    try {
+      size_t used = 0;
+      const double v = std::stod(it->second, &used);
+      if (used == it->second.size()) return v;
+    } catch (const std::exception&) {  // invalid_argument, out_of_range
+    }
+    std::cerr << "error: --" << k << " expects a number, got '" << it->second
+              << "'\n";
+    std::exit(2);
   }
 };
 
@@ -76,15 +91,15 @@ NocConfig arch_preset(const std::string& name, int k) {
   if (name == "tdm-vct") return NocConfig::hybrid_tdm_vct(k);
   if (name == "hop") return NocConfig::hybrid_tdm_hop_vc4(k);
   if (name == "hop-vct") return NocConfig::hybrid_tdm_hop_vct(k);
-  std::cerr << "unknown --arch '" << name
+  std::cerr << "error: unknown --arch '" << name
             << "' (packet|sdm|tdm|tdm-vct|hop|hop-vct)\n";
   std::exit(2);
 }
 
 NocConfig arch_config(const Args& a, const std::string& dflt_arch, int k) {
   NocConfig cfg = arch_preset(a.get("arch", dflt_arch), k);
-  // --threads N runs the sharded parallel tick engine; results are
-  // bit-identical to --threads 1 (the default single-threaded engine).
+  // --threads N runs the tick engine with N shards on worker threads;
+  // results are bit-identical to --threads 1 (the default, one shard).
   cfg.tick_threads = static_cast<int>(a.num("threads", 1));
   return cfg;
 }
@@ -96,14 +111,14 @@ TrafficPattern pattern_arg(const std::string& name) {
   if (name == "bitcomp") return TrafficPattern::BitComplement;
   if (name == "shuffle") return TrafficPattern::Shuffle;
   if (name == "hotspot") return TrafficPattern::Hotspot;
-  std::cerr << "unknown --pattern '" << name << "'\n";
+  std::cerr << "error: unknown --pattern '" << name << "'\n";
   std::exit(2);
 }
 
 Fidelity fidelity_arg(const std::string& name) {
   if (name == "cycle") return Fidelity::Cycle;
   if (name == "fast") return Fidelity::Fast;
-  std::cerr << "unknown --fidelity '" << name << "' (cycle|fast)\n";
+  std::cerr << "error: unknown --fidelity '" << name << "' (cycle|fast)\n";
   std::exit(2);
 }
 
@@ -214,9 +229,14 @@ int cmd_sweep(const Args& a) {
   const int k = static_cast<int>(a.num("k", 6));
   const NocConfig cfg = arch_config(a, "tdm", k);
   const TrafficPattern pattern = pattern_arg(a.get("pattern", "uniform"));
+  const double step = a.num("step", 0.05);
+  if (!(step > 0.0)) {  // also rejects NaN; a step <= 0 would never end
+    std::cerr << "error: --step must be positive, got " << step << "\n";
+    return 2;
+  }
   std::vector<double> rates;
   for (double r = a.num("from", 0.05); r <= a.num("to", 0.4) + 1e-9;
-       r += a.num("step", 0.05)) {
+       r += step) {
     rates.push_back(r);
   }
   const auto results = sweep_load(cfg, run_params(a, pattern, 0.0), rates);
@@ -231,10 +251,30 @@ int cmd_sweep(const Args& a) {
   return 0;
 }
 
+/// Is `name` one of `benches`? If not, names the valid ones on stderr.
+template <typename Bench>
+bool known_benchmark(const std::vector<Bench>& benches,
+                     const std::string& flag, const std::string& name) {
+  for (const Bench& b : benches) {
+    if (b.name == name) return true;
+  }
+  std::cerr << "error: unknown --" << flag << " '" << name << "' (";
+  for (size_t i = 0; i < benches.size(); ++i) {
+    std::cerr << (i ? "|" : "") << benches[i].name;
+  }
+  std::cerr << ")\n";
+  return false;
+}
+
 int cmd_hetero(const Args& a) {
   const NocConfig cfg = arch_config(a, "hop-vct", 6);
-  const WorkloadMix mix{cpu_benchmark(a.get("cpu", "APPLU")),
-                        gpu_benchmark(a.get("gpu", "BLACKSCHOLES"))};
+  const std::string cpu = a.get("cpu", "APPLU");
+  const std::string gpu = a.get("gpu", "BLACKSCHOLES");
+  if (!known_benchmark(cpu_benchmarks(), "cpu", cpu) ||
+      !known_benchmark(gpu_benchmarks(), "gpu", gpu)) {
+    return 2;
+  }
+  const WorkloadMix mix{cpu_benchmark(cpu), gpu_benchmark(gpu)};
   HeteroSystem sys(cfg, mix, static_cast<std::uint64_t>(a.num("seed", 1)));
   const auto m = sys.run(static_cast<std::uint64_t>(a.num("warmup", 6000)),
                          static_cast<std::uint64_t>(a.num("cycles", 24000)));
