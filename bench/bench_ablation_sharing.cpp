@@ -4,7 +4,7 @@
 
 #include "bench_util.hpp"
 #include "hetero/hetero_system.hpp"
-#include "tdm/hybrid_network.hpp"
+#include "noc/network.hpp"
 
 using namespace hybridnoc;
 using namespace hybridnoc::bench;
@@ -37,13 +37,12 @@ int main() {
     if (v.hh || v.vic) cfg.slot_table_size = 64;  // sharing enables smaller tables
     HeteroSystem sys(cfg, mix, 1);
     const auto m = sys.run(warmup, measure);
-    const auto* net =
-        dynamic_cast<const HybridNetwork*>(sys.network().mesh_network());
+    const NiCounters c = sys.network().mesh_network()->ni_counters();
     t.add_row({v.name, TextTable::pct(energy_saving(mb.energy, m.energy), 1),
                TextTable::pct(m.cs_flit_fraction, 1),
-               std::to_string(net->total_hitchhike_packets()),
-               std::to_string(net->total_vicinity_packets()),
-               std::to_string(net->total_hitchhike_bounces())});
+               std::to_string(c[NiCounter::HitchhikePackets]),
+               std::to_string(c[NiCounter::VicinityPackets]),
+               std::to_string(c[NiCounter::HitchhikeBounces])});
   }
   t.print(std::cout);
   std::cout << "\npaper: sharing adds ~2.8% energy saving over the basic "

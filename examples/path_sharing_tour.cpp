@@ -58,17 +58,17 @@ int main() {
   std::cout << "\n2) " << hiker << " (on the path) sends to the same "
             << "destination — no setup of its own needed:\n";
   drive(net, hiker, dest, id, 20, 40);
-  std::cout << "   hitchhiked packets: " << net.hybrid_ni(hiker).hitchhike_packets()
-            << ", setups sent by the hiker: " << net.hybrid_ni(hiker).setups_sent()
+  std::cout << "   hitchhiked packets: " << net.ni(hiker).counters()[NiCounter::HitchhikePackets]
+            << ", setups sent by the hiker: " << net.ni(hiker).counters()[NiCounter::SetupsSent]
             << "\n";
 
   // 3. Vicinity: the owner sends to a neighbour of the circuit destination.
   std::cout << "\n3) owner sends to " << vicinity_dest
             << " (adjacent to the circuit destination):\n";
   drive(net, owner, vicinity_dest, id, 20, 40);
-  std::cout << "   vicinity rides: " << net.hybrid_ni(owner).vicinity_packets()
+  std::cout << "   vicinity rides: " << net.ni(owner).counters()[NiCounter::VicinityPackets]
             << ", hop-offs executed at " << dest << ": "
-            << net.hybrid_ni(dest).vicinity_hopoffs() << "\n";
+            << net.ni(dest).counters()[NiCounter::VicinityHopoffs] << "\n";
 
   // 4. Contention: the owner floods its circuit; the hiker keeps trying.
   std::cout << "\n4) owner floods the circuit; hiker contends:\n";
@@ -78,14 +78,15 @@ int main() {
     net.tick();
   }
   std::cout << "   hitchhike bounces (re-sent packet-switched): "
-            << net.total_hitchhike_bounces()
+            << net.ni_counters()[NiCounter::HitchhikeBounces]
             << "\n   hiker escalated to its own circuit: "
             << (net.hybrid_ni(hiker).has_connection(dest) ? "yes" : "no")
-            << " (setups sent: " << net.hybrid_ni(hiker).setups_sent() << ")\n";
+            << " (setups sent: " << net.ni(hiker).counters()[NiCounter::SetupsSent] << ")\n";
 
-  std::cout << "\nnetwork totals: cs packets " << net.total_cs_packets()
-            << ", hitchhiked " << net.total_hitchhike_packets() << ", vicinity "
-            << net.total_vicinity_packets() << ", steals " << net.total_ps_steals()
-            << "\n";
+  const NiCounters totals = net.ni_counters();
+  std::cout << "\nnetwork totals: cs packets " << totals[NiCounter::CsPackets]
+            << ", hitchhiked " << totals[NiCounter::HitchhikePackets]
+            << ", vicinity " << totals[NiCounter::VicinityPackets] << ", steals "
+            << net.router_counters()[RouterCounter::PsSteals] << "\n";
   return 0;
 }

@@ -72,7 +72,7 @@ int main() {
                "buffers:\n  buffer writes = "
             << e.buffer_writes << ", circuit latch uses = " << e.cs_latch_flits
             << ", slot-table writes = " << e.slot_table_writes << "\n";
-  std::cout << "setups sent: " << net.total_setups_sent()
+  std::cout << "setups sent: " << net.ni_counters()[NiCounter::SetupsSent]
             << ", active circuits now: " << net.total_active_connections()
             << "\n";
   return 0;

@@ -224,27 +224,15 @@ TickProfile Network::tick_profile() const {
   return p;
 }
 
-std::uint64_t Network::total_data_sent() const {
-  std::uint64_t t = 0;
-  for (const auto& ni : nis_) t += ni->data_packets_sent();
+NiCounters Network::ni_counters() const {
+  NiCounters t;
+  for (const NetworkInterface* ni : ni_ptrs_) t += ni->counters();
   return t;
 }
 
-std::uint64_t Network::total_data_delivered() const {
-  std::uint64_t t = 0;
-  for (const auto& ni : nis_) t += ni->data_packets_delivered();
-  return t;
-}
-
-std::uint64_t Network::total_ps_flits() const {
-  std::uint64_t t = 0;
-  for (const auto& ni : nis_) t += ni->ps_data_flits_injected();
-  return t;
-}
-
-std::uint64_t Network::total_cs_flits() const {
-  std::uint64_t t = 0;
-  for (const auto& ni : nis_) t += ni->cs_data_flits_injected();
+RouterCounters Network::router_counters() const {
+  RouterCounters t;
+  for (const Router* r : router_ptrs_) t += r->counters();
   return t;
 }
 
@@ -254,27 +242,9 @@ std::uint64_t Network::total_flits_of_class(TrafficClass c) const {
   return t;
 }
 
-std::uint64_t Network::total_config_flits() const {
-  std::uint64_t t = 0;
-  for (const auto& ni : nis_) t += ni->config_flits_injected();
-  return t;
-}
-
 DegradationReport Network::degradation_report() const {
   DegradationReport r;
-  for (const auto& ni : nis_) {
-    r.data_sent += ni->data_packets_sent();
-    r.data_delivered += ni->data_packets_delivered();
-    r.retransmits += ni->retransmits();
-    r.retx_give_ups += ni->retx_give_ups();
-    r.unreachable_failed += ni->unreachable_failed();
-    r.crc_squashed_packets += ni->crc_squashed_packets();
-    r.e2e_acks_sent += ni->e2e_acks_sent();
-    r.e2e_duplicates_dropped += ni->e2e_duplicates_dropped();
-    r.e2e_outstanding += ni->e2e_outstanding();
-    r.watchdog_flagged += ni->watchdog_flagged();
-  }
-  for (const auto& rt : routers_) r.crc_flagged_flits += rt->crc_flagged_flits();
+  for (const auto& ni : nis_) r.e2e_outstanding += ni->e2e_outstanding();
   if (faults_) {
     r.corrupted_traversals = faults_->corrupted_traversals();
     r.failed_links = faults_->failed_links(now_);

@@ -44,20 +44,10 @@ struct TickProfile {
   std::uint64_t flight_releases = 0;  ///< anchors dropped (all flits consumed)
 };
 
-/// Per-run fault-tolerance outcome: how much workload survived, what the
-/// recovery machinery did, and how much of the fabric is left.
+/// Per-run fault-tolerance state that no counter block holds (the recovery
+/// machinery's event counts are in ni_counters / router_counters).
 struct DegradationReport {
-  std::uint64_t data_sent = 0;
-  std::uint64_t data_delivered = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t retx_give_ups = 0;
-  std::uint64_t unreachable_failed = 0;
-  std::uint64_t crc_flagged_flits = 0;     ///< per-hop detections (routers)
-  std::uint64_t crc_squashed_packets = 0;  ///< destination-side squashes
-  std::uint64_t e2e_acks_sent = 0;
-  std::uint64_t e2e_duplicates_dropped = 0;
-  std::uint64_t e2e_outstanding = 0;  ///< still unacked at report time
-  std::uint64_t watchdog_flagged = 0;
+  std::uint64_t e2e_outstanding = 0;       ///< still unacked at report time
   std::uint64_t corrupted_traversals = 0;  ///< fault-model ground truth
   int failed_links = 0;
   int bisection_links_total = 0;
@@ -152,11 +142,9 @@ class Network {
   /// at measure start and end) never pay the sweep twice.
   EnergyCounters total_energy() const;
 
-  std::uint64_t total_data_sent() const;
-  std::uint64_t total_data_delivered() const;
-  std::uint64_t total_ps_flits() const;
-  std::uint64_t total_cs_flits() const;
-  std::uint64_t total_config_flits() const;
+  /// Every NI's / router's counter block, summed (one pass each).
+  NiCounters ni_counters() const;
+  RouterCounters router_counters() const;
   std::uint64_t total_flits_of_class(TrafficClass c) const;
 
  protected:

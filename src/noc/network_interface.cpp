@@ -128,7 +128,7 @@ void NetworkInterface::eject_tick(Cycle now) {
     if (poisoned_.erase(pkt->id) > 0) {
       // Squash instead of delivering garbage; the origin's retransmission
       // timer (or, for config, the protocol's own timeouts) recovers.
-      ++crc_squashed_packets_;
+      ++counts_[NiCounter::CrcSquashedPackets];
       on_packet_squashed(whole, now);
       continue;
     }
@@ -162,11 +162,11 @@ void NetworkInterface::deliver(const PacketPtr& pkt, Cycle now) {
     send_e2e_ack(pkt, key, now);
     if (!first) {
       // A retransmission raced the ack; exactly-once delivery upstream.
-      ++e2e_duplicates_dropped_;
+      ++counts_[NiCounter::E2eDuplicatesDropped];
       return;
     }
   }
-  ++data_packets_delivered_;
+  ++counts_[NiCounter::DataPacketsDelivered];
   if (!deliver_) return;
   if (stage_deliveries_) {
     staged_deliveries_.emplace_back(pkt, now);
@@ -199,7 +199,7 @@ void NetworkInterface::send_e2e_ack(const PacketPtr& pkt, PacketId key, Cycle no
   ack->e2e_ack = true;
   ack->cs_eligible = false;   // not worth a circuit
   ack->reinjected = true;     // not new workload
-  ++e2e_acks_sent_;
+  ++counts_[NiCounter::E2eAcksSent];
   send(std::move(ack), now);
 }
 
@@ -218,7 +218,7 @@ bool NetworkInterface::e2e_admit(const PacketPtr& pkt, Cycle now) {
     if (!faults_->reachable(id_, target, now)) {
       // Destination partitioned off: fail cleanly instead of letting the
       // packet wander the fabric forever.
-      ++unreachable_failed_;
+      ++counts_[NiCounter::UnreachableFailed];
       return false;
     }
   }
@@ -271,17 +271,17 @@ void NetworkInterface::e2e_tick(Cycle now) {
     Outstanding& o = outstanding_.at(key);
     const NodeId dst = o.pkt->final_dst;
     if (faults_ && !faults_->reachable(id_, dst, now)) {
-      ++unreachable_failed_;
+      ++counts_[NiCounter::UnreachableFailed];
       outstanding_.erase(key);
       continue;
     }
     if (o.attempts >= cfg_.max_retx_attempts) {
-      ++retx_give_ups_;
+      ++counts_[NiCounter::RetxGiveUps];
       outstanding_.erase(key);
       continue;
     }
     ++o.attempts;
-    ++retransmits_;
+    ++counts_[NiCounter::Retransmits];
     auto clone = make_packet(*o.pkt);
     clone->id = fresh_packet_id();
     clone->retx_of = key;
@@ -326,7 +326,7 @@ int NetworkInterface::watchdog_scan(Cycle now, Cycle max_age) {
   for (const auto& p : queue_) check(p);
   for (const auto& v : out_vcs_) check(v.pkt);
   for (const auto& [key, o] : outstanding_) check(o.pkt);
-  watchdog_flagged_ += static_cast<std::uint64_t>(flagged);
+  counts_[NiCounter::WatchdogFlagged] += static_cast<std::uint64_t>(flagged);
   return flagged;
 }
 
@@ -375,9 +375,9 @@ void NetworkInterface::inject_tick(Cycle now) {
     ++vc.next_seq;
     --vc.credits;
     if (pkt->is_config()) {
-      ++config_flits_;
+      ++counts_[NiCounter::ConfigFlits];
     } else {
-      ++ps_data_flits_;
+      ++counts_[NiCounter::PsDataFlits];
       ++flits_by_class_[static_cast<size_t>(pkt->traffic_class)];
     }
     if (f.is_tail()) {
@@ -436,7 +436,9 @@ bool NetworkInterface::try_start_packet(Cycle now) {
     vc.busy = true;
     vc.pkt = queue_.pop_front();
     vc.next_seq = 0;
-    if (!vc.pkt->is_config() && !vc.pkt->reinjected) ++data_packets_sent_;
+    if (!vc.pkt->is_config() && !vc.pkt->reinjected) {
+      ++counts_[NiCounter::DataPacketsSent];
+    }
     return true;
   }
   return false;
@@ -460,11 +462,7 @@ void NetworkInterface::save_state(StateWriter& w) const {
   w.u64(accounted_until_);
   hybridnoc::save_state(w, energy_);
   for (const std::uint64_t f : flits_by_class_) w.u64(f);
-  w.u64(data_packets_sent_);
-  w.u64(data_packets_delivered_);
-  w.u64(ps_data_flits_);
-  w.u64(cs_data_flits_);
-  w.u64(config_flits_);
+  for (const std::uint64_t c : counts_.n) w.u64(c);
   w.i32(eject_active_vcs_);
   w.u64(local_ids_);
   w.f64(ewma_inject_delay_);
@@ -475,13 +473,6 @@ void NetworkInterface::save_state(StateWriter& w) const {
   w.u64(seen.size());
   for (const PacketId k : seen) w.u64(k);
   for (const std::uint64_t s : e2e_rng_.state()) w.u64(s);
-  w.u64(retransmits_);
-  w.u64(retx_give_ups_);
-  w.u64(crc_squashed_packets_);
-  w.u64(e2e_acks_sent_);
-  w.u64(e2e_duplicates_dropped_);
-  w.u64(unreachable_failed_);
-  w.u64(watchdog_flagged_);
 }
 
 void NetworkInterface::restore_state(StateReader& r) {
@@ -497,11 +488,7 @@ void NetworkInterface::restore_state(StateReader& r) {
   accounted_until_ = r.u64();
   hybridnoc::restore_state(r, energy_);
   for (std::uint64_t& f : flits_by_class_) f = r.u64();
-  data_packets_sent_ = r.u64();
-  data_packets_delivered_ = r.u64();
-  ps_data_flits_ = r.u64();
-  cs_data_flits_ = r.u64();
-  config_flits_ = r.u64();
+  for (std::uint64_t& c : counts_.n) c = r.u64();
   eject_active_vcs_ = r.i32();
   local_ids_ = r.u64();
   ewma_inject_delay_ = r.f64();
@@ -514,13 +501,6 @@ void NetworkInterface::restore_state(StateReader& r) {
     throw StateError("all-zero NI rng state");
   }
   e2e_rng_.set_state(rng_state);
-  retransmits_ = r.u64();
-  retx_give_ups_ = r.u64();
-  crc_squashed_packets_ = r.u64();
-  e2e_acks_sent_ = r.u64();
-  e2e_duplicates_dropped_ = r.u64();
-  unreachable_failed_ = r.u64();
-  watchdog_flagged_ = r.u64();
 }
 
 }  // namespace hybridnoc

@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "noc/channel.hpp"
+#include "noc/counters.hpp"
 #include "noc/router.hpp"
 #include "power/energy_model.hpp"
 
@@ -114,25 +115,14 @@ class NetworkInterface : public VcHolder {
 
   /// Starvation watchdog sweep: flag (once) every non-config packet that has
   /// been queued or unacknowledged for `max_age`+ cycles. Returns the number
-  /// newly flagged; the running total is watchdog_flagged().
+  /// newly flagged; the running total is counters()[NiCounter::WatchdogFlagged].
   int watchdog_scan(Cycle now, Cycle max_age);
 
   // --- statistics ---
-  std::uint64_t data_packets_sent() const { return data_packets_sent_; }
-  std::uint64_t data_packets_delivered() const { return data_packets_delivered_; }
-  // end-to-end recovery (all zero when cfg.e2e_recovery is off)
-  std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t retx_give_ups() const { return retx_give_ups_; }
-  std::uint64_t crc_squashed_packets() const { return crc_squashed_packets_; }
-  std::uint64_t e2e_acks_sent() const { return e2e_acks_sent_; }
-  std::uint64_t e2e_duplicates_dropped() const { return e2e_duplicates_dropped_; }
-  std::uint64_t unreachable_failed() const { return unreachable_failed_; }
-  std::uint64_t watchdog_flagged() const { return watchdog_flagged_; }
+  /// This NI's event counters (noc/counters.hpp).
+  const NiCounters& counters() const { return counts_; }
   /// Packets sent but not yet end-to-end acknowledged.
   std::size_t e2e_outstanding() const { return outstanding_.size(); }
-  std::uint64_t ps_data_flits_injected() const { return ps_data_flits_; }
-  std::uint64_t cs_data_flits_injected() const { return cs_data_flits_; }
-  std::uint64_t config_flits_injected() const { return config_flits_; }
   /// Data flits injected on behalf of one producer class (PS + CS).
   std::uint64_t flits_of_class(TrafficClass c) const {
     return flits_by_class_[static_cast<size_t>(c)];
@@ -250,11 +240,7 @@ class NetworkInterface : public VcHolder {
 
   EnergyCounters energy_;
   std::array<std::uint64_t, 4> flits_by_class_{};
-  std::uint64_t data_packets_sent_ = 0;
-  std::uint64_t data_packets_delivered_ = 0;
-  std::uint64_t ps_data_flits_ = 0;
-  std::uint64_t cs_data_flits_ = 0;
-  std::uint64_t config_flits_ = 0;
+  NiCounters counts_;
 
  private:
   void receive_credits(Cycle now);
@@ -304,14 +290,6 @@ class NetworkInterface : public VcHolder {
   /// steady-state loop reuses its capacity instead of reallocating).
   std::vector<PacketId> e2e_due_;
   Rng e2e_rng_;  ///< retransmission jitter (only drawn when e2e is on)
-
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t retx_give_ups_ = 0;
-  std::uint64_t crc_squashed_packets_ = 0;
-  std::uint64_t e2e_acks_sent_ = 0;
-  std::uint64_t e2e_duplicates_dropped_ = 0;
-  std::uint64_t unreachable_failed_ = 0;
-  std::uint64_t watchdog_flagged_ = 0;
 };
 
 }  // namespace hybridnoc

@@ -123,7 +123,7 @@ void Router::receive_flits(Cycle now) {
       // credit accounting as a protocol-consumed flit, before any router
       // can act on its fields.
       if (f->corrupted) {
-        ++crc_flagged_flits_;
+        ++counts_[RouterCounter::CrcFlaggedFlits];
         if (f->pkt->is_config()) {
           HN_CHECK(f->is_tail());
           ++energy_.buffer_writes;
@@ -338,7 +338,7 @@ void Router::send_flit(Port out, Flit flit, Cycle now) {
     // still crosses (fail-dirty), so flow-control invariants are untouched.
     if (faults_ && faults_->on_traverse(id_, out, now)) flit.corrupted = true;
   }
-  ++flits_traversed_;
+  ++counts_[RouterCounter::FlitsTraversed];
   op.data->send(std::move(flit), now);
 }
 
@@ -592,8 +592,7 @@ void Router::save_state(StateWriter& w) const {
     w.i32(op.sa_rr);
     w.i32(op.va_rr);
   }
-  w.u64(flits_traversed_);
-  w.u64(crc_flagged_flits_);
+  for (const std::uint64_t c : counts_.n) w.u64(c);
   w.i32(announced_active_vcs_);
   w.i32(draining_vc_);
   w.u64(busy_vc_integral_);
@@ -633,8 +632,7 @@ void Router::restore_state(StateReader& r) {
       }
     }
   }
-  flits_traversed_ = r.u64();
-  crc_flagged_flits_ = r.u64();
+  for (std::uint64_t& c : counts_.n) c = r.u64();
   announced_active_vcs_ = r.i32();
   if (announced_active_vcs_ < 1 || announced_active_vcs_ > cfg_.num_vcs) {
     throw StateError("router active-VC count out of range");

@@ -43,6 +43,7 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "noc/channel.hpp"
+#include "noc/counters.hpp"
 #include "noc/routing.hpp"
 #include "power/energy_model.hpp"
 
@@ -99,10 +100,8 @@ class Router : public VcHolder {
   bool holds_vc_allocation(Port out_port, int vc) const override;
 
   const EnergyCounters& energy() const { return energy_; }
-  std::uint64_t flits_traversed() const { return flits_traversed_; }
-  /// Arriving flits whose per-hop CRC check flagged corruption. Detection
-  /// only — fail-dirty flits keep flowing and the destination NI squashes.
-  std::uint64_t crc_flagged_flits() const { return crc_flagged_flits_; }
+  /// This router's event counters (noc/counters.hpp).
+  const RouterCounters& counters() const { return counts_; }
 
   /// No buffered flits and no pending crossbar grants.
   bool idle() const;
@@ -272,6 +271,7 @@ class Router : public VcHolder {
   std::array<InputPort, kNumPorts> in_;
   std::array<OutputPort, kNumPorts> out_;
   EnergyCounters energy_;
+  RouterCounters counts_;
   /// Number of cycles whose per-cycle energy constants are already in
   /// energy_ (== the cycle after the last accounted one). Cycles in
   /// [accounted_until_, now) were slept through and are folded lazily.
@@ -298,8 +298,6 @@ class Router : public VcHolder {
   std::array<std::uint32_t, 2> st_valid_{};
   int st_cur_ = 0;
   std::uint32_t xbar_out_used_ = 0;  ///< bit per crossbar output used this cycle
-  std::uint64_t flits_traversed_ = 0;
-  std::uint64_t crc_flagged_flits_ = 0;
 
   // --- VC power gating state ---
   int announced_active_vcs_;  ///< what upstream allocators may use

@@ -131,7 +131,7 @@ auto synthetic_gen(const NocConfig& cfg, SyntheticTraffic& traffic) {
 
 /// Archive section tag; bumped with any layout change so stale snapshot
 /// files fail the section check instead of restoring garbage.
-constexpr char kSnapshotSection[] = "warmup_snapshot_v1";
+constexpr char kSnapshotSection[] = "warmup_snapshot_v2";
 
 /// Outcome of the shared warmup phase: the warmed, drained (still frozen)
 /// network plus the injection bookkeeping the measure phase continues from.

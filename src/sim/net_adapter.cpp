@@ -31,13 +31,13 @@ class MeshAdapter final : public NetAdapter {
   bool quiescent() const override { return net_->quiescent(); }
 
   EnergyCounters energy() const override { return net_->total_energy(); }
-  std::uint64_t data_sent() const override { return net_->total_data_sent(); }
+  std::uint64_t data_sent() const override { return ni(NiCounter::DataPacketsSent); }
   std::uint64_t data_delivered() const override {
-    return net_->total_data_delivered();
+    return ni(NiCounter::DataPacketsDelivered);
   }
-  std::uint64_t ps_flits() const override { return net_->total_ps_flits(); }
-  std::uint64_t cs_flits() const override { return net_->total_cs_flits(); }
-  std::uint64_t config_flits() const override { return net_->total_config_flits(); }
+  std::uint64_t ps_flits() const override { return ni(NiCounter::PsDataFlits); }
+  std::uint64_t cs_flits() const override { return ni(NiCounter::CsDataFlits); }
+  std::uint64_t config_flits() const override { return ni(NiCounter::ConfigFlits); }
   std::uint64_t flits_of_class(TrafficClass c) const override {
     return net_->total_flits_of_class(c);
   }
@@ -45,6 +45,8 @@ class MeshAdapter final : public NetAdapter {
   Network* mesh_network_mut() override { return net_.get(); }
 
  private:
+  std::uint64_t ni(NiCounter c) const { return net_->ni_counters()[c]; }
+
   std::unique_ptr<Network> net_;
 };
 

@@ -40,8 +40,6 @@ void TdmController::tick(Cycle now) {
   if (now > epoch_start_) epoch_start_ += period * ((now - 1 - epoch_start_) / period);
 
   if (now < epoch_start_ + period) return;
-  total_failures_ += failures_;
-  total_successes_ += successes_;
   if (cfg_.dynamic_slot_sizing && active_slots_ < cfg_.slot_table_size &&
       failures_ >= static_cast<std::uint64_t>(cfg_.resize_failure_threshold)) {
     reset_pending_ = true;  // quiesce, then grow
@@ -72,8 +70,6 @@ void TdmController::save_state(StateWriter& w) const {
   w.u64(generation_);
   w.u64(failures_.load(std::memory_order_relaxed));
   w.u64(successes_.load(std::memory_order_relaxed));
-  w.u64(total_failures_);
-  w.u64(total_successes_);
   w.b(reset_pending_);
   w.u64(epoch_start_);
   w.i32(resizes_);
@@ -88,8 +84,6 @@ void TdmController::restore_state(StateReader& r) {
   generation_ = r.u64();
   failures_.store(r.u64(), std::memory_order_relaxed);
   successes_.store(r.u64(), std::memory_order_relaxed);
-  total_failures_ = r.u64();
-  total_successes_ = r.u64();
   reset_pending_ = r.b();
   epoch_start_ = r.u64();
   resizes_ = r.i32();

@@ -121,8 +121,6 @@ class TdmController {
   Cycle next_event(Cycle now) const;
 
   int resizes() const { return resizes_; }
-  std::uint64_t total_setup_failures() const { return total_failures_; }
-  std::uint64_t total_setup_successes() const { return total_successes_; }
 
   /// Checkpoint: requires a drained fabric (no circuit or config traffic in
   /// flight, no NI holding a planned circuit injection).
@@ -135,8 +133,6 @@ class TdmController {
   std::uint64_t generation_ = 0;
   std::atomic<std::uint64_t> failures_{0};
   std::atomic<std::uint64_t> successes_{0};
-  std::uint64_t total_failures_ = 0;
-  std::uint64_t total_successes_ = 0;
   std::atomic<std::uint64_t> cs_in_flight_{0};
   std::atomic<std::uint64_t> config_in_flight_{0};
   std::atomic<int> nis_with_cs_plan_{0};

@@ -499,28 +499,12 @@ ScenarioOutcome run_fault_scenario(const FaultScenario& s, ScenarioMode mode,
   o.faults_dropped = net.faults_dropped();
   o.faults_delayed = net.faults_delayed();
   o.faults_duplicated = net.faults_duplicated();
-  o.stale_config_drops = net.total_stale_config_drops();
-  o.pending_timeouts = net.total_pending_timeouts();
-  o.expired_reservations = net.total_expired_reservations();
-  o.orphan_ack_teardowns = 0;
-  for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    o.orphan_ack_teardowns += net.hybrid_ni(n).orphan_ack_teardowns();
-  }
-  o.setup_failures = net.total_setup_failures();
   o.replay_events = net.replay_events();
   o.replay_applied = net.replay_applied();
   o.replay_audit_failures = net.replay_audit_failures();
-  const DegradationReport deg = net.degradation_report();
-  o.data_sent = deg.data_sent;
-  o.data_delivered = deg.data_delivered;
-  o.retransmits = deg.retransmits;
-  o.retx_give_ups = deg.retx_give_ups;
-  o.unreachable_failed = deg.unreachable_failed;
-  o.crc_flagged_flits = deg.crc_flagged_flits;
-  o.crc_squashed_packets = deg.crc_squashed_packets;
-  o.cs_fault_teardowns = net.total_cs_fault_teardowns();
-  o.setup_give_ups = net.total_setup_give_ups();
-  o.failed_links = deg.failed_links;
+  o.failed_links = net.degradation_report().failed_links;
+  o.ni = net.ni_counters();
+  o.router = net.router_counters();
   if (recorded) {
     *recorded = net.recorded_fault_trace();
     // Fold the run's data-plane faults in (v2): the scheduled kills/stucks
@@ -546,16 +530,24 @@ bool violates_invariant(const std::string& name, const ScenarioOutcome& o) {
            o.valid_slot_entries != 0 || o.active_connections != 0 ||
            o.config_in_flight != 0;
   }
-  if (name == "no-stale-config-drops") return o.stale_config_drops > 0;
-  if (name == "no-pending-timeouts") return o.pending_timeouts > 0;
-  if (name == "no-expired-reservations") return o.expired_reservations > 0;
-  if (name == "no-orphan-ack-teardowns") return o.orphan_ack_teardowns > 0;
+  if (name == "no-stale-config-drops") {
+    return o.ni[NiCounter::StaleConfigDrops] +
+               o.router[RouterCounter::StaleConfigDrops] > 0;
+  }
+  if (name == "no-pending-timeouts") return o.ni[NiCounter::PendingTimeouts] > 0;
+  if (name == "no-expired-reservations") {
+    return o.router[RouterCounter::ExpiredReservations] > 0;
+  }
+  if (name == "no-orphan-ack-teardowns") {
+    return o.ni[NiCounter::OrphanAckTeardowns] > 0;
+  }
   if (name == "clean-replay-audit") return o.replay_audit_failures > 0;
   if (name == "all-delivered") {
-    return !o.quiesced || o.data_delivered < o.data_sent;
+    return !o.quiesced ||
+           o.ni[NiCounter::DataPacketsDelivered] < o.ni[NiCounter::DataPacketsSent];
   }
-  if (name == "no-fault-teardowns") return o.cs_fault_teardowns > 0;
-  if (name == "no-retx-give-ups") return o.retx_give_ups > 0;
+  if (name == "no-fault-teardowns") return o.ni[NiCounter::CsFaultTeardowns] > 0;
+  if (name == "no-retx-give-ups") return o.ni[NiCounter::RetxGiveUps] > 0;
   HN_CHECK_MSG(false, "unknown invariant name");
   return false;
 }

@@ -28,6 +28,7 @@
 
 #include "common/config.hpp"
 #include "common/types.hpp"
+#include "noc/counters.hpp"
 #include "traffic/trace.hpp"
 
 namespace hybridnoc {
@@ -175,26 +176,14 @@ struct ScenarioOutcome {
   std::uint64_t faults_dropped = 0;
   std::uint64_t faults_delayed = 0;
   std::uint64_t faults_duplicated = 0;
-  std::uint64_t stale_config_drops = 0;
-  std::uint64_t pending_timeouts = 0;
-  std::uint64_t expired_reservations = 0;
-  std::uint64_t orphan_ack_teardowns = 0;
-  std::uint64_t setup_failures = 0;
   // Replay bookkeeping (replay mode only).
   std::uint64_t replay_events = 0;
   std::uint64_t replay_applied = 0;
   std::uint64_t replay_audit_failures = 0;
-  // Data-plane fault accounting (v2 scenarios; zero otherwise).
-  std::uint64_t data_sent = 0;
-  std::uint64_t data_delivered = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t retx_give_ups = 0;
-  std::uint64_t unreachable_failed = 0;
-  std::uint64_t crc_flagged_flits = 0;
-  std::uint64_t crc_squashed_packets = 0;
-  std::uint64_t cs_fault_teardowns = 0;
-  std::uint64_t setup_give_ups = 0;
-  int failed_links = 0;
+  int failed_links = 0;  ///< data-plane faults (v2 scenarios; zero otherwise)
+  // Every NI's and router's event counters, summed.
+  NiCounters ni;
+  RouterCounters router;
 };
 
 enum class ScenarioMode : std::uint8_t {

@@ -387,103 +387,10 @@ ReservationAudit HybridNetwork::audit_reservations() const {
   return a;
 }
 
-std::uint64_t HybridNetwork::total_cs_packets() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridNi&>(ni(n)).cs_packets();
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_setups_sent() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridNi&>(ni(n)).setups_sent();
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_setup_failures() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridNi&>(ni(n)).setup_failures();
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_hitchhike_packets() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridNi&>(ni(n)).hitchhike_packets();
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_vicinity_packets() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridNi&>(ni(n)).vicinity_packets();
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_hitchhike_bounces() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridNi&>(ni(n)).hitchhike_bounces();
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_ps_steals() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridRouter&>(router(n)).ps_steals();
-  return t;
-}
-
 int HybridNetwork::total_active_connections() const {
   int t = 0;
   for (NodeId n = 0; n < num_nodes(); ++n)
     t += static_cast<const HybridNi&>(ni(n)).active_connections();
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_stale_config_drops() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n) {
-    t += static_cast<const HybridRouter&>(router(n)).stale_config_drops();
-    t += static_cast<const HybridNi&>(ni(n)).stale_config_drops();
-  }
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_pending_timeouts() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridNi&>(ni(n)).pending_timeouts();
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_expired_reservations() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridRouter&>(router(n)).expired_reservations();
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_cs_fault_teardowns() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridNi&>(ni(n)).cs_fault_teardowns();
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_setup_give_ups() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridNi&>(ni(n)).setup_give_ups();
-  return t;
-}
-
-std::uint64_t HybridNetwork::total_corrupt_config_drops() const {
-  std::uint64_t t = 0;
-  for (NodeId n = 0; n < num_nodes(); ++n)
-    t += static_cast<const HybridRouter&>(router(n)).corrupt_config_drops();
   return t;
 }
 

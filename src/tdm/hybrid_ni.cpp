@@ -132,14 +132,14 @@ HybridNi::CsAttempt HybridNi::schedule_cs(const PacketPtr& pkt,
     if (s && (!start || *s < *start)) start = s;
   }
   if (!start) {
-    ++cs_rejected_no_window_;
+    ++counts_[NiCounter::CsRejectedNoWindow];
     return CsAttempt::NoWindow;
   }
   const double cs_latency = static_cast<double>(
       *start - now + cs_flight_cycles(cs_hops, nflits) + extra_latency);
   if (!take_circuit(cfg_, cs_latency, cs_hops, ewma_inject_delay(),
                     pkt->slack)) {
-    ++cs_rejected_latency_;
+    ++counts_[NiCounter::CsRejectedLatency];
     return CsAttempt::NotWorth;
   }
 
@@ -169,8 +169,8 @@ HybridNi::CsAttempt HybridNi::schedule_cs(const PacketPtr& pkt,
     cs_plan_.emplace_unique(*start - 2 + static_cast<Cycle>(i), f);
   }
   note_cs_plan_change(plan_was_empty);
-  if (!pkt->reinjected) ++data_packets_sent_;
-  ++cs_packets_;
+  if (!pkt->reinjected) ++counts_[NiCounter::DataPacketsSent];
+  ++counts_[NiCounter::CsPackets];
   // The transmission is committed to reserved slots: arm the end-to-end
   // retransmission timer from the head flit's planned launch cycle.
   if (cfg_.e2e_recovery) e2e_launched(pkt, *start - 2);
@@ -210,7 +210,7 @@ bool HybridNi::try_circuit(const PacketPtr& pkt, Cycle now) {
                       static_cast<int>(e->in), static_cast<int>(e->out),
                       now) == CsAttempt::Scheduled) {
         dlt_.touch(dst, now);
-        ++hitchhike_packets_;
+        ++counts_[NiCounter::HitchhikePackets];
         return true;
       }
     }
@@ -228,7 +228,7 @@ bool HybridNi::try_circuit(const PacketPtr& pkt, Cycle now) {
       if (schedule_cs(pkt, conn.slots, mesh_.hop_distance(id_, cdst),
                       hopoff_cost, -1, -1, now) == CsAttempt::Scheduled) {
         conn.last_used = now;
-        ++vicinity_packets_;
+        ++counts_[NiCounter::VicinityPackets];
         return true;
       }
       pkt->dst = dst;
@@ -255,8 +255,8 @@ bool HybridNi::try_circuit(const PacketPtr& pkt, Cycle now) {
                         static_cast<int>(e->out),
                         now) == CsAttempt::Scheduled) {
           dlt_.touch(e->dest, now);
-          ++hitchhike_packets_;
-          ++vicinity_packets_;
+          ++counts_[NiCounter::HitchhikePackets];
+          ++counts_[NiCounter::VicinityPackets];
           return true;
         }
         pkt->dst = dst;
@@ -286,7 +286,7 @@ bool HybridNi::circuit_inject(Cycle now) {
     if (frozen_ || !ctrl_->cs_allowed()) {
       // The world changed while we backed off; give up like an exhausted
       // retry would.
-      ++setup_give_ups_;
+      ++counts_[NiCounter::SetupGiveUps];
       cooldown_until_[d.dst] = give_up_cooldown(cfg_, now);
       continue;
     }
@@ -318,7 +318,7 @@ bool HybridNi::circuit_inject(Cycle now) {
   if (f.is_head()) {
     f.pkt->injected = now;
   }
-  ++cs_data_flits_;
+  ++counts_[NiCounter::CsDataFlits];
   ++flits_by_class_[static_cast<size_t>(f.pkt->traffic_class)];
   ctrl_->cs_flit_launched();
   inject_->send(std::move(f), now);
@@ -336,7 +336,7 @@ void HybridNi::bounce_packet(Packet* pkt, NodeId ride_dest, Cycle now) {
     return true;
   });
   note_cs_plan_change(plan_was_empty);
-  ++hitchhike_bounces_;
+  ++counts_[NiCounter::HitchhikeBounces];
   if (dlt_.record_failure(ride_dest)) {
     // Counter saturated at '10': stop sharing, ask for a dedicated path.
     maybe_initiate_setup(pkt->final_dst, now, /*force=*/true);
@@ -436,7 +436,7 @@ void HybridNi::expire_pending(Cycle now) {
     const PacketId setup_id = it->first;
     it = pending_.erase(it);
     pending_dsts_.erase(p.dst);
-    ++pending_timeouts_;
+    ++counts_[NiCounter::PendingTimeouts];
     send_teardown(p.dst, p.slot, setup_id, now);
   }
 }
@@ -487,7 +487,7 @@ void HybridNi::send_setup(NodeId dst, int retries, Cycle now, int avoid_slot) {
   pending_[p->id] = {dst, slot, retries, now};
   pending_dsts_.insert(dst);
   p->payload = p->id;
-  ++setups_sent_;
+  ++counts_[NiCounter::SetupsSent];
   dispatch_config(std::move(p), now);
 }
 
@@ -510,7 +510,7 @@ void HybridNi::handle_config(const PacketPtr& pkt, Cycle now) {
     // its slot arithmetic used the old active size. Discard it — the
     // pending/connection state it would have updated was cleared by the
     // reset as well.
-    ++stale_config_drops_;
+    ++counts_[NiCounter::StaleConfigDrops];
     return;
   }
   switch (pkt->type) {
@@ -539,13 +539,13 @@ void HybridNi::handle_config(const PacketPtr& pkt, Cycle now) {
       if (it == pending_.end()) {
         if (window_installed(pkt->src, pkt->payload)) {
           // Duplicate of an ack we already processed; the window is live.
-          ++duplicate_acks_;
+          ++counts_[NiCounter::DuplicateAcks];
           break;
         }
         // Orphaned ack (pending state timed out or was lost): release the
         // path we no longer want. The owner tag confines the teardown to
         // that setup's entries.
-        ++orphan_ack_teardowns_;
+        ++counts_[NiCounter::OrphanAckTeardowns];
         send_teardown(pkt->src, src_slot, pkt->payload, now);
         break;
       }
@@ -575,7 +575,7 @@ void HybridNi::handle_config(const PacketPtr& pkt, Cycle now) {
       const PendingSetup p = it->second;
       pending_.erase(it);
       pending_dsts_.erase(p.dst);
-      ++setup_failures_;
+      ++counts_[NiCounter::SetupFailures];
       ctrl_->record_setup_failure();
       // Destroy the partially reserved prefix (Section II-B), stopping at
       // the router where the setup failed (the failure ack's source).
@@ -599,7 +599,7 @@ void HybridNi::handle_config(const PacketPtr& pkt, Cycle now) {
           send_setup(p.dst, p.retries + 1, now, /*avoid_slot=*/p.slot);
         }
       } else {
-        ++setup_give_ups_;
+        ++counts_[NiCounter::SetupGiveUps];
         cooldown_until_[p.dst] = give_up_cooldown(cfg_, now);
       }
       break;
@@ -614,7 +614,7 @@ void HybridNi::handle_config(const PacketPtr& pkt, Cycle now) {
 void HybridNi::handle_delivery(const PacketPtr& pkt, Cycle now) {
   if (pkt->final_dst != id_) {
     // Vicinity hop-off (Section III-A2): continue packet-switched.
-    ++vicinity_hopoffs_;
+    ++counts_[NiCounter::VicinityHopoffs];
     reinject_packet_switched(*pkt, now);
     return;
   }
@@ -641,7 +641,7 @@ void HybridNi::on_e2e_retx(const PacketPtr& clone, Cycle now) {
   // has launched, or the injection-slot bookkeeping would see flits for a
   // reservation the teardown already released.
   it->second.doomed = true;
-  ++cs_fault_teardowns_;
+  ++counts_[NiCounter::CsFaultTeardowns];
   Cycle last = now;
   for (const auto& [cyc, f] : cs_plan_) {
     if (f.pkt->dst == clone->final_dst && cyc > last) last = cyc;
@@ -846,21 +846,6 @@ void HybridNi::save_state(StateWriter& w) const {
   for (const std::uint64_t s : rng_.state()) w.u64(s);
   w.b(frozen_);
   w.u64(epoch_start_);
-  w.u64(setups_sent_);
-  w.u64(setup_failures_);
-  w.u64(cs_packets_);
-  w.u64(hitchhike_packets_);
-  w.u64(vicinity_packets_);
-  w.u64(hitchhike_bounces_);
-  w.u64(vicinity_hopoffs_);
-  w.u64(cs_rejected_no_window_);
-  w.u64(cs_rejected_latency_);
-  w.u64(stale_config_drops_);
-  w.u64(pending_timeouts_);
-  w.u64(orphan_ack_teardowns_);
-  w.u64(duplicate_acks_);
-  w.u64(cs_fault_teardowns_);
-  w.u64(setup_give_ups_);
 }
 
 void HybridNi::restore_state(StateReader& r) {
@@ -922,21 +907,6 @@ void HybridNi::restore_state(StateReader& r) {
   rng_.set_state(rng_state);
   frozen_ = r.b();
   epoch_start_ = r.u64();
-  setups_sent_ = r.u64();
-  setup_failures_ = r.u64();
-  cs_packets_ = r.u64();
-  hitchhike_packets_ = r.u64();
-  vicinity_packets_ = r.u64();
-  hitchhike_bounces_ = r.u64();
-  vicinity_hopoffs_ = r.u64();
-  cs_rejected_no_window_ = r.u64();
-  cs_rejected_latency_ = r.u64();
-  stale_config_drops_ = r.u64();
-  pending_timeouts_ = r.u64();
-  orphan_ack_teardowns_ = r.u64();
-  duplicate_acks_ = r.u64();
-  cs_fault_teardowns_ = r.u64();
-  setup_give_ups_ = r.u64();
 }
 
 }  // namespace hybridnoc

@@ -97,31 +97,6 @@ class HybridNi : public NetworkInterface, public CircuitNiHooks {
   int active_connections() const { return static_cast<int>(connections_.size()); }
   bool has_connection(NodeId dst) const { return connections_.count(dst) > 0; }
   const DestinationLookupTable& dlt() const { return dlt_; }
-  std::uint64_t setups_sent() const { return setups_sent_; }
-  std::uint64_t setup_failures() const { return setup_failures_; }
-  std::uint64_t cs_packets() const { return cs_packets_; }
-  std::uint64_t hitchhike_packets() const { return hitchhike_packets_; }
-  std::uint64_t vicinity_packets() const { return vicinity_packets_; }
-  std::uint64_t hitchhike_bounces() const { return hitchhike_bounces_; }
-  std::uint64_t vicinity_hopoffs() const { return vicinity_hopoffs_; }
-  /// Switching-decision outcomes for circuit attempts on existing paths.
-  std::uint64_t cs_rejected_no_window() const { return cs_rejected_no_window_; }
-  std::uint64_t cs_rejected_latency() const { return cs_rejected_latency_; }
-  /// Config messages discarded at this NI because their table generation
-  /// predated a slot-table reset.
-  std::uint64_t stale_config_drops() const { return stale_config_drops_; }
-  /// Pending setups abandoned because their ack never returned.
-  std::uint64_t pending_timeouts() const { return pending_timeouts_; }
-  /// Success acks with no pending entry that released an unwanted path.
-  std::uint64_t orphan_ack_teardowns() const { return orphan_ack_teardowns_; }
-  /// Success acks recognised as duplicates of an already-installed window.
-  std::uint64_t duplicate_acks() const { return duplicate_acks_; }
-  /// Circuits torn down by the liveness monitor (retransmission streak past
-  /// cfg.cs_fail_threshold — the path crosses a failed link).
-  std::uint64_t cs_fault_teardowns() const { return cs_fault_teardowns_; }
-  /// Setup retries abandoned after exhausting max_setup_retries (the
-  /// destination enters cooldown instead).
-  std::uint64_t setup_give_ups() const { return setup_give_ups_; }
   /// Crossbar slots (and owning setup ids) of every reservation window this
   /// NI holds toward `dst` — consumed by the network-wide consistency audit.
   std::vector<std::pair<int, PacketId>> connection_windows(NodeId dst) const;
@@ -283,22 +258,6 @@ class HybridNi : public NetworkInterface, public CircuitNiHooks {
   Rng rng_;
   bool frozen_ = false;
   Cycle epoch_start_ = 0;
-
-  std::uint64_t setups_sent_ = 0;
-  std::uint64_t setup_failures_ = 0;
-  std::uint64_t cs_packets_ = 0;
-  std::uint64_t hitchhike_packets_ = 0;
-  std::uint64_t vicinity_packets_ = 0;
-  std::uint64_t hitchhike_bounces_ = 0;
-  std::uint64_t vicinity_hopoffs_ = 0;
-  std::uint64_t cs_rejected_no_window_ = 0;
-  std::uint64_t cs_rejected_latency_ = 0;
-  std::uint64_t stale_config_drops_ = 0;
-  std::uint64_t pending_timeouts_ = 0;
-  std::uint64_t orphan_ack_teardowns_ = 0;
-  std::uint64_t duplicate_acks_ = 0;
-  std::uint64_t cs_fault_teardowns_ = 0;
-  std::uint64_t setup_give_ups_ = 0;
 };
 
 }  // namespace hybridnoc

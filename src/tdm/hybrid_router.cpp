@@ -133,7 +133,7 @@ bool HybridRouter::st_ok(Port in, Port out, Cycle st_cycle) {
     if (!stealing) return false;
     // Steal only when the advance signal says no circuit flit is coming.
     if (cs_arrival_expected(*j, st_cycle)) return false;
-    ++ps_steals_;
+    ++counts_[RouterCounter::PsSteals];
   }
   // (4) A locally injected circuit flit (own circuit or hitchhiker) claims
   // its target output outside the (input-indexed) table check above.
@@ -160,7 +160,7 @@ std::optional<Port> HybridRouter::compute_route(Packet* pkt, Port in,
 
 void HybridRouter::on_config_corrupt(Packet* pkt) {
   (void)pkt;
-  ++corrupt_config_drops_;
+  ++counts_[RouterCounter::CorruptConfigDrops];
   ctrl_->config_retired();
 }
 
@@ -170,7 +170,7 @@ std::optional<Port> HybridRouter::process_setup(Packet* pkt, Port in,
     // The tables this setup was walking were wiped by a dynamic resize while
     // it was in flight; its slot arithmetic no longer means anything, and any
     // prefix it reserved is gone too. Discard instead of reserving garbage.
-    ++stale_config_drops_;
+    ++counts_[RouterCounter::StaleConfigDrops];
     ctrl_->config_retired();
     return std::nullopt;
   }
@@ -213,7 +213,7 @@ std::optional<Port> HybridRouter::process_teardown(Packet* pkt, Port in,
   if (pkt->table_gen != ctrl_->table_generation()) {
     // Stale teardown: the reservations it would release were already wiped
     // by the resize that bumped the generation.
-    ++stale_config_drops_;
+    ++counts_[RouterCounter::StaleConfigDrops];
     ctrl_->config_retired();
     return std::nullopt;
   }
@@ -249,7 +249,7 @@ void HybridRouter::traverse_circuit(Cycle now) {
   for (auto& t : cs_now_) {
     claim_xbar_output(t.out);
     send_flit(t.out, t.flit, now);
-    ++cs_flits_traversed_;
+    ++counts_[RouterCounter::CsFlitsTraversed];
   }
   cs_now_.clear();
   HN_CHECK_MSG(hh_overrides_.empty() ||
@@ -274,7 +274,7 @@ void HybridRouter::leakage_tick(Cycle now) {
           if (ni_hooks_) ni_hooks_->on_teardown_pass(slot, in, now);
         });
     if (n > 0) {
-      expired_reservations_ += static_cast<std::uint64_t>(n);
+      counts_[RouterCounter::ExpiredReservations] += static_cast<std::uint64_t>(n);
       energy_.slot_table_writes += static_cast<std::uint64_t>(n);
     }
   }
@@ -315,22 +315,12 @@ void HybridRouter::save_state(StateWriter& w) const {
                "hybrid-router checkpoint requires no in-flight CS traversal");
   w.section("hybrid_router");
   slots_.save_state(w);
-  w.u64(cs_flits_traversed_);
-  w.u64(ps_steals_);
-  w.u64(stale_config_drops_);
-  w.u64(expired_reservations_);
-  w.u64(corrupt_config_drops_);
 }
 
 void HybridRouter::restore_state(StateReader& r) {
   Router::restore_state(r);
   r.section("hybrid_router");
   slots_.restore_state(r);
-  cs_flits_traversed_ = r.u64();
-  ps_steals_ = r.u64();
-  stale_config_drops_ = r.u64();
-  expired_reservations_ = r.u64();
-  corrupt_config_drops_ = r.u64();
 }
 
 }  // namespace hybridnoc

@@ -69,22 +69,11 @@ class HybridRouter : public Router {
     return e.has_value() && *e == out;
   }
 
-  std::uint64_t cs_flits_traversed() const { return cs_flits_traversed_; }
-  std::uint64_t ps_steals() const { return ps_steals_; }
-  /// Setup/teardown messages discarded because their table generation
-  /// predated a slot-table reset.
-  std::uint64_t stale_config_drops() const { return stale_config_drops_; }
-  /// Reservation entries reclaimed by lease expiry (orphan backstop).
-  std::uint64_t expired_reservations() const { return expired_reservations_; }
-  /// Config messages evaporated at this router because a link fault
-  /// corrupted them in flight (see Router::on_config_corrupt).
-  std::uint64_t corrupt_config_drops() const { return corrupt_config_drops_; }
-
   // --- active-set scheduling ---
   bool sched_busy() const override;
   Cycle sched_next_event(Cycle now) const override;
 
-  /// Checkpoint: base router state plus the slot table and CS counters.
+  /// Checkpoint: base router state (counters included) plus the slot table.
   /// Requires no in-flight circuit traversal or hitchhike latch.
   void save_state(StateWriter& w) const override;
   void restore_state(StateReader& r) override;
@@ -126,11 +115,6 @@ class HybridRouter : public Router {
   /// Scheduled crossbar outputs for body flits of an accepted hitchhiker
   /// packet (the "in-progress hitchhike" latch): cycle -> output port.
   std::vector<std::pair<Cycle, Port>> hh_overrides_;
-  std::uint64_t cs_flits_traversed_ = 0;
-  std::uint64_t ps_steals_ = 0;
-  std::uint64_t stale_config_drops_ = 0;
-  std::uint64_t expired_reservations_ = 0;
-  std::uint64_t corrupt_config_drops_ = 0;
 };
 
 }  // namespace hybridnoc

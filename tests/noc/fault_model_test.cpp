@@ -187,18 +187,19 @@ TEST(E2eRecovery, BerStormDeliversEveryPacketUncorrupted) {
   drain(net);
 
   const DegradationReport d = net.degradation_report();
-  EXPECT_EQ(d.data_sent, 3000u);
+  const NiCounters ni = net.ni_counters();
+  EXPECT_EQ(ni[NiCounter::DataPacketsSent], 3000u);
   // The acceptance bar: every injected packet eventually delivered, and
   // corrupted copies were squashed rather than delivered dirty.
-  EXPECT_EQ(d.data_delivered, d.data_sent);
+  EXPECT_EQ(ni[NiCounter::DataPacketsDelivered], ni[NiCounter::DataPacketsSent]);
   EXPECT_GT(d.corrupted_traversals, 0u);  // the storm was real
-  EXPECT_GT(d.crc_flagged_flits, 0u);
-  EXPECT_GT(d.crc_squashed_packets, 0u);
-  EXPECT_GT(d.retransmits, 0u);
-  EXPECT_EQ(d.retx_give_ups, 0u);
-  EXPECT_EQ(d.unreachable_failed, 0u);
+  EXPECT_GT(net.router_counters()[RouterCounter::CrcFlaggedFlits], 0u);
+  EXPECT_GT(ni[NiCounter::CrcSquashedPackets], 0u);
+  EXPECT_GT(ni[NiCounter::Retransmits], 0u);
+  EXPECT_EQ(ni[NiCounter::RetxGiveUps], 0u);
+  EXPECT_EQ(ni[NiCounter::UnreachableFailed], 0u);
   EXPECT_EQ(d.e2e_outstanding, 0u);
-  EXPECT_GE(d.e2e_acks_sent, d.data_sent);
+  EXPECT_GE(ni[NiCounter::E2eAcksSent], ni[NiCounter::DataPacketsSent]);
 }
 
 TEST(E2eRecovery, PersistentStuckLinkExhaustsRetriesAndGivesUp) {
@@ -221,12 +222,12 @@ TEST(E2eRecovery, PersistentStuckLinkExhaustsRetriesAndGivesUp) {
     net.tick();
   }
   drain(net);
-  const DegradationReport d = net.degradation_report();
-  EXPECT_EQ(d.data_sent, 20u);
-  EXPECT_EQ(d.data_delivered, 0u);
-  EXPECT_EQ(d.retx_give_ups, 20u);
-  EXPECT_EQ(d.retransmits, 40u);  // exactly max_retx_attempts each
-  EXPECT_EQ(d.e2e_outstanding, 0u);
+  const NiCounters ni = net.ni_counters();
+  EXPECT_EQ(ni[NiCounter::DataPacketsSent], 20u);
+  EXPECT_EQ(ni[NiCounter::DataPacketsDelivered], 0u);
+  EXPECT_EQ(ni[NiCounter::RetxGiveUps], 20u);
+  EXPECT_EQ(ni[NiCounter::Retransmits], 40u);  // exactly max_retx_attempts each
+  EXPECT_EQ(net.degradation_report().e2e_outstanding, 0u);
 }
 
 TEST(E2eRecovery, WatchdogFlagsPacketsStalledOnRecovery) {
@@ -247,11 +248,11 @@ TEST(E2eRecovery, WatchdogFlagsPacketsStalledOnRecovery) {
   // Long enough for the packet to sit unacked past the stall threshold and
   // for the (coarse-cadence) watchdog sweep to catch it.
   for (int i = 0; i < 4000; ++i) net.tick();
-  EXPECT_GE(net.degradation_report().watchdog_flagged, 1u);
+  EXPECT_GE(net.ni_counters()[NiCounter::WatchdogFlagged], 1u);
   // Flagging is once per packet, not once per sweep.
-  const std::uint64_t flagged = net.degradation_report().watchdog_flagged;
+  const std::uint64_t flagged = net.ni_counters()[NiCounter::WatchdogFlagged];
   for (int i = 0; i < 2000; ++i) net.tick();
-  EXPECT_EQ(net.degradation_report().watchdog_flagged, flagged);
+  EXPECT_EQ(net.ni_counters()[NiCounter::WatchdogFlagged], flagged);
 }
 
 TEST(E2eRecovery, PartitionedDestinationFailsCleanly) {
@@ -284,11 +285,12 @@ TEST(E2eRecovery, PartitionedDestinationFailsCleanly) {
   drain(net);
 
   const DegradationReport d = net.degradation_report();
+  const NiCounters ni = net.ni_counters();
   // Unreachable packets were refused at admission: they never entered the
   // fabric, never count as workload, and nothing wanders forever.
-  EXPECT_EQ(d.unreachable_failed, 8u);
-  EXPECT_EQ(d.data_sent, 1u);
-  EXPECT_EQ(d.data_delivered, 1u);
+  EXPECT_EQ(ni[NiCounter::UnreachableFailed], 8u);
+  EXPECT_EQ(ni[NiCounter::DataPacketsSent], 1u);
+  EXPECT_EQ(ni[NiCounter::DataPacketsDelivered], 1u);
   EXPECT_EQ(d.e2e_outstanding, 0u);
   EXPECT_EQ(d.failed_links, 4);
   EXPECT_EQ(d.bisection_links_alive, d.bisection_links_total);

@@ -122,7 +122,7 @@ TEST(Network, UniformRandomConservation) {
   EXPECT_EQ(delivered, injected);
   EXPECT_FALSE(misdelivery);
   EXPECT_TRUE(expected_dst.empty());
-  EXPECT_EQ(net.total_data_delivered(), injected);
+  EXPECT_EQ(net.ni_counters()[NiCounter::DataPacketsDelivered], injected);
 }
 
 TEST(Network, DeterministicAcrossRuns) {
@@ -166,7 +166,8 @@ TEST(Network, HighLoadDoesNotViolateInvariants) {
   }
   for (int i = 0; i < 20000 && !net.quiescent(); ++i) net.tick();
   EXPECT_TRUE(net.quiescent());
-  EXPECT_EQ(net.total_data_delivered(), net.total_data_sent());
+  const NiCounters c = net.ni_counters();
+  EXPECT_EQ(c[NiCounter::DataPacketsDelivered], c[NiCounter::DataPacketsSent]);
 }
 
 TEST(Network, EnergyCountersAccumulate) {
@@ -218,7 +219,8 @@ TEST(Network, VcGatingReactivatesUnderLoad) {
   // Still correct under gating churn: drain completely.
   for (int i = 0; i < 30000 && !net.quiescent(); ++i) net.tick();
   EXPECT_TRUE(net.quiescent());
-  EXPECT_EQ(net.total_data_delivered(), net.total_data_sent());
+  const NiCounters c = net.ni_counters();
+  EXPECT_EQ(c[NiCounter::DataPacketsDelivered], c[NiCounter::DataPacketsSent]);
 }
 
 TEST(Network, GatedVcLeaksLessBufferEnergy) {

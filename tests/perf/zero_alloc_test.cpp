@@ -169,7 +169,7 @@ TEST(ZeroAlloc, PoolOffFallbackCarriesLoadedTraffic) {
     Rng rng(1);
     PacketId id = 1;
     drive(net, rng, id, 0.3, 5000);
-    EXPECT_GT(net.total_data_delivered(), 0u);
+    EXPECT_GT(net.ni_counters()[NiCounter::DataPacketsDelivered], 0u);
   }
   BlockPool::set_enabled(true);
 }
@@ -215,8 +215,9 @@ TEST(ZeroAlloc, CircuitFreeRunAllocatesNoSlotTables) {
   Rng rng(1);
   PacketId id = 1;
   drive(net, rng, id, 0.002, 5000);
-  ASSERT_GT(net.total_data_delivered(), 0u);
-  ASSERT_EQ(net.total_setups_sent(), 0u) << "the run set up circuits";
+  ASSERT_GT(net.ni_counters()[NiCounter::DataPacketsDelivered], 0u);
+  ASSERT_EQ(net.ni_counters()[NiCounter::SetupsSent], 0u)
+      << "the run set up circuits";
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
     ASSERT_EQ(net.hybrid_router(n).slots().storage_bytes(), 0u)
         << "router " << n;

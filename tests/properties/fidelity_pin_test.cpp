@@ -503,16 +503,17 @@ TEST(FidelityPin, PolicyTotalsHopVct) {
     });
     net.tick();
   }
+  const NiCounters c = net.ni_counters();
   const Record actual = {
       {"now", u(net.now())},
-      {"total_data_delivered", u(net.total_data_delivered())},
-      {"total_setups_sent", u(net.total_setups_sent())},
-      {"total_setup_failures", u(net.total_setup_failures())},
-      {"total_cs_packets", u(net.total_cs_packets())},
-      {"total_hitchhike_packets", u(net.total_hitchhike_packets())},
-      {"total_hitchhike_bounces", u(net.total_hitchhike_bounces())},
-      {"total_vicinity_packets", u(net.total_vicinity_packets())},
-      {"total_setup_give_ups", u(net.total_setup_give_ups())},
+      {"total_data_delivered", u(c[NiCounter::DataPacketsDelivered])},
+      {"total_setups_sent", u(c[NiCounter::SetupsSent])},
+      {"total_setup_failures", u(c[NiCounter::SetupFailures])},
+      {"total_cs_packets", u(c[NiCounter::CsPackets])},
+      {"total_hitchhike_packets", u(c[NiCounter::HitchhikePackets])},
+      {"total_hitchhike_bounces", u(c[NiCounter::HitchhikeBounces])},
+      {"total_vicinity_packets", u(c[NiCounter::VicinityPackets])},
+      {"total_setup_give_ups", u(c[NiCounter::SetupGiveUps])},
   };
   expect_pinned(actual, kExpectedPolicyTotals);
 }

@@ -47,27 +47,17 @@ struct RunFingerprint {
   Cycle end_cycle = 0;
   EnergyCounters energy;
   std::uint64_t delivered = 0;
-  std::uint64_t ps_flits = 0;
-  std::uint64_t cs_flits = 0;
-  std::uint64_t config_flits = 0;
+  /// Every NI's and router's event counters, summed.
+  NiCounters ni;
+  RouterCounters router;
+  /// Hybrid-only extras (zero for plain packet-switched runs).
   std::uint64_t slot_digest = 0;
-  std::uint64_t cs_packets = 0;
-  std::uint64_t setups_sent = 0;
-  std::uint64_t setup_failures = 0;
-  std::uint64_t expired_reservations = 0;
-  std::uint64_t stale_config_drops = 0;
   std::uint64_t faults_dropped = 0;
   std::uint64_t faults_delayed = 0;
   std::uint64_t faults_duplicated = 0;
   int resizes = 0;
   std::uint64_t generation = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t retx_give_ups = 0;
-  std::uint64_t crc_flagged = 0;
-  std::uint64_t crc_squashed = 0;
-  std::uint64_t e2e_acks = 0;
-  std::uint64_t e2e_dup_dropped = 0;
-  std::uint64_t cs_fault_teardowns = 0;
+  /// Data-plane fault-tolerance outcome (all zero with no fault model).
   std::uint64_t corrupted_traversals = 0;
   int failed_links = 0;
   /// Packet id -> delivery cycle. Injection schedules are identical across
@@ -98,27 +88,14 @@ void expect_same(const RunFingerprint& a, const RunFingerprint& b) {
   EXPECT_EQ(a.end_cycle, b.end_cycle);
   expect_same_energy(a.energy, b.energy);
   EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.ps_flits, b.ps_flits);
-  EXPECT_EQ(a.cs_flits, b.cs_flits);
-  EXPECT_EQ(a.config_flits, b.config_flits);
+  EXPECT_EQ(a.ni, b.ni) << first_difference(a.ni, b.ni);
+  EXPECT_EQ(a.router, b.router) << first_difference(a.router, b.router);
   EXPECT_EQ(a.slot_digest, b.slot_digest);
-  EXPECT_EQ(a.cs_packets, b.cs_packets);
-  EXPECT_EQ(a.setups_sent, b.setups_sent);
-  EXPECT_EQ(a.setup_failures, b.setup_failures);
-  EXPECT_EQ(a.expired_reservations, b.expired_reservations);
-  EXPECT_EQ(a.stale_config_drops, b.stale_config_drops);
   EXPECT_EQ(a.faults_dropped, b.faults_dropped);
   EXPECT_EQ(a.faults_delayed, b.faults_delayed);
   EXPECT_EQ(a.faults_duplicated, b.faults_duplicated);
   EXPECT_EQ(a.resizes, b.resizes);
   EXPECT_EQ(a.generation, b.generation);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.retx_give_ups, b.retx_give_ups);
-  EXPECT_EQ(a.crc_flagged, b.crc_flagged);
-  EXPECT_EQ(a.crc_squashed, b.crc_squashed);
-  EXPECT_EQ(a.e2e_acks, b.e2e_acks);
-  EXPECT_EQ(a.e2e_dup_dropped, b.e2e_dup_dropped);
-  EXPECT_EQ(a.cs_fault_teardowns, b.cs_fault_teardowns);
   EXPECT_EQ(a.corrupted_traversals, b.corrupted_traversals);
   EXPECT_EQ(a.failed_links, b.failed_links);
   EXPECT_EQ(a.deliveries, b.deliveries);
@@ -136,29 +113,16 @@ template <typename NetT>
 void harvest_common(NetT& net, RunFingerprint& fp) {
   fp.end_cycle = net.now();
   fp.energy = net.total_energy();
-  fp.ps_flits = net.total_ps_flits();
-  fp.cs_flits = net.total_cs_flits();
-  fp.config_flits = net.total_config_flits();
+  fp.ni = net.ni_counters();
+  fp.router = net.router_counters();
 }
 
 void harvest_hybrid(HybridNetwork& net, RunFingerprint& fp) {
   harvest_common(net, fp);
   const DegradationReport d = net.degradation_report();
-  fp.retransmits = d.retransmits;
-  fp.retx_give_ups = d.retx_give_ups;
-  fp.crc_flagged = d.crc_flagged_flits;
-  fp.crc_squashed = d.crc_squashed_packets;
-  fp.e2e_acks = d.e2e_acks_sent;
-  fp.e2e_dup_dropped = d.e2e_duplicates_dropped;
-  fp.cs_fault_teardowns = net.total_cs_fault_teardowns();
   fp.corrupted_traversals = d.corrupted_traversals;
   fp.failed_links = d.failed_links;
   fp.slot_digest = net.slot_state_digest();
-  fp.cs_packets = net.total_cs_packets();
-  fp.setups_sent = net.total_setups_sent();
-  fp.setup_failures = net.total_setup_failures();
-  fp.expired_reservations = net.total_expired_reservations();
-  fp.stale_config_drops = net.total_stale_config_drops();
   fp.faults_dropped = net.faults_dropped();
   fp.faults_delayed = net.faults_delayed();
   fp.faults_duplicated = net.faults_duplicated();
@@ -244,7 +208,7 @@ TEST(ThreadEquivalence, HybridUniform) {
       run_hybrid(cfg, 1, TrafficPattern::UniformRandom, 0.10, 6000, 21);
   // Non-vacuity: the scenario must actually exercise delivery and circuits.
   EXPECT_GT(one.delivered, 100u);
-  EXPECT_GT(one.cs_packets, 0u);
+  EXPECT_GT(one.ni[NiCounter::CsPackets], 0u);
   expect_same(one,
               run_hybrid(cfg, 2, TrafficPattern::UniformRandom, 0.10, 6000, 21));
   expect_same(one, run_hybrid(cfg, max_threads(), TrafficPattern::UniformRandom,
@@ -356,8 +320,8 @@ TEST(ThreadEquivalence, SeededLinkFaultStorm) {
   // Non-vacuity: transients fired and were recovered, and the scheduled
   // link death is live in the final report.
   EXPECT_GT(one.corrupted_traversals, 0u);
-  EXPECT_GT(one.crc_flagged, 0u);
-  EXPECT_GT(one.retransmits, 0u);
+  EXPECT_GT(one.router[RouterCounter::CrcFlaggedFlits], 0u);
+  EXPECT_GT(one.ni[NiCounter::Retransmits], 0u);
   EXPECT_EQ(one.failed_links, 1);
   EXPECT_GT(one.delivered, 100u);
   expect_same(one, run_link_fault_storm(2));
@@ -431,7 +395,7 @@ TEST(ThreadEquivalence, NnDataflowStorm) {
   // Non-vacuity: the pipeline delivered, formed circuits, and the BER storm
   // fired through them.
   EXPECT_GT(one.delivered, 100u);
-  EXPECT_GT(one.cs_packets, 0u);
+  EXPECT_GT(one.ni[NiCounter::CsPackets], 0u);
   EXPECT_GT(one.corrupted_traversals, 0u);
   expect_same(one, run_nn_storm(2));
   expect_same(one, run_nn_storm(max_threads()));
@@ -532,7 +496,7 @@ TEST(ThreadEquivalence, Mesh32NnDataflow) {
   // Non-vacuity: the pipeline delivered and formed circuits on the large
   // mesh across every row seam.
   EXPECT_GT(one.delivered, 100u);
-  EXPECT_GT(one.cs_packets, 0u);
+  EXPECT_GT(one.ni[NiCounter::CsPackets], 0u);
   expect_same(one, run_mesh32_nn(max_threads()));
 }
 
@@ -673,8 +637,10 @@ TEST(ThreadQuiescence, FastForwardExecutesLeaseExpiry) {
   jumped.fast_forward(horizon);
 
   EXPECT_EQ(jumped.now(), ticked.now());
-  EXPECT_EQ(ticked.hybrid_router(5).expired_reservations(), 2u);
-  EXPECT_EQ(jumped.hybrid_router(5).expired_reservations(), 2u);
+  EXPECT_EQ(ticked.router(5).counters()[RouterCounter::ExpiredReservations],
+            2u);
+  EXPECT_EQ(jumped.router(5).counters()[RouterCounter::ExpiredReservations],
+            2u);
   EXPECT_EQ(jumped.slot_state_digest(), ticked.slot_state_digest());
   EXPECT_EQ(jumped.total_valid_slot_entries(), 0);
   expect_same_energy(jumped.total_energy(), ticked.total_energy());

@@ -99,7 +99,7 @@ long threads_started(int threads) {
   const long before = thread_count();
   HybridNetwork net(cfg);
   drive_uniform(net, 0.1, 3, 500);
-  EXPECT_GT(net.total_data_delivered(), 0u);
+  EXPECT_GT(net.ni_counters()[NiCounter::DataPacketsDelivered], 0u);
   return thread_count() - before;
 }
 

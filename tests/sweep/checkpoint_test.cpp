@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "common/fileio.hpp"
 #include "common/pool.hpp"
 #include "common/state_io.hpp"
 #include "noc/network.hpp"
@@ -139,6 +140,22 @@ TEST(Checkpoint, NetworkArchiveRoundTripIsByteIdentical) {
   ASSERT_NE(twin, nullptr);
   twin->restore_state(archive);
   EXPECT_EQ(twin->save_state(), archive);
+}
+
+// The round trips above pass whatever the archive layout is, so nothing
+// else notices a layout change that comes without a kSnapshotSection bump
+// (after which a stale snapshot on disk would restore garbage instead of
+// failing the section check). This pins the bytes of one small seeded
+// drained TDM warmup; a deliberate change of simulated behaviour moves it
+// too, together with the FidelityPin records.
+TEST(Checkpoint, SnapshotLayoutPinned) {
+  const WarmupSnapshot snap =
+      warmup_snapshot(NocConfig::hybrid_tdm_vc4(4), small_params(0.08));
+  ASSERT_TRUE(snap.ok);
+  constexpr std::uint64_t kPinnedDigest = 0xe9dfd545588655d2ULL;
+  EXPECT_EQ(fnv1a64(snap.sealed), kPinnedDigest)
+      << std::hex << "got 0x" << fnv1a64(snap.sealed)
+      << ": archive layout changed: bump kSnapshotSection, then re-pin";
 }
 
 TEST(Checkpoint, TruncatedSnapshotThrows) {

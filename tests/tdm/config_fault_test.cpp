@@ -52,7 +52,9 @@ TEST(ConfigFault, ResizeWhileSetupInFlightIsFenced) {
   EXPECT_EQ(net.controller().active_slots(), 32);
   // The straggler hit a generation fence instead of reserving under the new
   // tables or tripping the src_slot consistency check.
-  EXPECT_GT(net.total_stale_config_drops(), 0u);
+  EXPECT_GT(net.ni_counters()[NiCounter::StaleConfigDrops] +
+                net.router_counters()[RouterCounter::StaleConfigDrops],
+            0u);
   EXPECT_FALSE(net.hybrid_ni(src).has_connection(dst));
   EXPECT_EQ(net.controller().config_in_flight(), 0u);
   EXPECT_EQ(net.total_valid_slot_entries(), 0);
@@ -89,7 +91,7 @@ TEST(ConfigFault, DroppedAckDestinationRecoversAfterTimeout) {
     }
   }
   EXPECT_EQ(ack_drops, 1);
-  EXPECT_EQ(net.hybrid_ni(src).pending_timeouts(), 1u);
+  EXPECT_EQ(net.ni(src).counters()[NiCounter::PendingTimeouts], 1u);
   ASSERT_TRUE(net.hybrid_ni(src).has_connection(dst));
   // Recovery could only start once the pending entry timed out.
   EXPECT_GT(connected_at, Cycle{cfg.pending_setup_timeout_cycles});

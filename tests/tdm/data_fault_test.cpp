@@ -78,15 +78,16 @@ TEST(HybridDataFault, BerStormDeliversEverythingAndSettlesClean) {
   }
   settle(net);
 
-  const DegradationReport d = net.degradation_report();
-  EXPECT_EQ(d.data_sent, static_cast<std::uint64_t>(id - 1));
-  EXPECT_EQ(d.data_delivered, d.data_sent);  // the acceptance bar
-  EXPECT_GT(d.crc_flagged_flits, 0u);
-  EXPECT_GT(d.crc_squashed_packets, 0u);
-  EXPECT_GT(d.retransmits, 0u);
-  EXPECT_EQ(d.retx_give_ups, 0u);
-  EXPECT_EQ(d.e2e_outstanding, 0u);
-  EXPECT_GT(net.total_cs_packets(), 0u);  // circuits actually carried load
+  const NiCounters ni = net.ni_counters();
+  EXPECT_EQ(ni[NiCounter::DataPacketsSent], static_cast<std::uint64_t>(id - 1));
+  // The acceptance bar: every packet sent was delivered.
+  EXPECT_EQ(ni[NiCounter::DataPacketsDelivered], ni[NiCounter::DataPacketsSent]);
+  EXPECT_GT(net.router_counters()[RouterCounter::CrcFlaggedFlits], 0u);
+  EXPECT_GT(ni[NiCounter::CrcSquashedPackets], 0u);
+  EXPECT_GT(ni[NiCounter::Retransmits], 0u);
+  EXPECT_EQ(ni[NiCounter::RetxGiveUps], 0u);
+  EXPECT_EQ(net.degradation_report().e2e_outstanding, 0u);
+  EXPECT_GT(ni[NiCounter::CsPackets], 0u);  // circuits actually carried load
   const ReservationAudit audit = net.audit_reservations();
   EXPECT_TRUE(audit.clean());
   EXPECT_EQ(net.total_valid_slot_entries(), 0);
@@ -115,32 +116,32 @@ TEST(HybridDataFault, DeadLinkTearsDownCircuitReestablishesAndReclaims) {
     if (net.now() == 2500) {
       // Non-vacuity: the circuit is up before the link dies.
       EXPECT_GE(net.total_active_connections(), 1);
-      cs_at_kill = net.total_cs_packets();
+      cs_at_kill = net.ni_counters()[NiCounter::CsPackets];
       EXPECT_GT(cs_at_kill, 0u);
     }
     if (net.now() == 7000) {
       // Recovery has settled: the re-established circuit and the PS detour
       // both avoid the dead link, so corruption stops accumulating.
       corrupted_settled = net.fault_model()->corrupted_traversals();
-      EXPECT_GE(net.total_cs_fault_teardowns(), 1u);
+      EXPECT_GE(net.ni_counters()[NiCounter::CsFaultTeardowns], 1u);
     }
     if (net.now() % 6 == 0) send_packet(net, id++, 3, 15);
     net.tick();
   }
   EXPECT_EQ(net.fault_model()->corrupted_traversals(), corrupted_settled);
   // The re-established circuit carried traffic after the kill.
-  EXPECT_GT(net.total_cs_packets(), cs_at_kill);
+  EXPECT_GT(net.ni_counters()[NiCounter::CsPackets], cs_at_kill);
   settle(net);
 
-  const DegradationReport d = net.degradation_report();
-  EXPECT_EQ(d.data_sent, static_cast<std::uint64_t>(id - 1));
-  EXPECT_EQ(d.data_delivered, d.data_sent);
-  EXPECT_EQ(d.retx_give_ups, 0u);
-  EXPECT_EQ(d.failed_links, 1);
-  EXPECT_GE(net.hybrid_ni(3).cs_fault_teardowns(), 1u);
+  const NiCounters ni = net.ni_counters();
+  EXPECT_EQ(ni[NiCounter::DataPacketsSent], static_cast<std::uint64_t>(id - 1));
+  EXPECT_EQ(ni[NiCounter::DataPacketsDelivered], ni[NiCounter::DataPacketsSent]);
+  EXPECT_EQ(ni[NiCounter::RetxGiveUps], 0u);
+  EXPECT_EQ(net.degradation_report().failed_links, 1);
+  EXPECT_GE(net.ni(3).counters()[NiCounter::CsFaultTeardowns], 1u);
   // The teardown died crossing the dead link, so the reservations past it
   // could only have been reclaimed by the routers' lease backstop.
-  EXPECT_GT(net.total_expired_reservations(), 0u);
+  EXPECT_GT(net.router_counters()[RouterCounter::ExpiredReservations], 0u);
   const ReservationAudit audit = net.audit_reservations();
   EXPECT_TRUE(audit.clean());
   EXPECT_EQ(net.total_valid_slot_entries(), 0);
@@ -174,10 +175,11 @@ TEST(HybridDataFault, SetupBackoffRetriesThenGivesUpIntoCooldown) {
   }
   settle(net);
 
-  EXPECT_GT(net.total_setup_failures(), 0u);
-  EXPECT_GE(net.total_setup_give_ups(), 1u);
+  EXPECT_GT(net.ni_counters()[NiCounter::SetupFailures], 0u);
+  EXPECT_GE(net.ni_counters()[NiCounter::SetupGiveUps], 1u);
   // The workload was untouched: losers fell back to packet switching.
-  EXPECT_EQ(net.total_data_delivered(), static_cast<std::uint64_t>(id - 1));
+  EXPECT_EQ(net.ni_counters()[NiCounter::DataPacketsDelivered],
+            static_cast<std::uint64_t>(id - 1));
   EXPECT_EQ(net.total_valid_slot_entries(), 0);
   EXPECT_TRUE(net.audit_reservations().clean());
 }
@@ -321,9 +323,10 @@ TEST(FaultTraceV2, RecordedLinkFaultStormReplaysFromTrace) {
   const ScenarioOutcome rec =
       run_fault_scenario(s, ScenarioMode::Record, false, &s.faults);
   EXPECT_TRUE(rec.quiesced);
-  EXPECT_EQ(rec.data_delivered, rec.data_sent);
-  EXPECT_GE(rec.cs_fault_teardowns, 1u);
-  EXPECT_GT(rec.crc_flagged_flits, 0u);
+  EXPECT_EQ(rec.ni[NiCounter::DataPacketsDelivered],
+            rec.ni[NiCounter::DataPacketsSent]);
+  EXPECT_GE(rec.ni[NiCounter::CsFaultTeardowns], 1u);
+  EXPECT_GT(rec.router[RouterCounter::CrcFlaggedFlits], 0u);
   EXPECT_EQ(rec.failed_links, 1);
   // The trace now carries the kill and every fired transient.
   bool has_kill = false, has_corrupt = false;
@@ -341,13 +344,8 @@ TEST(FaultTraceV2, RecordedLinkFaultStormReplaysFromTrace) {
   // schedule fields) and reproduces the storm's outcome.
   const ScenarioOutcome rep = run_fault_scenario(s, ScenarioMode::Replay);
   EXPECT_TRUE(rep.quiesced);
-  EXPECT_EQ(rep.data_sent, rec.data_sent);
-  EXPECT_EQ(rep.data_delivered, rec.data_delivered);
-  EXPECT_EQ(rep.crc_flagged_flits, rec.crc_flagged_flits);
-  EXPECT_EQ(rep.crc_squashed_packets, rec.crc_squashed_packets);
-  EXPECT_EQ(rep.retransmits, rec.retransmits);
-  EXPECT_EQ(rep.cs_fault_teardowns, rec.cs_fault_teardowns);
-  EXPECT_EQ(rep.expired_reservations, rec.expired_reservations);
+  EXPECT_EQ(rep.ni, rec.ni) << first_difference(rep.ni, rec.ni);
+  EXPECT_EQ(rep.router, rec.router) << first_difference(rep.router, rec.router);
   EXPECT_EQ(rep.slot_state_digest, rec.slot_state_digest);
   EXPECT_EQ(rep.failed_links, rec.failed_links);
 }
@@ -361,10 +359,8 @@ TEST(FaultTraceV2, RecordedLinkFaultStormReplaysFromTrace) {
 /// router and NI) without scheduling any fault.
 struct Fingerprint {
   std::uint64_t digest = 0;
-  std::uint64_t cs_packets = 0;
-  std::uint64_t ps_flits = 0;
-  std::uint64_t cs_flits = 0;
-  std::uint64_t config_flits = 0;
+  NiCounters ni;
+  RouterCounters router;
   std::uint64_t buffer_writes = 0;
   std::uint64_t link_flits = 0;
   std::uint64_t cycles = 0;
@@ -389,10 +385,8 @@ Fingerprint run_zero_fault(bool install_model) {
   const Cycle end = net.now() + 3000;
   while (net.now() < end) net.tick();
   fp.digest = net.slot_state_digest();
-  fp.cs_packets = net.total_cs_packets();
-  fp.ps_flits = net.total_ps_flits();
-  fp.cs_flits = net.total_cs_flits();
-  fp.config_flits = net.total_config_flits();
+  fp.ni = net.ni_counters();
+  fp.router = net.router_counters();
   const EnergyCounters e = net.total_energy();
   fp.buffer_writes = e.buffer_writes;
   fp.link_flits = e.link_flits;
@@ -404,15 +398,14 @@ TEST(HybridDataFault, FaultFreeModelIsBitIdenticalToNoModel) {
   const Fingerprint bare = run_zero_fault(false);
   const Fingerprint armed = run_zero_fault(true);
   EXPECT_EQ(bare.digest, armed.digest);
-  EXPECT_EQ(bare.cs_packets, armed.cs_packets);
-  EXPECT_EQ(bare.ps_flits, armed.ps_flits);
-  EXPECT_EQ(bare.cs_flits, armed.cs_flits);
-  EXPECT_EQ(bare.config_flits, armed.config_flits);
+  EXPECT_EQ(bare.ni, armed.ni) << first_difference(bare.ni, armed.ni);
+  EXPECT_EQ(bare.router, armed.router)
+      << first_difference(bare.router, armed.router);
   EXPECT_EQ(bare.buffer_writes, armed.buffer_writes);
   EXPECT_EQ(bare.link_flits, armed.link_flits);
   EXPECT_EQ(bare.cycles, armed.cycles);
   EXPECT_EQ(bare.deliveries, armed.deliveries);
-  EXPECT_GT(bare.cs_packets, 0u);  // the workload exercised circuits
+  EXPECT_GT(bare.ni[NiCounter::CsPackets], 0u);  // the workload used circuits
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ TEST(HybridNetwork, PathSetupEstablishesConnection) {
   const NodeId src = 0, dst = net.mesh().node({5, 0});
   establish(net, src, dst, id);
   EXPECT_TRUE(net.hybrid_ni(src).has_connection(dst));
-  EXPECT_GE(net.hybrid_ni(src).setups_sent(), 1u);
+  EXPECT_GE(net.ni(src).counters()[NiCounter::SetupsSent], 1u);
   EXPECT_EQ(net.controller().cs_in_flight(), 0u);
   // Slots are reserved along the whole row-0 path, including endpoints.
   for (int x = 0; x <= 5; ++x) {
@@ -71,7 +71,7 @@ TEST(HybridNetwork, CircuitFlitsAreUsedAfterSetup) {
   PacketId id = 1;
   const NodeId src = 0, dst = net.mesh().node({5, 0});
   establish(net, src, dst, id);
-  const auto cs_before = net.total_cs_flits();
+  const auto cs_before = net.ni_counters()[NiCounter::CsDataFlits];
   std::uint64_t delivered = 0;
   net.set_deliver_handler([&](const PacketPtr& p, Cycle) {
     if (p->switching == Switching::Circuit) ++delivered;
@@ -80,7 +80,7 @@ TEST(HybridNetwork, CircuitFlitsAreUsedAfterSetup) {
     net.ni(src).send(make_data(id++, src, dst), net.now());
     for (int t = 0; t < 40; ++t) net.tick();
   }
-  EXPECT_GT(net.total_cs_flits(), cs_before);
+  EXPECT_GT(net.ni_counters()[NiCounter::CsDataFlits], cs_before);
   EXPECT_GT(delivered, 10u);  // most packets ride the circuit
   drain(net);
 }
@@ -165,7 +165,8 @@ TEST(HybridNetwork, TimeSlotStealingLowersPacketLatencyOnReservedLinks) {
       net.ni(s2).send(p, net.now());
       for (int t = 0; t < 10; ++t) net.tick();
     }
-    return std::pair<double, std::uint64_t>(lat.mean(), net.total_ps_steals());
+    return std::pair<double, std::uint64_t>(
+        lat.mean(), net.router_counters()[RouterCounter::PsSteals]);
   };
   const auto [lat_on, steals_on] = run(true);
   const auto [lat_off, steals_off] = run(false);
@@ -217,8 +218,8 @@ TEST(HybridNetwork, SetupConflictsRetryWithDifferentSlots) {
     }
     net.tick();
   }
-  EXPECT_GT(net.total_setup_failures(), 0u);
-  EXPECT_GT(net.total_setups_sent(), 6u);
+  EXPECT_GT(net.ni_counters()[NiCounter::SetupFailures], 0u);
+  EXPECT_GT(net.ni_counters()[NiCounter::SetupsSent], 6u);
   EXPECT_GT(net.total_active_connections(), 0);
   drain(net);
 }
@@ -270,9 +271,10 @@ TEST(HybridNetwork, ConfigTrafficIsSmallFraction) {
     }
     net.tick();
   }
-  const double config = static_cast<double>(net.total_config_flits());
-  const double total = config + static_cast<double>(net.total_ps_flits()) +
-                       static_cast<double>(net.total_cs_flits());
+  const NiCounters c = net.ni_counters();
+  const double config = static_cast<double>(c[NiCounter::ConfigFlits]);
+  const double total = config + static_cast<double>(c[NiCounter::PsDataFlits]) +
+                       static_cast<double>(c[NiCounter::CsDataFlits]);
   EXPECT_LT(config / total, 0.01);
   drain(net);
 }

@@ -94,9 +94,9 @@ TEST(LinkFaultStorm, DeliversEverythingRecoversAndReplaysDeterministically) {
 
   // The storm actually bit: transients fired per-hop, destinations squashed
   // dirty packets, and the end-to-end layer had to retransmit.
-  EXPECT_GT(rec.crc_flagged_flits, 0u);
-  EXPECT_GT(rec.crc_squashed_packets, 0u);
-  EXPECT_GT(rec.retransmits, 0u);
+  EXPECT_GT(rec.router[RouterCounter::CrcFlaggedFlits], 0u);
+  EXPECT_GT(rec.ni[NiCounter::CrcSquashedPackets], 0u);
+  EXPECT_GT(rec.ni[NiCounter::Retransmits], 0u);
   EXPECT_GT(rec.faults_dropped + rec.faults_delayed, 0u);
   // 1 directed dead link + 8 directed links incident to the dead router.
   EXPECT_EQ(rec.failed_links, 9);
@@ -104,10 +104,11 @@ TEST(LinkFaultStorm, DeliversEverythingRecoversAndReplaysDeterministically) {
   // The acceptance bar: with CRC + retransmission, 100% of injected packets
   // eventually delivered uncorrupted; nothing gave up, nothing was cut off.
   EXPECT_TRUE(rec.quiesced);
-  EXPECT_GT(rec.data_sent, 1000u);
-  EXPECT_EQ(rec.data_delivered, rec.data_sent);
-  EXPECT_EQ(rec.retx_give_ups, 0u);
-  EXPECT_EQ(rec.unreachable_failed, 0u);
+  EXPECT_GT(rec.ni[NiCounter::DataPacketsSent], 1000u);
+  EXPECT_EQ(rec.ni[NiCounter::DataPacketsDelivered],
+            rec.ni[NiCounter::DataPacketsSent]);
+  EXPECT_EQ(rec.ni[NiCounter::RetxGiveUps], 0u);
+  EXPECT_EQ(rec.ni[NiCounter::UnreachableFailed], 0u);
   EXPECT_EQ(rec.broken_windows, 0);
   EXPECT_EQ(rec.orphan_entries, 0);
   EXPECT_EQ(rec.valid_slot_entries, 0);
@@ -143,18 +144,11 @@ TEST(LinkFaultStorm, DeliversEverythingRecoversAndReplaysDeterministically) {
   // BER hash, no schedule fields, no RNG) and reproduces the storm exactly.
   const ScenarioOutcome rep = run_fault_scenario(s, ScenarioMode::Replay);
   EXPECT_EQ(rep.replay_applied, config_records);
-  EXPECT_EQ(rep.data_sent, rec.data_sent);
-  EXPECT_EQ(rep.data_delivered, rec.data_delivered);
-  EXPECT_EQ(rep.retransmits, rec.retransmits);
-  EXPECT_EQ(rep.crc_flagged_flits, rec.crc_flagged_flits);
-  EXPECT_EQ(rep.crc_squashed_packets, rec.crc_squashed_packets);
-  EXPECT_EQ(rep.cs_fault_teardowns, rec.cs_fault_teardowns);
-  EXPECT_EQ(rep.setup_give_ups, rec.setup_give_ups);
-  EXPECT_EQ(rep.expired_reservations, rec.expired_reservations);
+  EXPECT_EQ(rep.ni, rec.ni) << first_difference(rep.ni, rec.ni);
+  EXPECT_EQ(rep.router, rec.router) << first_difference(rep.router, rec.router);
   EXPECT_EQ(rep.slot_state_digest, rec.slot_state_digest);
   EXPECT_EQ(rep.failed_links, rec.failed_links);
   EXPECT_TRUE(rep.quiesced);
-  EXPECT_EQ(rep.retx_give_ups, 0u);
 }
 
 }  // namespace

@@ -93,10 +93,10 @@ TEST(PathSharing, HitchhikerRidesExistingCircuit) {
     net.ni(hiker).send(make_data(id++, hiker, dst), net.now());
     for (int t = 0; t < 40; ++t) net.tick();
   }
-  EXPECT_GT(net.hybrid_ni(hiker).hitchhike_packets(), 0u);
+  EXPECT_GT(net.ni(hiker).counters()[NiCounter::HitchhikePackets], 0u);
   EXPECT_GT(delivered_cs, 10u);
   // Sharing did not require a new setup from the hiker.
-  EXPECT_EQ(net.hybrid_ni(hiker).setups_sent(), 0u);
+  EXPECT_EQ(net.ni(hiker).counters()[NiCounter::SetupsSent], 0u);
   drain(net);
 }
 
@@ -132,7 +132,7 @@ TEST(PathSharing, ContentionBouncesToPacketSwitched) {
   drain(net);
   // Contention occurred, yet nothing was lost: bounced messages were
   // re-sent packet-switched (Section III-A1).
-  EXPECT_GT(net.total_hitchhike_bounces(), 0u);
+  EXPECT_GT(net.ni_counters()[NiCounter::HitchhikeBounces], 0u);
   EXPECT_TRUE(outstanding.empty());
 }
 
@@ -150,8 +150,8 @@ TEST(PathSharing, SaturatedCounterEscalatesToDedicatedPath) {
     if (net.hybrid_ni(hiker).has_connection(dst)) break;
   }
   // After two consecutive failures ('10') the hiker requested its own path.
-  EXPECT_GE(net.total_hitchhike_bounces(), 2u);
-  EXPECT_GE(net.hybrid_ni(hiker).setups_sent(), 1u);
+  EXPECT_GE(net.ni_counters()[NiCounter::HitchhikeBounces], 2u);
+  EXPECT_GE(net.ni(hiker).counters()[NiCounter::SetupsSent], 1u);
   drain(net);
 }
 
@@ -171,8 +171,8 @@ TEST(PathSharing, VicinityHopsOffAtNeighbor) {
     net.ni(src).send(make_data(id++, src, vic_dst), net.now());
     for (int t = 0; t < 60; ++t) net.tick();
   }
-  EXPECT_GT(net.hybrid_ni(src).vicinity_packets(), 0u);
-  EXPECT_GT(net.hybrid_ni(conn_dst).vicinity_hopoffs(), 0u);
+  EXPECT_GT(net.ni(src).counters()[NiCounter::VicinityPackets], 0u);
+  EXPECT_GT(net.ni(conn_dst).counters()[NiCounter::VicinityHopoffs], 0u);
   EXPECT_GT(delivered_at_final, 10u);
   drain(net);
 }
@@ -214,8 +214,8 @@ TEST(PathSharing, CombinedHitchhikeAndVicinity) {
     net.ni(hiker).send(make_data(id++, hiker, vic_dst), net.now());
     for (int t = 0; t < 60; ++t) net.tick();
   }
-  EXPECT_GT(net.hybrid_ni(hiker).hitchhike_packets(), 0u);
-  EXPECT_GT(net.hybrid_ni(hiker).vicinity_packets(), 0u);
+  EXPECT_GT(net.ni(hiker).counters()[NiCounter::HitchhikePackets], 0u);
+  EXPECT_GT(net.ni(hiker).counters()[NiCounter::VicinityPackets], 0u);
   EXPECT_GT(delivered, 10u);
   drain(net);
 }

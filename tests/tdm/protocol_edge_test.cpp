@@ -53,7 +53,7 @@ TEST(ProtocolEdge, SupplementaryWindowsGrowWithDemand) {
   }
   EXPECT_GT(local_valid, cfg.reservation_duration());
   EXPECT_LE(local_valid, cfg.max_windows_per_pair * cfg.reservation_duration());
-  EXPECT_GE(net.hybrid_ni(src).setups_sent(), 2u);
+  EXPECT_GE(net.ni(src).counters()[NiCounter::SetupsSent], 2u);
 }
 
 TEST(ProtocolEdge, WindowCountRespectsCap) {
@@ -98,11 +98,11 @@ TEST(ProtocolEdge, RetryExhaustionBacksOffWithCooldown) {
     }
     net.tick();
   }
-  EXPECT_GT(net.total_setup_failures(), 0u);
+  EXPECT_GT(net.ni_counters()[NiCounter::SetupFailures], 0u);
   // Setup traffic stays bounded: every failed attempt costs at most
   // (1 + retries) setups per cooldown period per source.
   const double setups_per_kcycle =
-      static_cast<double>(net.total_setups_sent()) / 40.0;
+      static_cast<double>(net.ni_counters()[NiCounter::SetupsSent]) / 40.0;
   EXPECT_LT(setups_per_kcycle, 10.0);
   net.set_policy_frozen(true);
   for (int i = 0; i < 30000 && !net.quiescent(); ++i) net.tick();
@@ -145,10 +145,10 @@ TEST(ProtocolEdge, FrozenPolicySendsNoSetups) {
     if (cycle % 10 == 0) net.ni(src).send(make_data(id++, src, dst), net.now());
     net.tick();
   }
-  EXPECT_EQ(net.total_setups_sent(), 0u);
-  EXPECT_EQ(net.total_cs_packets(), 0u);
+  EXPECT_EQ(net.ni_counters()[NiCounter::SetupsSent], 0u);
+  EXPECT_EQ(net.ni_counters()[NiCounter::CsPackets], 0u);
   // Traffic still flows packet-switched.
-  EXPECT_GT(net.total_data_delivered(), 400u);
+  EXPECT_GT(net.ni_counters()[NiCounter::DataPacketsDelivered], 400u);
 }
 
 TEST(ProtocolEdge, ReservationThresholdLeavesPacketHeadroom) {

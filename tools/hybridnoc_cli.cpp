@@ -11,10 +11,14 @@
 // `hybridnoc --workload ...` with no command is shorthand for `synth`.
 // Workloads: nn:resnet50 | nn:transformer | nn:gnmt | nn:@file | coherence
 // Architectures: packet | sdm | tdm | tdm-vct | hop | hop-vct
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -42,20 +46,42 @@ struct Args {
     return it == kv.end() ? dflt : it->second;
   }
   /// Numeric value of --k, or `dflt` when absent. A value that is not
-  /// wholly a number is a usage error (exit 2), not an uncaught exception.
-  double num(const std::string& k, double dflt) const {
+  /// wholly a number, or lies outside [lo, hi], is a usage error (exit 2),
+  /// never an abort, undefined behaviour or an uncaught exception.
+  double num(const std::string& k, double dflt, double lo = -kInf,
+             double hi = kInf) const {
     const auto it = kv.find(k);
     if (it == kv.end()) return dflt;
+    double v = std::nan("");
     try {
       size_t used = 0;
-      const double v = std::stod(it->second, &used);
-      if (used == it->second.size()) return v;
+      v = std::stod(it->second, &used);
+      if (used != it->second.size()) v = std::nan("");
     } catch (const std::exception&) {  // invalid_argument, out_of_range
     }
-    std::cerr << "error: --" << k << " expects a number, got '" << it->second
-              << "'\n";
-    std::exit(2);
+    if (!(v >= lo && v <= hi)) {  // NaN fails both
+      std::cerr << std::setprecision(16) << "error: --" << k
+                << " expects a number in [" << lo << ", " << hi << "], got '"
+                << it->second << "'\n";
+      std::exit(2);
+    }
+    return v;
   }
+  /// Whole-number value of --k (a count, size or seed) in [lo, hi], with
+  /// `hi` capped at 2^53, below which a double holds every integer.
+  template <typename T>
+  T count(const std::string& k, T dflt, T lo = 0,
+          T hi = std::numeric_limits<T>::max()) const {
+    const double v = num(k, static_cast<double>(dflt), static_cast<double>(lo),
+                         std::min(static_cast<double>(hi), 0x1p53));
+    if (v != std::floor(v)) {
+      std::cerr << "error: --" << k << " expects a whole number, got '"
+                << kv.at(k) << "'\n";
+      std::exit(2);
+    }
+    return static_cast<T>(v);
+  }
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
 };
 
 Args parse(int argc, char** argv) {
@@ -84,6 +110,9 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
+/// --k, the mesh radix: at least 2, and k * k node ids must fit an int.
+int mesh_radix(const Args& a) { return a.count("k", 6, 2, 46340); }
+
 NocConfig arch_preset(const std::string& name, int k) {
   if (name == "packet") return NocConfig::packet_vc4(k);
   if (name == "sdm") return NocConfig::hybrid_sdm_vc4(k);
@@ -100,7 +129,7 @@ NocConfig arch_config(const Args& a, const std::string& dflt_arch, int k) {
   NocConfig cfg = arch_preset(a.get("arch", dflt_arch), k);
   // --threads N runs the tick engine with N shards on worker threads;
   // results are bit-identical to --threads 1 (the default, one shard).
-  cfg.tick_threads = static_cast<int>(a.num("threads", 1));
+  cfg.tick_threads = a.count("threads", 1, 1);
   return cfg;
 }
 
@@ -126,9 +155,9 @@ RunParams run_params(const Args& a, TrafficPattern pattern, double rate) {
   RunParams p;
   p.pattern = pattern;
   p.injection_rate = rate;
-  p.warmup_packets = static_cast<std::uint64_t>(a.num("warmup", 1000));
-  p.measure_packets = static_cast<std::uint64_t>(a.num("packets", 20000));
-  p.seed = static_cast<std::uint64_t>(a.num("seed", 1));
+  p.warmup_packets = a.count<std::uint64_t>("warmup", 1000);
+  p.measure_packets = a.count<std::uint64_t>("packets", 20000, 1);
+  p.seed = a.count<std::uint64_t>("seed", 1);
   p.fidelity = fidelity_arg(a.get("fidelity", "cycle"));
   return p;
 }
@@ -180,15 +209,15 @@ bool load_trace_checked(const std::string& path,
 WorkloadOptions workload_options(const Args& a, int k) {
   WorkloadOptions w;
   w.k = k;
-  w.seed = static_cast<std::uint64_t>(a.num("seed", 1));
+  w.seed = a.count<std::uint64_t>("seed", 1);
   w.intensity = a.num("intensity", 1.0);
-  w.nn_iterations = static_cast<int>(a.num("iterations", 4));
-  w.coherence_cycles = static_cast<Cycle>(a.num("cycles", 4000));
+  w.nn_iterations = a.count("iterations", 4);
+  w.coherence_cycles = a.count<Cycle>("cycles", 4000);
   return w;
 }
 
 int cmd_synth(const Args& a) {
-  const int k = static_cast<int>(a.num("k", 6));
+  const int k = mesh_radix(a);
   const NocConfig cfg = arch_config(a, "tdm", k);
   const bool workload = a.flag("workload");
   std::string source;
@@ -205,7 +234,8 @@ int cmd_synth(const Args& a) {
     source = wt.name;
   } else {
     const TrafficPattern pattern = pattern_arg(a.get("pattern", "uniform"));
-    params = run_params(a, pattern, a.num("rate", 0.1));
+    params = run_params(a, pattern,
+                        a.num("rate", 0.1, 0.0, cfg.ps_data_flits));
     r = run_synthetic(cfg, params);
     source = traffic_pattern_name(pattern);
   }
@@ -226,7 +256,7 @@ int cmd_synth(const Args& a) {
 }
 
 int cmd_sweep(const Args& a) {
-  const int k = static_cast<int>(a.num("k", 6));
+  const int k = mesh_radix(a);
   const NocConfig cfg = arch_config(a, "tdm", k);
   const TrafficPattern pattern = pattern_arg(a.get("pattern", "uniform"));
   const double step = a.num("step", 0.05);
@@ -235,8 +265,9 @@ int cmd_sweep(const Args& a) {
     return 2;
   }
   std::vector<double> rates;
-  for (double r = a.num("from", 0.05); r <= a.num("to", 0.4) + 1e-9;
-       r += step) {
+  const double max_rate = cfg.ps_data_flits;
+  for (double r = a.num("from", 0.05, 0.0, max_rate);
+       r <= a.num("to", 0.4, 0.0, max_rate) + 1e-9; r += step) {
     rates.push_back(r);
   }
   const auto results = sweep_load(cfg, run_params(a, pattern, 0.0), rates);
@@ -275,9 +306,9 @@ int cmd_hetero(const Args& a) {
     return 2;
   }
   const WorkloadMix mix{cpu_benchmark(cpu), gpu_benchmark(gpu)};
-  HeteroSystem sys(cfg, mix, static_cast<std::uint64_t>(a.num("seed", 1)));
-  const auto m = sys.run(static_cast<std::uint64_t>(a.num("warmup", 6000)),
-                         static_cast<std::uint64_t>(a.num("cycles", 24000)));
+  HeteroSystem sys(cfg, mix, a.count<std::uint64_t>("seed", 1));
+  const auto m = sys.run(a.count<std::uint64_t>("warmup", 6000),
+                         a.count<std::uint64_t>("cycles", 24000, 1));
   TextTable t({"metric", "value"});
   t.add_row({"mix", mix.name()});
   t.add_row({"config", cfg.summary()});
@@ -296,7 +327,7 @@ int cmd_hetero(const Args& a) {
 }
 
 int cmd_trace_gen(const Args& a) {
-  const int k = static_cast<int>(a.num("k", 6));
+  const int k = mesh_radix(a);
   std::vector<TraceEntry> entries;
   if (a.flag("workload")) {
     WorkloadTrace wt;
@@ -308,9 +339,9 @@ int cmd_trace_gen(const Args& a) {
   } else {
     const Mesh mesh(k);
     SyntheticTraffic traffic(mesh, pattern_arg(a.get("pattern", "uniform")),
-                             a.num("rate", 0.1), 5,
-                             static_cast<std::uint64_t>(a.num("seed", 1)));
-    const auto cycles = static_cast<Cycle>(a.num("cycles", 5000));
+                             a.num("rate", 0.1, 0.0, 5.0), 5,
+                             a.count<std::uint64_t>("seed", 1));
+    const auto cycles = a.count<Cycle>("cycles", 5000);
     for (Cycle c = 0; c < cycles; ++c) {
       traffic.generate(
           [&](NodeId s, NodeId d) { entries.push_back({c, s, d, 5}); });
@@ -332,7 +363,7 @@ int cmd_trace_gen(const Args& a) {
 }
 
 int cmd_trace_run(const Args& a) {
-  const int k = static_cast<int>(a.num("k", 6));
+  const int k = mesh_radix(a);
   auto net = make_network(arch_config(a, "tdm", k));
   std::vector<TraceEntry> entries;
   if (!load_trace_checked(a.get("in", "traffic.trace"), &entries)) return 2;

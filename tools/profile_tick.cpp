@@ -16,8 +16,9 @@
 // Dispatches/cycle is the headline number, printed against the 2*k*k
 // components a sweep of every NI and router would tick: at --inject 0 the
 // run-list scheduler should show ~0, and under load it approaches 2*k*k.
-// The last line splits memory: peak RSS (VmHWM) and, with --arch tdm, the
-// bytes held by the routers' slot-table columns.
+// The NI and router event counters follow, summed over the mesh. The last
+// line splits memory: peak RSS (VmHWM) and, with --arch tdm, the bytes held
+// by the routers' slot-table columns.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -160,6 +161,10 @@ void run(Net& net, const Options& o) {
   std::printf("flight releases      %llu  (%.3f /cycle)\n",
               static_cast<unsigned long long>(p.flight_releases),
               per_cycle(p.flight_releases));
+  // Event counters summed over the mesh: the circuit lifecycle (setups,
+  // failures, give-ups, teardowns, rides) next to its dispatch cost.
+  print_counters(stdout, "ni", net.ni_counters());
+  print_counters(stdout, "router", net.router_counters());
 }
 
 /// Peak resident set size (VmHWM) in MiB, or -1 where /proc is unavailable.

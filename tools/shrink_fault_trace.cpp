@@ -95,31 +95,9 @@ void print_outcome(const ScenarioOutcome& o, bool replayed) {
               static_cast<unsigned long long>(o.faults_dropped),
               static_cast<unsigned long long>(o.faults_delayed),
               static_cast<unsigned long long>(o.faults_duplicated));
-  std::printf("stale_config_drops      %llu\n",
-              static_cast<unsigned long long>(o.stale_config_drops));
-  std::printf("pending_timeouts        %llu\n",
-              static_cast<unsigned long long>(o.pending_timeouts));
-  std::printf("expired_reservations    %llu\n",
-              static_cast<unsigned long long>(o.expired_reservations));
-  std::printf("orphan_ack_teardowns    %llu\n",
-              static_cast<unsigned long long>(o.orphan_ack_teardowns));
-  std::printf("setup_failures          %llu\n",
-              static_cast<unsigned long long>(o.setup_failures));
-  std::printf("data sent/delivered     %llu/%llu\n",
-              static_cast<unsigned long long>(o.data_sent),
-              static_cast<unsigned long long>(o.data_delivered));
-  std::printf("retx/give-ups/unreach   %llu/%llu/%llu\n",
-              static_cast<unsigned long long>(o.retransmits),
-              static_cast<unsigned long long>(o.retx_give_ups),
-              static_cast<unsigned long long>(o.unreachable_failed));
-  std::printf("crc flagged/squashed    %llu/%llu\n",
-              static_cast<unsigned long long>(o.crc_flagged_flits),
-              static_cast<unsigned long long>(o.crc_squashed_packets));
-  std::printf("cs_fault_teardowns      %llu\n",
-              static_cast<unsigned long long>(o.cs_fault_teardowns));
-  std::printf("setup_give_ups          %llu\n",
-              static_cast<unsigned long long>(o.setup_give_ups));
   std::printf("failed_links            %d\n", o.failed_links);
+  print_counters(stdout, "ni", o.ni);
+  print_counters(stdout, "router", o.router);
   if (replayed) {
     std::printf("replay events/applied   %llu/%llu\n",
                 static_cast<unsigned long long>(o.replay_events),
