@@ -63,6 +63,43 @@ void expect_same(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.config_flit_fraction, b.config_flit_fraction);
 }
 
+// Pins the bytes of one entry with every field set to a distinct non-zero
+// value: a layout change must come with a kResultStoreVersion bump, after
+// which stale entries read as misses instead of as wrong numbers.
+TEST(ResultStore, EncodingPinned) {
+  RunResult r;
+  r.offered_rate = 0.125;
+  r.accepted_rate = 0.25;
+  r.avg_latency = 31.5;
+  r.p99_latency = 60.75;
+  r.saturated = true;
+  r.measured_packets = 501;
+  r.cycles = 12345;
+  r.energy.buffer_writes = 101;
+  r.energy.buffer_reads = 102;
+  r.energy.xbar_flits = 103;
+  r.energy.vc_arbs = 104;
+  r.energy.sw_arbs = 105;
+  r.energy.link_flits = 106;
+  r.energy.slot_table_reads = 107;
+  r.energy.slot_table_writes = 108;
+  r.energy.dlt_accesses = 109;
+  r.energy.cs_latch_flits = 110;
+  r.energy.cycles = 111;
+  r.energy.vc_active_cycles = 112;
+  r.energy.slot_entry_active_cycles = 113;
+  r.energy.dlt_active_cycles = 114;
+  r.energy.cs_misc_active_cycles = 115;
+  r.energy.link_active_cycles = 116;
+  r.cs_flit_fraction = 0.375;
+  r.config_flit_fraction = 0.0625;
+  const std::string bytes = encode_result(0x0123456789abcdefull, r);
+  constexpr std::uint64_t kPinnedDigest = 0x04477bcb156d6101ULL;
+  EXPECT_EQ(fnv1a64(bytes), kPinnedDigest)
+      << std::hex << "got 0x" << fnv1a64(bytes)
+      << ": entry layout changed: bump kResultStoreVersion, then re-pin";
+}
+
 using ResultStoreTest = TempDir;
 
 TEST_F(ResultStoreTest, RoundTrip) {

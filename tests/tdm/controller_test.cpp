@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/state_io.hpp"
+
 namespace hybridnoc {
 namespace {
 
@@ -118,6 +122,44 @@ TEST(TdmController, StopsAtCapacity) {
 TEST(TdmControllerDeathTest, RetireWithoutLaunchAborts) {
   TdmController c(dyn_cfg());
   EXPECT_DEATH(c.cs_flit_retired(), "HN_CHECK");
+}
+
+// A hand-built controller archive whose active-slot count is `active`.
+std::string controller_archive(int active) {
+  StateWriter w;
+  w.section("tdm_controller");
+  w.i32(active);
+  w.u64(/*generation=*/2);
+  w.u64(/*failures=*/0);
+  w.u64(/*successes=*/0);
+  w.b(false);
+  w.u64(/*epoch_start=*/100);
+  w.i32(/*resizes=*/1);
+  return w.seal();
+}
+
+void restore_from(TdmController& c, const std::string& sealed) {
+  StateReader r(sealed);
+  c.restore_state(r);
+}
+
+TEST(TdmControllerRestore, WellFormedArchiveRestores) {
+  TdmController c(dyn_cfg());
+  restore_from(c, controller_archive(32));
+  EXPECT_EQ(c.active_slots(), 32);
+  EXPECT_EQ(c.resizes(), 1);
+}
+
+TEST(TdmControllerRestore, ZeroActiveSlotsThrows) {
+  TdmController c(dyn_cfg());
+  EXPECT_THROW(restore_from(c, controller_archive(0)), StateError);
+}
+
+TEST(TdmControllerRestore, ActiveSlotsBeyondTableThrows) {
+  const NocConfig cfg = dyn_cfg();
+  TdmController c(cfg);
+  EXPECT_THROW(restore_from(c, controller_archive(cfg.slot_table_size + 1)),
+               StateError);
 }
 
 }  // namespace

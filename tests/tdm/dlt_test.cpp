@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "common/state_io.hpp"
+
 namespace hybridnoc {
 namespace {
 
@@ -118,6 +123,54 @@ TEST(Dlt, ClearAndSize) {
   dlt.clear();
   EXPECT_EQ(dlt.size(), 0);
   EXPECT_FALSE(dlt.find(1).has_value());
+}
+
+// Hand-built DLT archives: `entries` well-formed entries under a header
+// that claims `capacity`, with the first entry's input port set to `in`.
+std::string dlt_archive(int capacity, int entries, std::uint8_t in) {
+  StateWriter w;
+  w.section("dlt");
+  w.i32(capacity);
+  for (int i = 0; i < entries; ++i) {
+    w.i32(/*dest=*/i);
+    w.i32(/*slot=*/i);
+    w.i32(/*duration=*/4);
+    w.u8(i == 0 ? in : static_cast<std::uint8_t>(Port::West));
+    w.u8(static_cast<std::uint8_t>(Port::East));
+    w.u8(/*fail_count=*/0);
+    w.u64(/*last_used=*/10);
+    w.u64(/*generation=*/0);
+    w.b(true);
+  }
+  w.u64(/*accesses=*/7);
+  return w.seal();
+}
+
+void restore_from(DestinationLookupTable& dlt, const std::string& sealed) {
+  StateReader r(sealed);
+  dlt.restore_state(r);
+}
+
+TEST(DltRestore, WellFormedArchiveRestores) {
+  DestinationLookupTable dlt(4);
+  restore_from(dlt, dlt_archive(4, 4, static_cast<std::uint8_t>(Port::North)));
+  EXPECT_EQ(dlt.size(), 4);
+  const auto e = dlt.find(0);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->in, Port::North);
+}
+
+// The body holds one entry per slot of the restoring table, so only the
+// capacity field itself disagrees.
+TEST(DltRestore, CapacityMismatchThrows) {
+  DestinationLookupTable dlt(4);
+  EXPECT_THROW(restore_from(dlt, dlt_archive(8, 4, 0)), StateError);
+}
+
+TEST(DltRestore, EntryPortOutOfRangeThrows) {
+  DestinationLookupTable dlt(4);
+  const auto bad = static_cast<std::uint8_t>(kNumPorts);
+  EXPECT_THROW(restore_from(dlt, dlt_archive(4, 4, bad)), StateError);
 }
 
 }  // namespace
