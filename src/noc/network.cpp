@@ -264,20 +264,30 @@ bool Network::drain(Cycle max_cycles) {
   return true;
 }
 
+template <typename Ar, typename Self>
+void Network::layout(Ar& ar, Self& self) {
+  constexpr const char* kMismatch = "checkpoint topology/config mismatch";
+  ar.section("network");
+  ar.field(self.now_);
+  ar.expect(self.cfg_.k, kMismatch);
+  ar.expect(self.cfg_.num_vcs, kMismatch);
+  ar.expect(self.cfg_.vc_buffer_depth, kMismatch);
+  if constexpr (Ar::kReading) {
+    self.restore_external_state(ar);
+  } else {
+    self.save_external_state(ar);
+  }
+  for (const auto& ni : self.nis_) ar.field(*ni);
+  for (const auto& r : self.routers_) ar.field(*r);
+}
+
 std::string Network::save_state() const {
   HN_CHECK_MSG(quiescent(), "checkpoint requires a drained network");
   HN_CHECK_MSG(!faults_, "checkpoint does not cover the fault model");
   HN_CHECK_MSG(engine_.num_shards() == 1,
                "checkpoint requires tick_threads == 1");
   StateWriter w;
-  w.section("network");
-  w.u64(now_);
-  w.i32(cfg_.k);
-  w.i32(cfg_.num_vcs);
-  w.i32(cfg_.vc_buffer_depth);
-  save_external_state(w);
-  for (const auto& ni : nis_) ni->save_state(w);
-  for (const auto& r : routers_) r->save_state(w);
+  layout(w, *this);
   return w.seal();
 }
 
@@ -288,17 +298,8 @@ void Network::restore_state(const std::string& sealed) {
   HN_CHECK_MSG(engine_.num_shards() == 1,
                "restore requires tick_threads == 1");
   StateReader r(sealed);  // verifies magic/version/digest, throws StateError
-  r.section("network");
-  const Cycle now = r.u64();
-  if (r.i32() != cfg_.k || r.i32() != cfg_.num_vcs ||
-      r.i32() != cfg_.vc_buffer_depth) {
-    throw StateError("checkpoint topology/config mismatch");
-  }
-  restore_external_state(r);
-  for (const auto& ni : nis_) ni->restore_state(r);
-  for (const auto& router : routers_) router->restore_state(r);
+  layout(r, *this);
   r.finish();
-  now_ = now;
   energy_memo_at_ = kCycleNever;
   // The scheduler keeps its fresh all-active state: the first tick then
   // behaves exactly like a full sweep (spurious ticks of idle components

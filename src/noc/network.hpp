@@ -171,6 +171,9 @@ class Network {
   friend class ParallelTickEngine;
   friend struct FullSweepOracle;  // test-only reference engine
 
+  template <typename Ar, typename Self>
+  static void layout(Ar& ar, Self& self);
+
   void build();
   void watchdog_tick();
   /// Component ids for the scheduler: NIs are [0, N), routers [N, 2N), so

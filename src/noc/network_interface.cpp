@@ -444,63 +444,31 @@ bool NetworkInterface::try_start_packet(Cycle now) {
   return false;
 }
 
+template <typename Ar, typename Self>
+void NetworkInterface::layout(Ar& ar, Self& self) {
+  ar.section("ni");
+  ar.expect(static_cast<std::uint32_t>(self.out_vcs_.size()),
+            "NI VC count mismatch");
+  for (auto& v : self.out_vcs_) {
+    ar.fields(v.busy, v.tail_sent, v.credits, v.next_seq);
+  }
+  ar.fields(self.inject_rr_, self.accounted_until_, self.energy_,
+            self.flits_by_class_, self.counts_.n, self.eject_active_vcs_,
+            self.local_ids_, self.ewma_inject_delay_);
+  // Destination-side dedup keys, sorted so the archive bytes (and thus the
+  // checkpoint digest) do not depend on hash-table layout.
+  ar.set(self.e2e_seen_);
+  ar.field(self.e2e_rng_);
+}
+
 void NetworkInterface::save_state(StateWriter& w) const {
   HN_CHECK_MSG(idle(), "NI checkpoint requires an idle NI");
   HN_CHECK_MSG(poisoned_.empty() && acks_pending_.empty() &&
                    staged_deliveries_.empty(),
                "NI checkpoint requires drained recovery state");
-  w.section("ni");
-  w.u32(static_cast<std::uint32_t>(out_vcs_.size()));
-  for (const auto& v : out_vcs_) {
-    HN_CHECK(!v.pkt);
-    w.b(v.busy);
-    w.b(v.tail_sent);
-    w.i32(v.credits);
-    w.i32(v.next_seq);
-  }
-  w.i32(inject_rr_);
-  w.u64(accounted_until_);
-  hybridnoc::save_state(w, energy_);
-  for (const std::uint64_t f : flits_by_class_) w.u64(f);
-  for (const std::uint64_t c : counts_.n) w.u64(c);
-  w.i32(eject_active_vcs_);
-  w.u64(local_ids_);
-  w.f64(ewma_inject_delay_);
-  // Destination-side dedup keys, sorted so the archive bytes (and thus the
-  // checkpoint digest) do not depend on hash-table layout.
-  std::vector<PacketId> seen(e2e_seen_.begin(), e2e_seen_.end());
-  std::sort(seen.begin(), seen.end());
-  w.u64(seen.size());
-  for (const PacketId k : seen) w.u64(k);
-  for (const std::uint64_t s : e2e_rng_.state()) w.u64(s);
+  layout(w, *this);
 }
 
-void NetworkInterface::restore_state(StateReader& r) {
-  r.section("ni");
-  if (r.u32() != out_vcs_.size()) throw StateError("NI VC count mismatch");
-  for (auto& v : out_vcs_) {
-    v.busy = r.b();
-    v.tail_sent = r.b();
-    v.credits = r.i32();
-    v.next_seq = r.i32();
-  }
-  inject_rr_ = r.i32();
-  accounted_until_ = r.u64();
-  hybridnoc::restore_state(r, energy_);
-  for (std::uint64_t& f : flits_by_class_) f = r.u64();
-  for (std::uint64_t& c : counts_.n) c = r.u64();
-  eject_active_vcs_ = r.i32();
-  local_ids_ = r.u64();
-  ewma_inject_delay_ = r.f64();
-  e2e_seen_.clear();
-  const std::uint64_t nseen = r.u64();
-  for (std::uint64_t i = 0; i < nseen; ++i) e2e_seen_.insert(r.u64());
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& s : rng_state) s = r.u64();
-  if (!(rng_state[0] | rng_state[1] | rng_state[2] | rng_state[3])) {
-    throw StateError("all-zero NI rng state");
-  }
-  e2e_rng_.set_state(rng_state);
-}
+void NetworkInterface::restore_state(StateReader& r) { layout(r, *this); }
 
 }  // namespace hybridnoc

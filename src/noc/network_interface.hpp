@@ -243,6 +243,8 @@ class NetworkInterface : public VcHolder {
   NiCounters counts_;
 
  private:
+  template <typename Ar, typename Self>
+  static void layout(Ar& ar, Self& self);
   void receive_credits(Cycle now);
   void eject_tick(Cycle now);
   void inject_tick(Cycle now);

@@ -572,55 +572,40 @@ void Router::settle_energy(Cycle through) {
   }
 }
 
-void Router::save_state(StateWriter& w) const {
-  HN_CHECK_MSG(idle(), "router checkpoint requires an idle router");
-  w.section("router");
-  for (const auto& ip : in_) {
-    if (!ip.data) continue;
+template <typename Ar, typename Self>
+void Router::layout(Ar& ar, Self& self) {
+  ar.section("router");
+  for (auto& ip : self.in_) {
     // Idle VCs carry no observable state beyond the arbiter pointer: a head
     // arrival rewrites route/eligibility fields from scratch.
-    w.i32(ip.sa_rr);
+    if (ip.data) ar.field(ip.sa_rr);
   }
-  for (size_t p = 0; p < kNumPorts; ++p) {
-    const auto& op = out_[p];
+  for (auto& op : self.out_) {
     if (!op.data) continue;
-    for (const int c : op.credits) w.i32(c);
+    for (auto& c : op.credits) ar.field(c);
     for (unsigned v = 0; v < op.credits.size(); ++v) {
-      w.b((op.vc_busy >> v) & 1u);
-      w.b((op.tail_sent >> v) & 1u);
+      ar.bit(op.vc_busy, v);
+      ar.bit(op.tail_sent, v);
     }
-    w.i32(op.sa_rr);
-    w.i32(op.va_rr);
+    ar.fields(op.sa_rr, op.va_rr);
   }
-  for (const std::uint64_t c : counts_.n) w.u64(c);
-  w.i32(announced_active_vcs_);
-  w.i32(draining_vc_);
-  w.u64(busy_vc_integral_);
-  w.u64(residency_sum_);
-  w.u64(residency_count_);
-  w.u64(epoch_start_);
-  hybridnoc::save_state(w, energy_);
-  w.u64(accounted_until_);
+  ar.field(self.counts_.n);
+  ar.ranged(self.announced_active_vcs_, 1, self.cfg_.num_vcs,
+            "router active-VC count out of range");
+  ar.fields(self.draining_vc_, self.busy_vc_integral_, self.residency_sum_,
+            self.residency_count_, self.epoch_start_, self.energy_,
+            self.accounted_until_);
+}
+
+void Router::save_state(StateWriter& w) const {
+  HN_CHECK_MSG(idle(), "router checkpoint requires an idle router");
+  layout(w, *this);
 }
 
 void Router::restore_state(StateReader& r) {
-  r.section("router");
-  for (auto& ip : in_) {
-    if (!ip.data) continue;
-    ip.sa_rr = r.i32();
-  }
-  for (size_t p = 0; p < kNumPorts; ++p) {
-    auto& op = out_[p];
+  layout(r, *this);
+  for (auto& op : out_) {
     if (!op.data) continue;
-    for (int& c : op.credits) c = r.i32();
-    op.vc_busy = 0;
-    op.tail_sent = 0;
-    for (unsigned v = 0; v < op.credits.size(); ++v) {
-      if (r.b()) op.vc_busy |= 1u << v;
-      if (r.b()) op.tail_sent |= 1u << v;
-    }
-    op.sa_rr = r.i32();
-    op.va_rr = r.i32();
     // The congestion-metric cache keys off downstream gating state that may
     // have changed: recompute on first use.
     op.cached_active = -1;
@@ -632,18 +617,6 @@ void Router::restore_state(StateReader& r) {
       }
     }
   }
-  for (std::uint64_t& c : counts_.n) c = r.u64();
-  announced_active_vcs_ = r.i32();
-  if (announced_active_vcs_ < 1 || announced_active_vcs_ > cfg_.num_vcs) {
-    throw StateError("router active-VC count out of range");
-  }
-  draining_vc_ = r.i32();
-  busy_vc_integral_ = r.u64();
-  residency_sum_ = r.u64();
-  residency_count_ = r.u64();
-  epoch_start_ = r.u64();
-  hybridnoc::restore_state(r, energy_);
-  accounted_until_ = r.u64();
 }
 
 }  // namespace hybridnoc

@@ -280,6 +280,8 @@ class Router : public VcHolder {
   std::uint32_t pending_ = 0;
 
  private:
+  template <typename Ar, typename Self>
+  static void layout(Ar& ar, Self& self);
   void receive_credits(Cycle now);
   void receive_flits(Cycle now);
   void vc_allocate(Cycle now);

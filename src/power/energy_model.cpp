@@ -19,87 +19,42 @@ const char* energy_component_name(EnergyComponent c) {
 }
 
 EnergyCounters& EnergyCounters::operator+=(const EnergyCounters& o) {
-  buffer_writes += o.buffer_writes;
-  buffer_reads += o.buffer_reads;
-  xbar_flits += o.xbar_flits;
-  vc_arbs += o.vc_arbs;
-  sw_arbs += o.sw_arbs;
-  link_flits += o.link_flits;
-  slot_table_reads += o.slot_table_reads;
-  slot_table_writes += o.slot_table_writes;
-  dlt_accesses += o.dlt_accesses;
-  cs_latch_flits += o.cs_latch_flits;
-  cycles += o.cycles;
-  vc_active_cycles += o.vc_active_cycles;
-  slot_entry_active_cycles += o.slot_entry_active_cycles;
-  dlt_active_cycles += o.dlt_active_cycles;
-  cs_misc_active_cycles += o.cs_misc_active_cycles;
-  link_active_cycles += o.link_active_cycles;
+  for (const EnergyField& f : kEnergyFields) this->*f.member += o.*f.member;
   return *this;
-}
-
-void save_state(StateWriter& w, const EnergyCounters& c) {
-  w.section("energy");
-  w.u64(c.buffer_writes);
-  w.u64(c.buffer_reads);
-  w.u64(c.xbar_flits);
-  w.u64(c.vc_arbs);
-  w.u64(c.sw_arbs);
-  w.u64(c.link_flits);
-  w.u64(c.slot_table_reads);
-  w.u64(c.slot_table_writes);
-  w.u64(c.dlt_accesses);
-  w.u64(c.cs_latch_flits);
-  w.u64(c.cycles);
-  w.u64(c.vc_active_cycles);
-  w.u64(c.slot_entry_active_cycles);
-  w.u64(c.dlt_active_cycles);
-  w.u64(c.cs_misc_active_cycles);
-  w.u64(c.link_active_cycles);
-}
-
-void restore_state(StateReader& r, EnergyCounters& c) {
-  r.section("energy");
-  c.buffer_writes = r.u64();
-  c.buffer_reads = r.u64();
-  c.xbar_flits = r.u64();
-  c.vc_arbs = r.u64();
-  c.sw_arbs = r.u64();
-  c.link_flits = r.u64();
-  c.slot_table_reads = r.u64();
-  c.slot_table_writes = r.u64();
-  c.dlt_accesses = r.u64();
-  c.cs_latch_flits = r.u64();
-  c.cycles = r.u64();
-  c.vc_active_cycles = r.u64();
-  c.slot_entry_active_cycles = r.u64();
-  c.dlt_active_cycles = r.u64();
-  c.cs_misc_active_cycles = r.u64();
-  c.link_active_cycles = r.u64();
 }
 
 EnergyCounters& EnergyCounters::operator-=(const EnergyCounters& o) {
-  auto sub = [](std::uint64_t& a, std::uint64_t b) {
-    HN_CHECK_MSG(a >= b, "counter window underflow");
-    a -= b;
-  };
-  sub(buffer_writes, o.buffer_writes);
-  sub(buffer_reads, o.buffer_reads);
-  sub(xbar_flits, o.xbar_flits);
-  sub(vc_arbs, o.vc_arbs);
-  sub(sw_arbs, o.sw_arbs);
-  sub(link_flits, o.link_flits);
-  sub(slot_table_reads, o.slot_table_reads);
-  sub(slot_table_writes, o.slot_table_writes);
-  sub(dlt_accesses, o.dlt_accesses);
-  sub(cs_latch_flits, o.cs_latch_flits);
-  sub(cycles, o.cycles);
-  sub(vc_active_cycles, o.vc_active_cycles);
-  sub(slot_entry_active_cycles, o.slot_entry_active_cycles);
-  sub(dlt_active_cycles, o.dlt_active_cycles);
-  sub(cs_misc_active_cycles, o.cs_misc_active_cycles);
-  sub(link_active_cycles, o.link_active_cycles);
+  for (const EnergyField& f : kEnergyFields) {
+    HN_CHECK_MSG(this->*f.member >= o.*f.member, "counter window underflow");
+    this->*f.member -= o.*f.member;
+  }
   return *this;
+}
+
+namespace {
+
+template <typename Ar, typename Counters>
+void energy_layout(Ar& ar, Counters& c) {
+  ar.section("energy");
+  for (const EnergyField& f : kEnergyFields) ar.field(c.*f.member);
+}
+
+}  // namespace
+
+void EnergyCounters::save_state(StateWriter& w) const {
+  energy_layout(w, *this);
+}
+
+void EnergyCounters::restore_state(StateReader& r) { energy_layout(r, *this); }
+
+std::string first_difference(const EnergyCounters& a, const EnergyCounters& b) {
+  for (const EnergyField& f : kEnergyFields) {
+    if (a.*f.member != b.*f.member) {
+      return std::string(f.name) + ": " + std::to_string(a.*f.member) +
+             " vs " + std::to_string(b.*f.member);
+    }
+  }
+  return {};
 }
 
 double EnergyBreakdown::total_dynamic() const {

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>  // std::size
 #include <string>
 
 namespace hybridnoc {
@@ -64,6 +65,9 @@ struct EnergyParams {
   static EnergyParams nangate45() { return {}; }
 };
 
+class StateWriter;
+class StateReader;
+
 /// Raw event counts and activity integrals for one router (or one network —
 /// counters merge additively).
 struct EnergyCounters {
@@ -96,14 +100,45 @@ struct EnergyCounters {
     a -= b;
     return a;
   }
+  bool operator==(const EnergyCounters&) const = default;
+
+  /// Checkpoint record: every field, in kEnergyFields order.
+  void save_state(StateWriter& w) const;
+  void restore_state(StateReader& r);
 };
 
-class StateWriter;
-class StateReader;
+/// One row per EnergyCounters field, in declaration order: the one list
+/// that sums, window differences, checkpoints and diagnostics walk.
+struct EnergyField {
+  const char* name;
+  std::uint64_t EnergyCounters::*member;
+};
 
-/// Checkpoint helpers: every EnergyCounters field, in declaration order.
-void save_state(StateWriter& w, const EnergyCounters& c);
-void restore_state(StateReader& r, EnergyCounters& c);
+inline constexpr EnergyField kEnergyFields[] = {
+    {"buffer_writes", &EnergyCounters::buffer_writes},
+    {"buffer_reads", &EnergyCounters::buffer_reads},
+    {"xbar_flits", &EnergyCounters::xbar_flits},
+    {"vc_arbs", &EnergyCounters::vc_arbs},
+    {"sw_arbs", &EnergyCounters::sw_arbs},
+    {"link_flits", &EnergyCounters::link_flits},
+    {"slot_table_reads", &EnergyCounters::slot_table_reads},
+    {"slot_table_writes", &EnergyCounters::slot_table_writes},
+    {"dlt_accesses", &EnergyCounters::dlt_accesses},
+    {"cs_latch_flits", &EnergyCounters::cs_latch_flits},
+    {"cycles", &EnergyCounters::cycles},
+    {"vc_active_cycles", &EnergyCounters::vc_active_cycles},
+    {"slot_entry_active_cycles", &EnergyCounters::slot_entry_active_cycles},
+    {"dlt_active_cycles", &EnergyCounters::dlt_active_cycles},
+    {"cs_misc_active_cycles", &EnergyCounters::cs_misc_active_cycles},
+    {"link_active_cycles", &EnergyCounters::link_active_cycles},
+};
+static_assert(std::size(kEnergyFields) * sizeof(std::uint64_t) ==
+                  sizeof(EnergyCounters),
+              "one kEnergyFields row per EnergyCounters field");
+
+/// "name: a vs b" for the first field where two counter sets differ, or ""
+/// when they are equal — the diagnostic the equivalence suites print.
+std::string first_difference(const EnergyCounters& a, const EnergyCounters& b);
 
 /// Per-component dynamic and static energy in pJ.
 struct EnergyBreakdown {

@@ -12,72 +12,38 @@ namespace {
 // form would let two behaviorally different points collide on one cache
 // entry.
 void put_config(StateWriter& w, const NocConfig& cfg) {
-  w.i32(cfg.k);
-  w.i32(cfg.num_vcs);
-  w.i32(cfg.vc_buffer_depth);
-  w.i32(cfg.channel_bytes);
-  w.u8(static_cast<std::uint8_t>(cfg.arch));
-  w.i32(cfg.ps_data_flits);
-  w.i32(cfg.cs_data_flits);
-  w.i32(cfg.config_flits);
-  w.i32(cfg.ctrl_packet_flits);
-  w.i32(cfg.slot_table_size);
-  w.b(cfg.time_slot_stealing);
-  w.f64(cfg.reservation_threshold);
-  w.b(cfg.dynamic_slot_sizing);
-  w.i32(cfg.initial_active_slots);
-  w.i32(cfg.resize_failure_threshold);
-  w.i32(cfg.path_freq_threshold);
-  w.i32(cfg.policy_epoch_cycles);
-  w.i32(cfg.max_setup_retries);
-  w.i32(cfg.max_windows_per_pair);
-  w.u64(cfg.path_idle_timeout);
-  w.u64(cfg.pending_setup_timeout_cycles);
-  w.u64(cfg.reservation_lease_cycles);
-  w.f64(cfg.cs_latency_advantage);
-  w.f64(cfg.congestion_gain);
-  w.b(cfg.hitchhiker_sharing);
-  w.b(cfg.vicinity_sharing);
-  w.i32(cfg.dlt_entries);
-  w.b(cfg.vc_power_gating);
-  w.u8(static_cast<std::uint8_t>(cfg.vc_gate_metric));
-  w.f64(cfg.vc_threshold_high);
-  w.f64(cfg.vc_threshold_low);
-  w.f64(cfg.vc_latency_high);
-  w.f64(cfg.vc_latency_low);
-  w.i32(cfg.vc_gate_epoch_cycles);
-  w.i32(cfg.min_active_vcs);
-  w.i32(cfg.sdm_planes);
-  w.f64(cfg.link_ber);
-  w.u64(cfg.fault_seed);
-  w.b(cfg.e2e_recovery);
-  w.u64(cfg.retx_timeout_cycles);
-  w.u64(cfg.retx_backoff_cap_cycles);
-  w.i32(cfg.max_retx_attempts);
-  w.i32(cfg.cs_fail_threshold);
-  w.u64(cfg.watchdog_stall_cycles);
-  w.u64(cfg.setup_backoff_base_cycles);
-  w.u64(cfg.setup_backoff_cap_cycles);
+  w.fields(cfg.k, cfg.num_vcs, cfg.vc_buffer_depth, cfg.channel_bytes,
+           cfg.arch, cfg.ps_data_flits, cfg.cs_data_flits, cfg.config_flits,
+           cfg.ctrl_packet_flits, cfg.slot_table_size, cfg.time_slot_stealing,
+           cfg.reservation_threshold, cfg.dynamic_slot_sizing,
+           cfg.initial_active_slots, cfg.resize_failure_threshold,
+           cfg.path_freq_threshold, cfg.policy_epoch_cycles,
+           cfg.max_setup_retries, cfg.max_windows_per_pair,
+           cfg.path_idle_timeout, cfg.pending_setup_timeout_cycles,
+           cfg.reservation_lease_cycles, cfg.cs_latency_advantage,
+           cfg.congestion_gain, cfg.hitchhiker_sharing, cfg.vicinity_sharing,
+           cfg.dlt_entries, cfg.vc_power_gating, cfg.vc_gate_metric,
+           cfg.vc_threshold_high, cfg.vc_threshold_low, cfg.vc_latency_high,
+           cfg.vc_latency_low, cfg.vc_gate_epoch_cycles, cfg.min_active_vcs,
+           cfg.sdm_planes, cfg.link_ber, cfg.fault_seed, cfg.e2e_recovery,
+           cfg.retx_timeout_cycles, cfg.retx_backoff_cap_cycles,
+           cfg.max_retx_attempts, cfg.cs_fail_threshold,
+           cfg.watchdog_stall_cycles, cfg.setup_backoff_base_cycles,
+           cfg.setup_backoff_cap_cycles);
   // tick_threads is proven bit-identical to the serial engine (thread
   // equivalence suite), so it is deliberately NOT part of a point's
   // identity: a cache filled at one thread count is valid at another.
-  w.u64(cfg.seed);
+  w.field(cfg.seed);
 }
 
 void put_warmup_params(StateWriter& w, const RunParams& p) {
-  w.u8(static_cast<std::uint8_t>(p.pattern));
-  w.f64(p.injection_rate);
-  w.u64(p.warmup_packets);
-  w.u64(p.warmup_min_cycles);
-  w.u64(p.seed);
+  w.fields(static_cast<std::uint8_t>(p.pattern), p.injection_rate,
+           p.warmup_packets, p.warmup_min_cycles, p.seed);
 }
 
 void put_params(StateWriter& w, const RunParams& p) {
   put_warmup_params(w, p);
-  w.u64(p.measure_packets);
-  w.u64(p.max_cycles);
-  w.f64(p.latency_cap);
-  w.u8(static_cast<std::uint8_t>(p.fidelity));
+  w.fields(p.measure_packets, p.max_cycles, p.latency_cap, p.fidelity);
 }
 
 }  // namespace

@@ -29,9 +29,7 @@ using Clock = std::chrono::steady_clock;
 
 std::uint64_t mix(std::uint64_t seed, std::uint64_t hash, int attempt) {
   StateWriter w;
-  w.u64(seed);
-  w.u64(hash);
-  w.i32(attempt);
+  w.fields(seed, hash, attempt);
   return fnv1a64(w.seal());
 }
 

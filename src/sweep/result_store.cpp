@@ -5,25 +5,28 @@
 #include "common/assert.hpp"
 #include "common/fileio.hpp"
 #include "common/state_io.hpp"
-#include "power/energy_model.hpp"
 
 namespace hybridnoc::sweep {
 
+namespace {
+
+/// An entry's layout. A version or config-hash mismatch throws StateError
+/// like any corruption, which decode_result reports as a miss.
+template <typename Ar, typename Result>
+void result_layout(Ar& ar, std::uint64_t config_hash, Result& r) {
+  ar.section("sweep_result");
+  ar.expect(kResultStoreVersion, "result store version mismatch");
+  ar.expect(config_hash, "result store entry for another config");
+  ar.fields(r.offered_rate, r.accepted_rate, r.avg_latency, r.p99_latency,
+            r.saturated, r.measured_packets, r.cycles, r.energy,
+            r.cs_flit_fraction, r.config_flit_fraction);
+}
+
+}  // namespace
+
 std::string encode_result(std::uint64_t config_hash, const RunResult& r) {
   StateWriter w;
-  w.section("sweep_result");
-  w.u32(kResultStoreVersion);
-  w.u64(config_hash);
-  w.f64(r.offered_rate);
-  w.f64(r.accepted_rate);
-  w.f64(r.avg_latency);
-  w.f64(r.p99_latency);
-  w.b(r.saturated);
-  w.u64(r.measured_packets);
-  w.u64(r.cycles);
-  save_state(w, r.energy);
-  w.f64(r.cs_flit_fraction);
-  w.f64(r.config_flit_fraction);
+  result_layout(w, config_hash, r);
   return w.seal();
 }
 
@@ -31,20 +34,8 @@ std::optional<RunResult> decode_result(const std::string& bytes,
                                        std::uint64_t config_hash) {
   try {
     StateReader rd(bytes);
-    rd.section("sweep_result");
-    if (rd.u32() != kResultStoreVersion) return std::nullopt;
-    if (rd.u64() != config_hash) return std::nullopt;
     RunResult r;
-    r.offered_rate = rd.f64();
-    r.accepted_rate = rd.f64();
-    r.avg_latency = rd.f64();
-    r.p99_latency = rd.f64();
-    r.saturated = rd.b();
-    r.measured_packets = rd.u64();
-    r.cycles = rd.u64();
-    restore_state(rd, r.energy);
-    r.cs_flit_fraction = rd.f64();
-    r.config_flit_fraction = rd.f64();
+    result_layout(rd, config_hash, r);
     rd.finish();
     return r;
   } catch (const StateError&) {

@@ -61,32 +61,22 @@ Cycle TdmController::next_event(Cycle now) const {
   return epoch_start_ + period * ((now - epoch_start_) / period + 1);
 }
 
+template <typename Ar, typename Self>
+void TdmController::layout(Ar& ar, Self& self) {
+  ar.section("tdm_controller");
+  ar.ranged(self.active_slots_, 1, self.cfg_.slot_table_size,
+            "controller active-slot count out of range");
+  ar.fields(self.generation_, self.failures_, self.successes_,
+            self.reset_pending_, self.epoch_start_, self.resizes_);
+}
+
 void TdmController::save_state(StateWriter& w) const {
   HN_CHECK_MSG(cs_in_flight() == 0 && config_in_flight() == 0 &&
                    nis_with_cs_plan() == 0,
                "controller checkpoint requires a drained circuit fabric");
-  w.section("tdm_controller");
-  w.i32(active_slots_);
-  w.u64(generation_);
-  w.u64(failures_.load(std::memory_order_relaxed));
-  w.u64(successes_.load(std::memory_order_relaxed));
-  w.b(reset_pending_);
-  w.u64(epoch_start_);
-  w.i32(resizes_);
+  layout(w, *this);
 }
 
-void TdmController::restore_state(StateReader& r) {
-  r.section("tdm_controller");
-  active_slots_ = r.i32();
-  if (active_slots_ < 1 || active_slots_ > cfg_.slot_table_size) {
-    throw StateError("controller active-slot count out of range");
-  }
-  generation_ = r.u64();
-  failures_.store(r.u64(), std::memory_order_relaxed);
-  successes_.store(r.u64(), std::memory_order_relaxed);
-  reset_pending_ = r.b();
-  epoch_start_ = r.u64();
-  resizes_ = r.i32();
-}
+void TdmController::restore_state(StateReader& r) { layout(r, *this); }
 
 }  // namespace hybridnoc

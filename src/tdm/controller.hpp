@@ -128,6 +128,9 @@ class TdmController {
   void restore_state(StateReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void layout(Ar& ar, Self& self);
+
   const NocConfig cfg_;
   int active_slots_;
   std::uint64_t generation_ = 0;

@@ -98,42 +98,23 @@ int DestinationLookupTable::size() const {
   return n;
 }
 
-void DestinationLookupTable::save_state(StateWriter& w) const {
-  w.section("dlt");
-  w.i32(capacity_);
-  for (const auto& e : entries_) {
-    w.i32(e.dest);
-    w.i32(e.slot);
-    w.i32(e.duration);
-    w.u8(static_cast<std::uint8_t>(e.in));
-    w.u8(static_cast<std::uint8_t>(e.out));
-    w.u8(e.fail_count);
-    w.u64(e.last_used);
-    w.u64(e.generation);
-    w.b(e.active);
+template <typename Ar, typename Self>
+void DestinationLookupTable::layout(Ar& ar, Self& self) {
+  ar.section("dlt");
+  ar.expect(self.capacity_, "DLT capacity mismatch");
+  for (auto& e : self.entries_) {
+    ar.fields(e.dest, e.slot, e.duration);
+    ar.ranged(e.in, Port::Local, Port::West, "DLT entry port out of range");
+    ar.ranged(e.out, Port::Local, Port::West, "DLT entry port out of range");
+    ar.fields(e.fail_count, e.last_used, e.generation, e.active);
   }
-  w.u64(accesses_);
+  ar.field(self.accesses_);
 }
 
-void DestinationLookupTable::restore_state(StateReader& r) {
-  r.section("dlt");
-  if (r.i32() != capacity_) throw StateError("DLT capacity mismatch");
-  for (auto& e : entries_) {
-    e.dest = r.i32();
-    e.slot = r.i32();
-    e.duration = r.i32();
-    e.in = static_cast<Port>(r.u8());
-    e.out = static_cast<Port>(r.u8());
-    if (static_cast<int>(e.in) >= kNumPorts ||
-        static_cast<int>(e.out) >= kNumPorts) {
-      throw StateError("DLT entry port out of range");
-    }
-    e.fail_count = r.u8();
-    e.last_used = r.u64();
-    e.generation = r.u64();
-    e.active = r.b();
-  }
-  accesses_ = r.u64();
+void DestinationLookupTable::save_state(StateWriter& w) const {
+  layout(w, *this);
 }
+
+void DestinationLookupTable::restore_state(StateReader& r) { layout(r, *this); }
 
 }  // namespace hybridnoc

@@ -89,6 +89,8 @@ class DestinationLookupTable {
   void restore_state(StateReader& r);
 
  private:
+  template <typename Ar, typename Self>
+  static void layout(Ar& ar, Self& self);
   int index_of(NodeId dest) const;
 
   int capacity_;

@@ -797,116 +797,45 @@ Cycle HybridNi::sched_next_event(Cycle now) const {
   return next;
 }
 
+template <typename Ar, typename Self>
+void HybridNi::layout(Ar& ar, Self& self) {
+  ar.section("hybrid_ni");
+  ar.map(self.connections_, [&](NodeId dst, auto& conn) {
+    ar.check(self.mesh_.valid(dst), "connection destination invalid");
+    std::uint64_t windows = conn.slots.size();
+    ar.ranged(windows, 0, self.cfg_.max_windows_per_pair,
+              "connection window count out of range");
+    if constexpr (Ar::kReading) {
+      conn.slots.resize(static_cast<size_t>(windows));
+      conn.setup_ids.resize(static_cast<size_t>(windows));
+    }
+    for (auto& s : conn.slots) ar.field(s);
+    for (auto& id : conn.setup_ids) ar.field(id);
+    ar.fields(conn.duration, conn.last_used, conn.vicinity_fail,
+              conn.fail_streak, conn.doomed);
+  });
+  ar.map(self.pending_, [&](std::uint64_t, auto& p) {
+    ar.fields(p.dst, p.slot, p.retries, p.sent_at);
+  });
+  ar.set(self.pending_dsts_);
+  // freq_/cooldown_until_ are lookup-only (never iterated); the sorted walk
+  // keeps their archive bytes layout-independent.
+  ar.map(self.freq_, [&](NodeId, auto& n) { ar.field(n); });
+  ar.map(self.cooldown_until_, [&](NodeId, auto& until) { ar.field(until); });
+  ar.fields(self.dlt_, self.rng_, self.frozen_, self.epoch_start_);
+}
+
 void HybridNi::save_state(StateWriter& w) const {
   NetworkInterface::save_state(w);
   HN_CHECK_MSG(cs_plan_.empty() && delayed_config_.empty() &&
                    fault_teardowns_.empty() && deferred_setups_.empty(),
                "hybrid-NI checkpoint requires drained circuit plans");
-  w.section("hybrid_ni");
-  w.u64(connections_.size());
-  for (const auto& [dst, conn] : connections_) {
-    w.i32(dst);
-    w.u64(conn.slots.size());
-    for (const int s : conn.slots) w.i32(s);
-    for (const PacketId id : conn.setup_ids) w.u64(id);
-    w.i32(conn.duration);
-    w.u64(conn.last_used);
-    w.u8(conn.vicinity_fail);
-    w.i32(conn.fail_streak);
-    w.b(conn.doomed);
-  }
-  w.u64(pending_.size());
-  for (const auto& [key, p] : pending_) {
-    w.u64(key);
-    w.i32(p.dst);
-    w.i32(p.slot);
-    w.i32(p.retries);
-    w.u64(p.sent_at);
-  }
-  w.u64(pending_dsts_.size());
-  for (const NodeId d : pending_dsts_) w.i32(d);
-  // freq_/cooldown_until_ are lookup-only (never iterated), but their
-  // archive bytes must still be layout-independent: sort before writing.
-  std::vector<std::pair<NodeId, int>> freq(freq_.begin(), freq_.end());
-  std::sort(freq.begin(), freq.end());
-  w.u64(freq.size());
-  for (const auto& [d, n] : freq) {
-    w.i32(d);
-    w.i32(n);
-  }
-  std::vector<std::pair<NodeId, Cycle>> cooldown(cooldown_until_.begin(),
-                                                 cooldown_until_.end());
-  std::sort(cooldown.begin(), cooldown.end());
-  w.u64(cooldown.size());
-  for (const auto& [d, c] : cooldown) {
-    w.i32(d);
-    w.u64(c);
-  }
-  dlt_.save_state(w);
-  for (const std::uint64_t s : rng_.state()) w.u64(s);
-  w.b(frozen_);
-  w.u64(epoch_start_);
+  layout(w, *this);
 }
 
 void HybridNi::restore_state(StateReader& r) {
   NetworkInterface::restore_state(r);
-  r.section("hybrid_ni");
-  connections_.clear();
-  const std::uint64_t nconn = r.u64();
-  for (std::uint64_t i = 0; i < nconn; ++i) {
-    const NodeId dst = r.i32();
-    if (!mesh_.valid(dst)) throw StateError("connection destination invalid");
-    Connection conn;
-    const std::uint64_t nslots = r.u64();
-    if (nslots > static_cast<std::uint64_t>(cfg_.max_windows_per_pair)) {
-      throw StateError("connection window count out of range");
-    }
-    conn.slots.resize(static_cast<size_t>(nslots));
-    conn.setup_ids.resize(static_cast<size_t>(nslots));
-    for (int& s : conn.slots) s = r.i32();
-    for (PacketId& id : conn.setup_ids) id = r.u64();
-    conn.duration = r.i32();
-    conn.last_used = r.u64();
-    conn.vicinity_fail = r.u8();
-    conn.fail_streak = r.i32();
-    conn.doomed = r.b();
-    connections_.emplace(dst, std::move(conn));
-  }
-  pending_.clear();
-  const std::uint64_t npend = r.u64();
-  for (std::uint64_t i = 0; i < npend; ++i) {
-    const std::uint64_t key = r.u64();
-    PendingSetup p;
-    p.dst = r.i32();
-    p.slot = r.i32();
-    p.retries = r.i32();
-    p.sent_at = r.u64();
-    pending_.emplace(key, p);
-  }
-  pending_dsts_.clear();
-  const std::uint64_t ndsts = r.u64();
-  for (std::uint64_t i = 0; i < ndsts; ++i) pending_dsts_.insert(r.i32());
-  freq_.clear();
-  const std::uint64_t nfreq = r.u64();
-  for (std::uint64_t i = 0; i < nfreq; ++i) {
-    const NodeId d = r.i32();
-    freq_[d] = r.i32();
-  }
-  cooldown_until_.clear();
-  const std::uint64_t ncool = r.u64();
-  for (std::uint64_t i = 0; i < ncool; ++i) {
-    const NodeId d = r.i32();
-    cooldown_until_[d] = r.u64();
-  }
-  dlt_.restore_state(r);
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& s : rng_state) s = r.u64();
-  if (!(rng_state[0] | rng_state[1] | rng_state[2] | rng_state[3])) {
-    throw StateError("all-zero hybrid-NI rng state");
-  }
-  rng_.set_state(rng_state);
-  frozen_ = r.b();
-  epoch_start_ = r.u64();
+  layout(r, *this);
 }
 
 }  // namespace hybridnoc

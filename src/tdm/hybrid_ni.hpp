@@ -117,6 +117,8 @@ class HybridNi : public NetworkInterface, public CircuitNiHooks {
   void finalize_energy(EnergyCounters& e) const override;
 
  private:
+  template <typename Ar, typename Self>
+  static void layout(Ar& ar, Self& self);
   struct Connection {
     /// Crossbar slots (at this source router) of every reservation window
     /// this pair holds. Multiple windows = finer time-division granularity

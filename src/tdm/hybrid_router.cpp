@@ -309,18 +309,22 @@ Cycle HybridRouter::sched_next_event(Cycle now) const {
   return next;
 }
 
+template <typename Ar, typename Self>
+void HybridRouter::layout(Ar& ar, Self& self) {
+  ar.section("hybrid_router");
+  ar.field(self.slots_);
+}
+
 void HybridRouter::save_state(StateWriter& w) const {
   Router::save_state(w);
   HN_CHECK_MSG(cs_now_.empty() && hh_overrides_.empty(),
                "hybrid-router checkpoint requires no in-flight CS traversal");
-  w.section("hybrid_router");
-  slots_.save_state(w);
+  layout(w, *this);
 }
 
 void HybridRouter::restore_state(StateReader& r) {
   Router::restore_state(r);
-  r.section("hybrid_router");
-  slots_.restore_state(r);
+  layout(r, *this);
 }
 
 }  // namespace hybridnoc

@@ -90,6 +90,8 @@ class HybridRouter : public Router {
   void accumulate_idle_energy(EnergyCounters& e, std::uint64_t ncycles) const override;
 
  private:
+  template <typename Ar, typename Self>
+  static void layout(Ar& ar, Self& self);
   std::optional<Port> process_setup(Packet* pkt, Port in, Cycle now);
   std::optional<Port> process_teardown(Packet* pkt, Port in, Cycle now);
 

@@ -3,7 +3,6 @@
 // hotspot patterns commonly used alongside them (Dally & Towles).
 #pragma once
 
-#include <array>
 #include <optional>
 #include <string>
 
@@ -53,12 +52,11 @@ class SyntheticTraffic {
   double packet_probability() const { return packet_prob_; }
   TrafficPattern pattern() const { return pattern_; }
 
-  /// RNG stream position — the generator's only mutable state, exposed so a
-  /// warmup checkpoint can resume the exact injection sequence.
-  std::array<std::uint64_t, 4> rng_state() const { return rng_.state(); }
-  void set_rng_state(const std::array<std::uint64_t, 4>& s) {
-    rng_.set_state(s);
-  }
+  /// Checkpoint record: the RNG stream position, the generator's only
+  /// mutable state, so a warmup checkpoint resumes the exact injection
+  /// sequence.
+  void save_state(StateWriter& w) const;
+  void restore_state(StateReader& r);
 
  private:
   const Mesh& mesh_;

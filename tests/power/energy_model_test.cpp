@@ -121,5 +121,24 @@ TEST(EnergyModel, SlotTableLeakageIsSmallShareOfRouter) {
   EXPECT_LT(share, 0.12);
 }
 
+// Every field is in kEnergyFields, so sums, window differences and the
+// equivalence suites' diagnostic all cover it.
+TEST(EnergyModel, FieldTableCoversEveryCounter) {
+  EnergyCounters a;
+  std::uint64_t v = 1;
+  for (const EnergyField& f : kEnergyFields) a.*f.member = v++;
+  EnergyCounters sum = a;
+  sum += a;
+  for (const EnergyField& f : kEnergyFields) {
+    EXPECT_EQ(sum.*f.member, 2 * (a.*f.member)) << f.name;
+  }
+  EXPECT_EQ(sum - a, a);
+  EXPECT_EQ(first_difference(a, a), "");
+  EnergyCounters b = a;
+  b.link_active_cycles += 1;
+  EXPECT_NE(a, b);
+  EXPECT_EQ(first_difference(a, b), "link_active_cycles: 16 vs 17");
+}
+
 }  // namespace
 }  // namespace hybridnoc

@@ -33,22 +33,7 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.p99_latency, b.p99_latency);
   EXPECT_EQ(a.cs_flit_fraction, b.cs_flit_fraction);
   EXPECT_EQ(a.config_flit_fraction, b.config_flit_fraction);
-  EXPECT_EQ(a.energy.buffer_writes, b.energy.buffer_writes);
-  EXPECT_EQ(a.energy.buffer_reads, b.energy.buffer_reads);
-  EXPECT_EQ(a.energy.xbar_flits, b.energy.xbar_flits);
-  EXPECT_EQ(a.energy.vc_arbs, b.energy.vc_arbs);
-  EXPECT_EQ(a.energy.sw_arbs, b.energy.sw_arbs);
-  EXPECT_EQ(a.energy.link_flits, b.energy.link_flits);
-  EXPECT_EQ(a.energy.slot_table_reads, b.energy.slot_table_reads);
-  EXPECT_EQ(a.energy.slot_table_writes, b.energy.slot_table_writes);
-  EXPECT_EQ(a.energy.dlt_accesses, b.energy.dlt_accesses);
-  EXPECT_EQ(a.energy.cs_latch_flits, b.energy.cs_latch_flits);
-  EXPECT_EQ(a.energy.cycles, b.energy.cycles);
-  EXPECT_EQ(a.energy.vc_active_cycles, b.energy.vc_active_cycles);
-  EXPECT_EQ(a.energy.slot_entry_active_cycles, b.energy.slot_entry_active_cycles);
-  EXPECT_EQ(a.energy.dlt_active_cycles, b.energy.dlt_active_cycles);
-  EXPECT_EQ(a.energy.cs_misc_active_cycles, b.energy.cs_misc_active_cycles);
-  EXPECT_EQ(a.energy.link_active_cycles, b.energy.link_active_cycles);
+  EXPECT_EQ(a.energy, b.energy) << first_difference(a.energy, b.energy);
 }
 
 class PoolTwinRun : public ::testing::TestWithParam<const char*> {};

@@ -20,6 +20,7 @@
 #include <thread>
 
 #include "noc/network.hpp"
+#include "run_fingerprint.hpp"
 #include "tdm/fault_trace.hpp"
 #include "tdm/hybrid_network.hpp"
 #include "traffic/synthetic.hpp"
@@ -29,105 +30,12 @@
 namespace hybridnoc {
 namespace {
 
-std::string fixture_path(const std::string& name) {
-  return std::string(HN_FIXTURE_DIR) + "/" + name;
-}
-
 /// Highest thread count to prove equivalence at: every core we can get,
 /// floored at 3 so the shard count always exceeds 2 even on small CI boxes
 /// (an odd count also exercises uneven node ranges on the 4x4 mesh).
 int max_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return static_cast<int>(std::clamp(hw, 3u, 8u));
-}
-
-/// Everything one run exposes for exact comparison (the scheduler
-/// equivalence fingerprint, reused verbatim).
-struct RunFingerprint {
-  Cycle end_cycle = 0;
-  EnergyCounters energy;
-  std::uint64_t delivered = 0;
-  /// Every NI's and router's event counters, summed.
-  NiCounters ni;
-  RouterCounters router;
-  /// Hybrid-only extras (zero for plain packet-switched runs).
-  std::uint64_t slot_digest = 0;
-  std::uint64_t faults_dropped = 0;
-  std::uint64_t faults_delayed = 0;
-  std::uint64_t faults_duplicated = 0;
-  int resizes = 0;
-  std::uint64_t generation = 0;
-  /// Data-plane fault-tolerance outcome (all zero with no fault model).
-  std::uint64_t corrupted_traversals = 0;
-  int failed_links = 0;
-  /// Packet id -> delivery cycle. Injection schedules are identical across
-  /// the twin runs, so equal delivery cycles mean equal latencies.
-  std::map<PacketId, Cycle> deliveries;
-};
-
-void expect_same_energy(const EnergyCounters& a, const EnergyCounters& b) {
-  EXPECT_EQ(a.buffer_writes, b.buffer_writes);
-  EXPECT_EQ(a.buffer_reads, b.buffer_reads);
-  EXPECT_EQ(a.xbar_flits, b.xbar_flits);
-  EXPECT_EQ(a.vc_arbs, b.vc_arbs);
-  EXPECT_EQ(a.sw_arbs, b.sw_arbs);
-  EXPECT_EQ(a.link_flits, b.link_flits);
-  EXPECT_EQ(a.slot_table_reads, b.slot_table_reads);
-  EXPECT_EQ(a.slot_table_writes, b.slot_table_writes);
-  EXPECT_EQ(a.dlt_accesses, b.dlt_accesses);
-  EXPECT_EQ(a.cs_latch_flits, b.cs_latch_flits);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.vc_active_cycles, b.vc_active_cycles);
-  EXPECT_EQ(a.slot_entry_active_cycles, b.slot_entry_active_cycles);
-  EXPECT_EQ(a.dlt_active_cycles, b.dlt_active_cycles);
-  EXPECT_EQ(a.cs_misc_active_cycles, b.cs_misc_active_cycles);
-  EXPECT_EQ(a.link_active_cycles, b.link_active_cycles);
-}
-
-void expect_same(const RunFingerprint& a, const RunFingerprint& b) {
-  EXPECT_EQ(a.end_cycle, b.end_cycle);
-  expect_same_energy(a.energy, b.energy);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.ni, b.ni) << first_difference(a.ni, b.ni);
-  EXPECT_EQ(a.router, b.router) << first_difference(a.router, b.router);
-  EXPECT_EQ(a.slot_digest, b.slot_digest);
-  EXPECT_EQ(a.faults_dropped, b.faults_dropped);
-  EXPECT_EQ(a.faults_delayed, b.faults_delayed);
-  EXPECT_EQ(a.faults_duplicated, b.faults_duplicated);
-  EXPECT_EQ(a.resizes, b.resizes);
-  EXPECT_EQ(a.generation, b.generation);
-  EXPECT_EQ(a.corrupted_traversals, b.corrupted_traversals);
-  EXPECT_EQ(a.failed_links, b.failed_links);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-}
-
-template <typename NetT>
-void install_delivery_capture(NetT& net, RunFingerprint& fp) {
-  net.set_deliver_handler([&fp](const PacketPtr& p, Cycle at) {
-    ++fp.delivered;
-    fp.deliveries.emplace(p->id, at);
-  });
-}
-
-template <typename NetT>
-void harvest_common(NetT& net, RunFingerprint& fp) {
-  fp.end_cycle = net.now();
-  fp.energy = net.total_energy();
-  fp.ni = net.ni_counters();
-  fp.router = net.router_counters();
-}
-
-void harvest_hybrid(HybridNetwork& net, RunFingerprint& fp) {
-  harvest_common(net, fp);
-  const DegradationReport d = net.degradation_report();
-  fp.corrupted_traversals = d.corrupted_traversals;
-  fp.failed_links = d.failed_links;
-  fp.slot_digest = net.slot_state_digest();
-  fp.faults_dropped = net.faults_dropped();
-  fp.faults_delayed = net.faults_delayed();
-  fp.faults_duplicated = net.faults_duplicated();
-  fp.resizes = net.controller().resizes();
-  fp.generation = net.controller().table_generation();
 }
 
 /// Inject from a seeded synthetic source every cycle for `cycles` cycles.
@@ -176,15 +84,6 @@ RunFingerprint run_hybrid(NocConfig cfg, int threads, TrafficPattern pattern,
   while (net.now() < end) net.tick();
   harvest_hybrid(net, fp);
   return fp;
-}
-
-NocConfig small_hybrid_cfg(bool sharing) {
-  NocConfig cfg =
-      sharing ? NocConfig::hybrid_tdm_hop_vc4(4) : NocConfig::hybrid_tdm_vc4(4);
-  cfg.slot_table_size = 32;
-  cfg.initial_active_slots = 16;
-  cfg.path_freq_threshold = 4;  // circuits form quickly at test scale
-  return cfg;
 }
 
 // ---------------------------------------------------------------------------

@@ -158,5 +158,20 @@ TEST(Canonical, HashSeparatesBehavioralKnobs) {
   EXPECT_EQ(config_hash(cfg3, params), base);
 }
 
+// Point and warmup hashes name sweep points and cached results: a change
+// of the canonical bytes must come with a kCanonicalVersion bump.
+TEST(Canonical, HashPinned) {
+  NocConfig cfg = NocConfig::hybrid_tdm_hop_vct(4);
+  cfg.link_ber = 1e-6;
+  RunParams params;
+  params.pattern = TrafficPattern::Transpose;
+  params.injection_rate = 0.15;
+  params.fidelity = Fidelity::Fast;
+  EXPECT_EQ(config_hash(cfg, params), 0x7ede52b6a85162cdULL)
+      << std::hex << "got 0x" << config_hash(cfg, params);
+  EXPECT_EQ(warmup_hash(cfg, params), 0x47bb63b0a472542fULL)
+      << std::hex << "got 0x" << warmup_hash(cfg, params);
+}
+
 }  // namespace
 }  // namespace hybridnoc::sweep

@@ -104,7 +104,7 @@ Args parse(int argc, char** argv) {
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       a.kv[key] = argv[++i];
     } else {
-      a.kv[key] = "1";
+      a.kv[key].assign(1, '1');
     }
   }
   return a;
@@ -264,12 +264,15 @@ int cmd_sweep(const Args& a) {
     std::cerr << "error: --step must be positive, got " << step << "\n";
     return 2;
   }
-  std::vector<double> rates;
   const double max_rate = cfg.ps_data_flits;
-  for (double r = a.num("from", 0.05, 0.0, max_rate);
-       r <= a.num("to", 0.4, 0.0, max_rate) + 1e-9; r += step) {
-    rates.push_back(r);
+  const double from = a.num("from", 0.05, 0.0, max_rate);
+  const double to = a.num("to", 0.4, 0.0, max_rate);
+  if (from > to) {
+    std::cerr << "error: --from " << from << " exceeds --to " << to << "\n";
+    return 2;
   }
+  std::vector<double> rates;
+  for (double r = from; r <= to + 1e-9; r += step) rates.push_back(r);
   const auto results = sweep_load(cfg, run_params(a, pattern, 0.0), rates);
   TextTable t({"rate", "latency", "p99", "accepted", "cs", "saturated"});
   for (size_t i = 0; i < results.size(); ++i) {
