@@ -11,6 +11,7 @@ void NocConfig::validate() const {
                "mesh radix k must be >= 2: a 1-node mesh has no links, and "
                "the tornado/hotspot patterns are degenerate on it");
   HN_CHECK(num_vcs >= 1);
+  HN_CHECK_MSG(num_vcs <= 32, "num_vcs must be at most 32, the width of every VC bitmask");
   HN_CHECK(vc_buffer_depth >= 1);
   HN_CHECK(ps_data_flits >= 1 && cs_data_flits >= 1 && config_flits >= 1);
   HN_CHECK(slot_table_size >= 4);

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -20,15 +21,46 @@
 
 namespace hybridnoc {
 
+namespace ring_detail {
+/// A ring's inline slots; the zero-slot case takes no space.
+template <typename T, std::size_t N>
+struct Slots {
+  T items[N];
+  T* data() { return items; }
+};
+template <typename T>
+struct Slots<T, 0> {
+  T* data() { return nullptr; }
+};
+}  // namespace ring_detail
+
 /// Fixed-capacity-at-steady-state ring buffer with deque semantics
 /// (push/pop at both ends, indexed access, forward iteration from front).
-/// Capacity is always a power of two; elements live in a plain vector and
-/// are moved (not reconstructed) on push/pop, so a popped slot of a
-/// refcounting type drops its reference immediately.
-template <typename T>
+/// Capacity is always a power of two. The first `Inline` slots live inside
+/// the ring itself, so a ring that never holds more than `Inline` items
+/// never touches the heap; the first push past that spills every item to
+/// heap storage, which grows by doubling and never shrinks (nor returns
+/// inline). `Inline == 0` is heap-only. Elements are moved (not
+/// reconstructed) on push/pop, so a popped slot of a refcounting type drops
+/// its reference immediately.
+template <typename T, std::size_t Inline = 0>
 class RingDeque {
+  static_assert((Inline & (Inline - 1)) == 0,
+                "inline capacity must be 0 or a power of two");
+
  public:
-  RingDeque() = default;
+  RingDeque() { buf_ = slots_.data(); }
+  ~RingDeque() { release(); }
+  RingDeque(RingDeque&& o) noexcept { take(o); }
+  RingDeque& operator=(RingDeque&& o) noexcept {
+    if (this != &o) {
+      release();
+      take(o);
+    }
+    return *this;
+  }
+  RingDeque(const RingDeque&) = delete;
+  RingDeque& operator=(const RingDeque&) = delete;
 
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
@@ -61,14 +93,14 @@ class RingDeque {
   }
 
   void push_back(T v) {
-    if (count_ == buf_.size()) grow();
+    if (count_ == cap_) grow();
     buf_[(head_ + count_) & mask_] = std::move(v);
     ++count_;
   }
 
   void push_front(T v) {
-    if (count_ == buf_.size()) grow();
-    head_ = (head_ + buf_.size() - 1) & mask_;
+    if (count_ == cap_) grow();
+    head_ = (head_ + cap_ - 1) & mask_;
     buf_[head_] = std::move(v);
     ++count_;
   }
@@ -95,7 +127,9 @@ class RingDeque {
   }
 
   /// Storage currently reserved (steady-state high-water mark).
-  std::size_t capacity() const { return buf_.size(); }
+  std::size_t capacity() const { return cap_; }
+  /// Has the ring outgrown its inline slots?
+  bool on_heap() const { return cap_ > Inline; }
 
   /// Forward iterator over [front, back] in queue order. Enough of the
   /// iterator contract for range-for and the watchdog scans.
@@ -120,20 +154,51 @@ class RingDeque {
 
  private:
   void grow() {
-    const std::size_t new_cap = buf_.empty() ? kInitialCapacity : buf_.size() * 2;
-    std::vector<T> fresh(new_cap);
-    for (std::size_t i = 0; i < count_; ++i) fresh[i] = std::move(buf_[(head_ + i) & mask_]);
-    buf_ = std::move(fresh);
+    const std::uint32_t new_cap = cap_ == 0 ? kInitialCapacity : cap_ * 2;
+    T* fresh = new T[new_cap];
+    for (std::uint32_t i = 0; i < count_; ++i) fresh[i] = std::move(buf_[(head_ + i) & mask_]);
+    release();
+    buf_ = fresh;
+    cap_ = new_cap;
+    mask_ = new_cap - 1;
     head_ = 0;
-    mask_ = buf_.size() - 1;
   }
 
-  static constexpr std::size_t kInitialCapacity = 8;
+  void release() {
+    if (on_heap()) delete[] buf_;
+  }
 
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::size_t mask_ = 0;
+  /// Steal `o`'s items (its heap block, or a move of its inline slots) and
+  /// leave it empty on its own inline slots.
+  void take(RingDeque& o) noexcept {
+    head_ = o.head_;
+    count_ = o.count_;
+    mask_ = o.mask_;
+    cap_ = o.cap_;
+    if (o.on_heap()) {
+      buf_ = o.buf_;
+    } else {
+      buf_ = slots_.data();
+      std::move(o.slots_.data(), o.slots_.data() + Inline, buf_);
+    }
+    o.buf_ = o.slots_.data();
+    o.head_ = 0;
+    o.count_ = 0;
+    o.mask_ = kInlineMask;
+    o.cap_ = Inline;
+  }
+
+  static constexpr std::uint32_t kInitialCapacity = Inline > 0 ? 2 * Inline : 8;
+  static constexpr std::uint32_t kInlineMask = Inline > 0 ? Inline - 1 : 0;
+
+  // Bookkeeping first, then the inline slots, so a short ring's front item
+  // often shares a cache line with its head and count.
+  T* buf_;  ///< slots_ until the first spill, then the heap
+  std::uint32_t head_ = 0;
+  std::uint32_t count_ = 0;
+  std::uint32_t mask_ = kInlineMask;
+  std::uint32_t cap_ = Inline;
+  [[no_unique_address]] ring_detail::Slots<T, Inline> slots_;
 };
 
 /// Sorted cycle-keyed event queue over contiguous storage: the flat

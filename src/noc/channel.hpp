@@ -185,18 +185,27 @@ class Channel : public ChannelBase {
     }
   }
 
-  RingDeque<Entry> queue_;
-  std::vector<Entry> staging_;  ///< cross-shard outbox (staged mode only)
-  int latency_;
-  TickScheduler* sched_ = nullptr;  ///< null until set_consumer()
-  int consumer_ = -1;
+  /// In-flight items kept inside the channel. A data link carries at most
+  /// one flit per cycle and holds it for latency 2, so it never holds more
+  /// than three (ready at now, now + 1 and now + 2); a credit wire holds two
+  /// cycles' worth. Bursts past this spill the queue to the heap for good.
+  static constexpr std::size_t kInlineItems = 4;
+
+  // Consumer-side fields first (receive() reads the occupancy word, the
+  // ring's bookkeeping and its front item); the producer-only staging
+  // outbox goes last.
   /// Consumer occupancy word (see set_pending_mask); until one is
   /// registered the bits land in sink_, so the hot paths never branch on it.
-  std::uint32_t sink_ = 0;
   std::uint32_t* pending_ = &sink_;
   std::uint32_t pending_bit_ = 0;
   std::uint32_t circuit_bit_ = 0;
   std::uint32_t circuit_count_ = 0;  ///< circuit flits in the live queue
+  int latency_;
+  RingDeque<Entry, kInlineItems> queue_;
+  TickScheduler* sched_ = nullptr;  ///< null until set_consumer()
+  int consumer_ = -1;
+  std::uint32_t sink_ = 0;
+  std::vector<Entry> staging_;  ///< cross-shard outbox (staged mode only)
 };
 
 using FlitChannel = Channel<Flit>;

@@ -1,12 +1,41 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <array>
 #include <unordered_set>
+#include <utility>
 
 #include "common/state_io.hpp"
 #include "noc/parallel_engine.hpp"
 
 namespace hybridnoc {
+
+namespace {
+/// One channel per index, all of one latency, each built in place (a
+/// channel is neither copyable nor movable).
+template <typename Ch, std::size_t... I>
+std::array<Ch, sizeof...(I)> channel_array(int latency, std::index_sequence<I...>) {
+  return {(static_cast<void>(I), Ch(latency))...};
+}
+}  // namespace
+
+/// The inbound channels of one node, each held by value. A channel is
+/// named for its consumer: the router polls its credit and flit inputs
+/// every tick, so they lead the block.
+struct alignas(64) Network::NodeChannels {
+  /// Credits for each router output, from the downstream router (Local:
+  /// from the NI's ejection buffer).
+  std::array<CreditChannel, kNumPorts> router_credit_in =
+      channel_array<CreditChannel>(kCreditChannelLatency,
+                                   std::make_index_sequence<kNumPorts>{});
+  /// Flits into each router input, from the upstream router (Local: the
+  /// NI's injection).
+  std::array<FlitChannel, kNumPorts> router_flit_in =
+      channel_array<FlitChannel>(kDataChannelLatency,
+                                 std::make_index_sequence<kNumPorts>{});
+  FlitChannel ni_eject{kDataChannelLatency};           ///< router -> NI flits
+  CreditChannel ni_credit_in{kCreditChannelLatency};  ///< injection credits
+};
 
 Network::Network(const NocConfig& cfg)
     : Network(
@@ -48,10 +77,13 @@ Network::~Network() {
   // a packet's flits are usually spread across several containers, and the
   // first release may destroy the Packet object.
   std::vector<Packet*> in_flight;
-  for (auto& ch : flit_channels_) {
-    ch->visit_in_flight([&](const Flit& f) {
-      if (f.pkt) in_flight.push_back(f.pkt);
-    });
+  const auto collect = [&](const Flit& f) {
+    if (f.pkt) in_flight.push_back(f.pkt);
+  };
+  for (NodeId n = 0; n < num_nodes(); ++n) {
+    NodeChannels& c = channels_[static_cast<size_t>(n)];
+    for (FlitChannel& ch : c.router_flit_in) ch.visit_in_flight(collect);
+    c.ni_eject.visit_in_flight(collect);
   }
   for (const auto& r : routers_) r->collect_in_flight(in_flight);
   for (const auto& ni : nis_) ni->collect_in_flight(in_flight);
@@ -77,13 +109,9 @@ FaultModel& Network::ensure_fault_model() {
 }
 
 void Network::build() {
-  auto new_flit_ch = [&](int latency) {
-    flit_channels_.push_back(std::make_unique<FlitChannel>(latency));
-    return flit_channels_.back().get();
-  };
-  auto new_credit_ch = [&]() {
-    credit_channels_.push_back(std::make_unique<CreditChannel>(kCreditChannelLatency));
-    return credit_channels_.back().get();
+  channels_ = std::make_unique<NodeChannels[]>(static_cast<size_t>(num_nodes()));
+  auto node_channels = [&](NodeId n) -> NodeChannels& {
+    return channels_[static_cast<size_t>(n)];
   };
 
   // Per-consumer scheduler: that of the shard owning the consuming component.
@@ -96,10 +124,11 @@ void Network::build() {
     // NI <-> router local port. Every channel registers its consumer so
     // sends wake the right component at the item's ready cycle. NI n and
     // router n always share a shard, so these four never cross shards.
-    FlitChannel* inj = new_flit_ch(kDataChannelLatency);
-    CreditChannel* inj_cr = new_credit_ch();
-    FlitChannel* ej = new_flit_ch(kDataChannelLatency);
-    CreditChannel* ej_cr = new_credit_ch();
+    NodeChannels& own = node_channels(n);
+    FlitChannel* inj = &own.router_flit_in[static_cast<size_t>(Port::Local)];
+    CreditChannel* inj_cr = &own.ni_credit_in;
+    FlitChannel* ej = &own.ni_eject;
+    CreditChannel* ej_cr = &own.router_credit_in[static_cast<size_t>(Port::Local)];
     inj->set_consumer(sched_for(router_sched_id(n)), router_sched_id(n));
     inj_cr->set_consumer(sched_for(ni_sched_id(n)), ni_sched_id(n));
     ej->set_consumer(sched_for(ni_sched_id(n)), ni_sched_id(n));
@@ -109,16 +138,17 @@ void Network::build() {
     r.set_downstream_active_vcs(Port::Local, ni.eject_active_vcs_ptr());
     ni.connect(inj, inj_cr, ej, ej_cr, &r);
 
-    // Directed mesh links: create the outgoing side here; the matching input
-    // side of the neighbour is wired in the same pass when we visit it from
-    // this direction, so do both ends for each outgoing port now.
+    // Directed mesh links: wire the outgoing side here, both ends at once.
+    // The data channel lives with its consumer m, the credit channel with
+    // its consumer n.
     for (int pi = 1; pi < kNumPorts; ++pi) {
       const Port p = static_cast<Port>(pi);
       if (!mesh_.has_neighbor(n, p)) continue;
       const NodeId m = mesh_.neighbor(n, p);
       Router& nb = *routers_[static_cast<size_t>(m)];
-      FlitChannel* data = new_flit_ch(kDataChannelLatency);
-      CreditChannel* cr = new_credit_ch();
+      FlitChannel* data =
+          &node_channels(m).router_flit_in[static_cast<size_t>(opposite(p))];
+      CreditChannel* cr = &own.router_credit_in[static_cast<size_t>(pi)];
       data->set_consumer(sched_for(router_sched_id(m)), router_sched_id(m));
       cr->set_consumer(sched_for(router_sched_id(n)), router_sched_id(n));
       // Mesh links are the only channels that can cross a shard boundary
@@ -194,8 +224,12 @@ bool Network::quiescent() const {
     if (!ni->idle()) return false;
   for (const auto& r : routers_)
     if (!r->idle()) return false;
-  for (const auto& ch : flit_channels_)
-    if (!ch->empty()) return false;
+  for (NodeId n = 0; n < num_nodes(); ++n) {
+    const NodeChannels& c = channels_[static_cast<size_t>(n)];
+    for (const FlitChannel& ch : c.router_flit_in)
+      if (!ch.empty()) return false;
+    if (!c.ni_eject.empty()) return false;
+  }
   return true;
 }
 

@@ -192,8 +192,11 @@ class Network {
   /// sweep touches one contiguous cache line per 8 components.
   std::vector<Router*> router_ptrs_;
   std::vector<NetworkInterface*> ni_ptrs_;
-  std::vector<std::unique_ptr<FlitChannel>> flit_channels_;
-  std::vector<std::unique_ptr<CreditChannel>> credit_channels_;
+  /// Every channel node n's router and NI consume, in one block per node;
+  /// the blocks form one array in node order, so a shard's inbound
+  /// channels are its node range (DESIGN.md, "Channel storage").
+  struct NodeChannels;
+  std::unique_ptr<NodeChannels[]> channels_;
   std::unique_ptr<FaultModel> faults_;
 
   /// cfg_.watchdog_stall_cycles > 0, hoisted so the per-tick check is one

@@ -578,7 +578,10 @@ void Router::layout(Ar& ar, Self& self) {
   for (auto& ip : self.in_) {
     // Idle VCs carry no observable state beyond the arbiter pointer: a head
     // arrival rewrites route/eligibility fields from scratch.
-    if (ip.data) ar.field(ip.sa_rr);
+    if (ip.data) {
+      ar.ranged(ip.sa_rr, 0, self.cfg_.num_vcs - 1,
+                "router input arbiter pointer out of range");
+    }
   }
   for (auto& op : self.out_) {
     if (!op.data) continue;
@@ -587,12 +590,17 @@ void Router::layout(Ar& ar, Self& self) {
       ar.bit(op.vc_busy, v);
       ar.bit(op.tail_sent, v);
     }
-    ar.fields(op.sa_rr, op.va_rr);
+    ar.ranged(op.sa_rr, 0, kNumPorts - 1,
+              "router output arbiter pointer out of range");
+    ar.ranged(op.va_rr, 0, self.cfg_.num_vcs - 1,
+              "router VC allocator pointer out of range");
   }
   ar.field(self.counts_.n);
   ar.ranged(self.announced_active_vcs_, 1, self.cfg_.num_vcs,
             "router active-VC count out of range");
-  ar.fields(self.draining_vc_, self.busy_vc_integral_, self.residency_sum_,
+  ar.ranged(self.draining_vc_, -1, self.cfg_.num_vcs - 1,
+            "router draining VC out of range");
+  ar.fields(self.busy_vc_integral_, self.residency_sum_,
             self.residency_count_, self.epoch_start_, self.energy_,
             self.accounted_until_);
 }

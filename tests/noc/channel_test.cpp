@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace hybridnoc {
 namespace {
 
@@ -82,6 +84,139 @@ TEST(ChannelDeathTest, MissedItemIsAnError) {
   ch.send(1, 0);  // readable at 1
   // Asking at cycle 2 with an unconsumed cycle-1 item trips the invariant.
   EXPECT_DEATH((void)ch.receive(2), "unconsumed");
+}
+
+// Spill path: a channel keeps its first few in-flight items inline and moves
+// them all to the heap when a burst outgrows that. Six items exceed the
+// inline slots in every case below.
+constexpr int kBurst = 6;
+constexpr std::uint32_t kBit = 1u << 2;
+constexpr std::uint32_t kCircuitBit = 1u << 18;
+
+Flit seq_flit(int seq, Switching sw = Switching::Packet) {
+  Flit f;
+  f.seq = seq;
+  f.switching = sw;
+  return f;
+}
+
+template <typename T, typename Key>
+std::vector<int> in_flight_keys(Channel<T>& ch, Key key) {
+  std::vector<int> out;
+  ch.visit_in_flight([&](const T& item) { out.push_back(key(item)); });
+  return out;
+}
+
+std::vector<int> flit_seqs(FlitChannel& ch) {
+  return in_flight_keys(ch, [](const Flit& f) { return f.seq; });
+}
+
+std::vector<int> iota_to(int n) {
+  std::vector<int> v;
+  for (int i = 0; i < n; ++i) v.push_back(i);
+  return v;
+}
+
+TEST(ChannelSpill, BurstAcrossSuccessiveCycles) {
+  FlitChannel ch(kDataChannelLatency);
+  std::uint32_t mask = 0;
+  ch.set_pending_mask(&mask, kBit, kCircuitBit);
+  // Flit 1 is the only circuit-switched one.
+  for (int c = 0; c < kBurst; ++c) {
+    ch.send(seq_flit(c, c == 1 ? Switching::Circuit : Switching::Packet),
+            static_cast<Cycle>(c));
+  }
+  EXPECT_EQ(ch.in_flight(), static_cast<std::size_t>(kBurst));
+  EXPECT_EQ(mask, kBit | kCircuitBit);
+  EXPECT_EQ(flit_seqs(ch), iota_to(kBurst));
+  EXPECT_EQ(ch.next_ready(), 2u);
+  EXPECT_FALSE(ch.arrival_at(1));
+  EXPECT_TRUE(ch.arrival_at(2));
+  for (int c = 0; c < kBurst; ++c) {
+    const Cycle now = static_cast<Cycle>(c + kDataChannelLatency);
+    ASSERT_TRUE(ch.arrival_at(now));
+    const auto f = ch.receive(now);
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(f->seq, c);
+    EXPECT_FALSE(ch.receive(now).has_value());
+    // The circuit bit drops with the circuit flit, the occupancy bit only
+    // once the queue is empty.
+    EXPECT_EQ(mask & kCircuitBit, c >= 1 ? 0u : kCircuitBit);
+    EXPECT_EQ(mask & kBit, c + 1 < kBurst ? kBit : 0u);
+  }
+  EXPECT_TRUE(ch.empty());
+  EXPECT_EQ(ch.next_ready(), kCycleNever);
+  EXPECT_TRUE(flit_seqs(ch).empty());
+  // The spilled queue keeps working for the next burst.
+  ch.send(seq_flit(7), 20);
+  EXPECT_EQ(mask, kBit);
+  EXPECT_EQ(ch.receive(22)->seq, 7);
+  EXPECT_EQ(mask, 0u);
+}
+
+TEST(ChannelSpill, SeveralCreditsInOneCycle) {
+  CreditChannel ch(kCreditChannelLatency);
+  std::uint32_t mask = 0;
+  ch.set_pending_mask(&mask, kBit);
+  for (int v = 0; v < kBurst; ++v) ch.send(Credit{v}, 10);
+  EXPECT_EQ(mask, kBit);
+  EXPECT_EQ(in_flight_keys(ch, [](const Credit& c) { return c.vc; }),
+            iota_to(kBurst));
+  EXPECT_EQ(ch.next_ready(), 11u);
+  EXPECT_FALSE(ch.arrival_at(10));
+  EXPECT_TRUE(ch.arrival_at(11));
+  for (int v = 0; v < kBurst; ++v) {
+    EXPECT_TRUE(ch.arrival_at(11));
+    const auto c = ch.receive(11);
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->vc, v);
+    EXPECT_EQ(mask, v + 1 < kBurst ? kBit : 0u);
+  }
+  EXPECT_FALSE(ch.receive(11).has_value());
+  EXPECT_EQ(ch.next_ready(), kCycleNever);
+}
+
+TEST(ChannelSpill, StagedBurstCommits) {
+  FlitChannel ch(kDataChannelLatency);
+  std::uint32_t mask = 0;
+  ch.set_pending_mask(&mask, kBit, kCircuitBit);
+  ch.set_staged(true);
+  // Two compute phases' worth: flits 0-2 at cycle 3, 3-5 at cycle 4; the
+  // last one is circuit-switched.
+  for (int i = 0; i < kBurst; ++i) {
+    ch.send(seq_flit(i, i == kBurst - 1 ? Switching::Circuit : Switching::Packet),
+            i < 3 ? 3 : 4);
+  }
+  // Staged items are invisible to the consumer until the commit, but the
+  // teardown visit still sees them.
+  EXPECT_TRUE(ch.empty());
+  EXPECT_EQ(mask, 0u);
+  EXPECT_EQ(ch.next_ready(), kCycleNever);
+  EXPECT_FALSE(ch.arrival_at(5));
+  EXPECT_EQ(flit_seqs(ch), iota_to(kBurst));
+  ch.commit_staged();
+  EXPECT_EQ(ch.in_flight(), static_cast<std::size_t>(kBurst));
+  EXPECT_EQ(mask, kBit | kCircuitBit);
+  EXPECT_EQ(flit_seqs(ch), iota_to(kBurst));
+  EXPECT_EQ(ch.next_ready(), 5u);
+  EXPECT_TRUE(ch.arrival_at(5));
+  for (int i = 0; i < kBurst; ++i) {
+    const Cycle now = i < 3 ? 5 : 6;
+    const auto f = ch.receive(now);
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(f->seq, i);
+    EXPECT_EQ(mask & kCircuitBit, i + 1 < kBurst ? kCircuitBit : 0u);
+    EXPECT_EQ(mask & kBit, i + 1 < kBurst ? kBit : 0u);
+    if (i == 2) {
+      EXPECT_FALSE(ch.receive(5).has_value());
+      EXPECT_EQ(ch.next_ready(), 6u);
+    }
+  }
+  EXPECT_TRUE(ch.empty());
+  // A second commit with nothing staged changes nothing.
+  ch.commit_staged();
+  EXPECT_TRUE(ch.empty());
+  EXPECT_EQ(mask, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/state_io.hpp"
 #include "noc/network.hpp"
 
 namespace hybridnoc {
@@ -354,6 +355,83 @@ TEST(RouterThread, TwoShardRunMatchesSerialRun) {
   EXPECT_EQ(serial_energy.xbar_flits, sharded_energy.xbar_flits);
   EXPECT_EQ(serial_energy.link_flits, sharded_energy.link_flits);
   EXPECT_EQ(serial_energy.cycles, sharded_energy.cycles);
+}
+
+// Hand-built archives for a RouterBench router (every port wired): each
+// field well-formed except the arbiter pointer or draining VC a test puts
+// out of range, on the Local input and output.
+struct RouterArchive {
+  int in_sa_rr = 0;
+  int out_sa_rr = 0;
+  int out_va_rr = 0;
+  int draining_vc = -1;
+};
+
+std::string router_archive(const NocConfig& cfg, const RouterArchive& a) {
+  StateWriter w;
+  w.section("router");
+  for (int p = 0; p < kNumPorts; ++p) w.i32(p == 0 ? a.in_sa_rr : 0);
+  for (int p = 0; p < kNumPorts; ++p) {
+    for (int v = 0; v < cfg.num_vcs; ++v) w.i32(cfg.vc_buffer_depth);
+    for (int v = 0; v < cfg.num_vcs; ++v) {
+      w.b(/*vc_busy=*/false);
+      w.b(/*tail_sent=*/false);
+    }
+    w.i32(p == 0 ? a.out_sa_rr : 0);
+    w.i32(p == 0 ? a.out_va_rr : 0);
+  }
+  w.field(RouterCounters{}.n);
+  w.i32(/*announced_active_vcs=*/cfg.num_vcs);
+  w.i32(a.draining_vc);
+  w.u64(/*busy_vc_integral=*/0);
+  w.u64(/*residency_sum=*/0);
+  w.u64(/*residency_count=*/0);
+  w.u64(/*epoch_start=*/0);
+  w.field(EnergyCounters{});
+  w.u64(/*accounted_until=*/0);
+  return w.seal();
+}
+
+void restore_router(const RouterArchive& a) {
+  RouterBench b;
+  StateReader r(router_archive(b.router.cfg(), a));
+  b.router.restore_state(r);
+}
+
+TEST(RouterRestore, WellFormedArchiveRoundTrips) {
+  RouterBench b;
+  const NocConfig& cfg = b.router.cfg();
+  const std::string sealed =
+      router_archive(cfg, {cfg.num_vcs - 1, kNumPorts - 1, cfg.num_vcs - 1,
+                           cfg.num_vcs - 1});
+  StateReader r(sealed);
+  b.router.restore_state(r);
+  StateWriter w;
+  b.router.save_state(w);
+  EXPECT_EQ(w.seal(), sealed);
+}
+
+TEST(RouterRestore, InputArbiterPointerOutOfRangeThrows) {
+  const int vcs = NocConfig::packet_vc4(3).num_vcs;
+  EXPECT_THROW(restore_router({.in_sa_rr = vcs}), StateError);
+  EXPECT_THROW(restore_router({.in_sa_rr = -1}), StateError);
+}
+
+TEST(RouterRestore, OutputArbiterPointerOutOfRangeThrows) {
+  EXPECT_THROW(restore_router({.out_sa_rr = kNumPorts}), StateError);
+  EXPECT_THROW(restore_router({.out_sa_rr = -1}), StateError);
+}
+
+TEST(RouterRestore, VcAllocatorPointerOutOfRangeThrows) {
+  const int vcs = NocConfig::packet_vc4(3).num_vcs;
+  EXPECT_THROW(restore_router({.out_va_rr = vcs}), StateError);
+  EXPECT_THROW(restore_router({.out_va_rr = -1}), StateError);
+}
+
+TEST(RouterRestore, DrainingVcOutOfRangeThrows) {
+  const int vcs = NocConfig::packet_vc4(3).num_vcs;
+  EXPECT_THROW(restore_router({.draining_vc = vcs}), StateError);
+  EXPECT_THROW(restore_router({.draining_vc = -2}), StateError);
 }
 
 }  // namespace

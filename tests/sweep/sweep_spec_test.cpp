@@ -113,6 +113,18 @@ TEST(SweepSpecErrors, InvalidPointIsStructured) {
   EXPECT_NE(err.message.find("invalid"), std::string::npos);
 }
 
+// Every VC bitmask is 32 bits wide: a wider point is a spec error, not an
+// abort when the run builds its routers.
+TEST(SweepSpecErrors, MoreThan32VcsIsStructured) {
+  SweepSpec spec;
+  SpecError err;
+  EXPECT_FALSE(parse_sweep_spec("sweep num_vcs = 32, 33\n", &spec, &err));
+  EXPECT_NE(err.message.find("point 'num_vcs=33' is invalid"), std::string::npos)
+      << err.to_string();
+  EXPECT_NE(err.message.find("32"), std::string::npos);
+  EXPECT_TRUE(parse_sweep_spec("set num_vcs = 32\n", &spec, &err)) << err.to_string();
+}
+
 TEST(SweepSpecErrors, ExpansionLimit) {
   std::string text;
   // 8 axes x 10 values = 10^8 points: far past the limit.
