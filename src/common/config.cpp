@@ -13,6 +13,13 @@ void NocConfig::validate() const {
   HN_CHECK(num_vcs >= 1);
   HN_CHECK_MSG(num_vcs <= 32, "num_vcs must be at most 32, the width of every VC bitmask");
   HN_CHECK(vc_buffer_depth >= 1);
+  HN_CHECK_MSG(vc_buffer_depth <= kMaxVcBufferDepth,
+               "vc_buffer_depth must be at most 1024 flits");
+  // Each SDM plane is a one-VC network whose VC holds the whole port's
+  // storage (sdm_network.cpp), so its depth is bounded the same way.
+  HN_CHECK_MSG(arch != RouterArch::HybridSdm ||
+                   vc_buffer_depth * num_vcs <= kMaxVcBufferDepth,
+               "an SDM plane's VC holds vc_buffer_depth x num_vcs flits, at most 1024");
   HN_CHECK(ps_data_flits >= 1 && cs_data_flits >= 1 && config_flits >= 1);
   HN_CHECK(slot_table_size >= 4);
   HN_CHECK_MSG((slot_table_size & (slot_table_size - 1)) == 0,

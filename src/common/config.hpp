@@ -30,6 +30,9 @@ struct NocConfig {
   int k = 6;                ///< mesh is k x k
   int num_vcs = 4;          ///< virtual channels per input port
   int vc_buffer_depth = 5;  ///< flits per VC
+  /// Deepest VC buffer validate() accepts: a router allocates
+  /// kNumPorts x num_vcs x depth buffer slots at its first flit.
+  static constexpr int kMaxVcBufferDepth = 1024;
   int channel_bytes = 16;
 
   RouterArch arch = RouterArch::PacketSwitched;

@@ -1,6 +1,6 @@
 // Contiguous-storage replacements for the node-based containers on the
-// loaded path: a growable ring deque (channel queues, router VC FIFOs, NI
-// injection queues) and a sorted cycle-keyed event queue (NI CS plans and
+// loaded path: a growable ring deque (channel queues, NI injection queues)
+// and a sorted cycle-keyed event queue (NI CS plans and
 // deferred-config timing wheels).
 //
 // Both grow by doubling and never shrink, so after a warmup high-water mark

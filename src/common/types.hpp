@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/alloc_stats.hpp"
@@ -194,18 +195,21 @@ inline PacketPtr consume_flit(Packet* p) {
 
 enum class FlitType : std::uint8_t { Head, Body, Tail, HeadTail };
 
-/// Unit of flow control: 16 bytes on the wire (Table I). Trivially copyable:
-/// the packet handle is a raw pointer kept alive by the packet's flight
-/// anchor, so moving a flit through channels and FIFOs is a plain copy with
-/// no refcount or allocator traffic.
+/// Unit of flow control: 16 bytes on the wire (Table I), and 16 bytes in the
+/// simulator: the pointer, then the 4-byte sequence number, then four 1-byte
+/// fields, with no padding, so a flit travels in two registers. Trivially
+/// copyable: the packet handle is a raw pointer kept alive by the packet's
+/// flight anchor, so moving a flit through channels and FIFOs is a plain copy
+/// with no refcount or allocator traffic.
 struct Flit {
   Packet* pkt = nullptr;
-  FlitType type = FlitType::HeadTail;
   int seq = 0;  ///< position within the packet, 0-based
+  FlitType type = FlitType::HeadTail;
   Switching switching = Switching::Packet;
   /// Virtual channel at the input port this flit is heading into; chosen by
-  /// the upstream VC allocator. Unused for circuit-switched flits.
-  int vc = 0;
+  /// the upstream VC allocator. Unused for circuit-switched flits. One byte
+  /// holds every VC id: NocConfig::validate caps num_vcs at 32.
+  std::int8_t vc = 0;
   /// A link fault flipped payload bits in flight. Control fields (routing,
   /// VC, slot arithmetic) are assumed separately protected, so a corrupted
   /// flit still traverses normally; per-hop CRC checks flag it and the
@@ -216,5 +220,7 @@ struct Flit {
   bool is_tail() const { return type == FlitType::Tail || type == FlitType::HeadTail; }
   bool valid() const { return pkt != nullptr; }
 };
+static_assert(sizeof(Flit) == 16, "Flit must stay 16 bytes with no padding");
+static_assert(std::is_trivially_copyable_v<Flit>, "flits move by plain copy");
 
 }  // namespace hybridnoc

@@ -349,7 +349,7 @@ void NetworkInterface::inject_tick(Cycle now) {
     Flit f;
     f.pkt = pkt.get();
     f.seq = vc.next_seq;
-    f.vc = v;
+    f.vc = static_cast<std::int8_t>(v);
     f.switching = Switching::Packet;
     if (pkt->num_flits == 1) {
       f.type = FlitType::HeadTail;

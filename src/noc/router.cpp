@@ -12,6 +12,8 @@ namespace hybridnoc {
 Router::Router(const NocConfig& cfg, NodeId id, const Mesh& mesh)
     : cfg_(cfg), id_(id), mesh_(mesh), announced_active_vcs_(cfg.num_vcs) {
   HN_CHECK_MSG(cfg_.num_vcs <= 32, "VC-state bitmasks hold at most 32 VCs");
+  HN_CHECK_MSG(cfg_.vc_buffer_depth <= NocConfig::kMaxVcBufferDepth,
+               "VC buffer depth above NocConfig::kMaxVcBufferDepth");
   for (auto& ip : in_) {
     ip.vcs.resize(static_cast<size_t>(cfg_.num_vcs));
   }
@@ -146,7 +148,7 @@ void Router::receive_flits(Cycle now) {
       VcState& st = ip.vcs[v];
       ++energy_.buffer_writes;
       if (f->is_head()) {
-        HN_CHECK_MSG(st.state == VcState::S::Idle && st.fifo.empty(),
+        HN_CHECK_MSG(st.state == VcState::S::Idle && st.count == 0,
                      "head flit into a busy VC (atomic reallocation violated)");
         const auto route = compute_route(f->pkt, static_cast<Port>(p), now);
         if (!route) {
@@ -165,13 +167,16 @@ void Router::receive_flits(Cycle now) {
         st.out_vc = -1;
         st.state = VcState::S::WaitVc;
         ip.wait_mask |= 1u << v;
+        ++busy_vcs_;
         st.va_eligible = now + 1;
       } else {
         HN_CHECK_MSG(st.state != VcState::S::Idle, "body flit into an idle VC");
       }
-      st.fifo.push_back({*f, now});
-      HN_CHECK_MSG(static_cast<int>(st.fifo.size()) <= cfg_.vc_buffer_depth,
+      HN_CHECK_MSG(st.count < cfg_.vc_buffer_depth,
                    "VC buffer overflow (credit protocol broken)");
+      if (!buffers_) buffers_ = std::make_unique<BufferedFlit[]>(buffer_slots());
+      vc_window(p, static_cast<unsigned>(v))[vc_slot(st.head, st.count)] = {*f, now};
+      ++st.count;
     }
   }
 }
@@ -206,7 +211,7 @@ void Router::vc_allocate(Cycle now) {
       op.vc_busy |= 1u << static_cast<unsigned>(grant);
       op.grantable_mask &= ~(1u << static_cast<unsigned>(grant));
       op.va_rr = (grant + 1) % active;
-      st.out_vc = grant;
+      st.out_vc = static_cast<std::int8_t>(grant);
       st.state = VcState::S::Active;
       ip.wait_mask &= ~(1u << vi);
       ip.active_mask |= 1u << vi;
@@ -229,8 +234,9 @@ int Router::pick_sa_candidate(InputPort& ip, Port p, Cycle now) {
       const auto v = static_cast<unsigned>(std::countr_zero(cur));
       cur &= cur - 1;
       VcState& st = ip.vcs[v];
-      if (st.fifo.empty() || now < st.sa_eligible) continue;
-      if (st.fifo.front().bw_cycle >= now) continue;  // min 1 cycle in buffer
+      if (st.count == 0 || now < st.sa_eligible) continue;
+      // Min 1 cycle in the buffer.
+      if (vc_window(static_cast<int>(p), v)[st.head].bw_cycle >= now) continue;
       auto& op = out_[static_cast<size_t>(st.out_port)];
       if (op.credits[static_cast<size_t>(st.out_vc)] <= 0) continue;
       if (!st_ok(p, st.out_port, now + 1)) continue;
@@ -278,7 +284,9 @@ void Router::switch_allocate(Cycle now) {
     VcState& st = ip.vcs[static_cast<size_t>(v)];
     ip.sa_rr = (v + 1) % cfg_.num_vcs;
 
-    BufferedFlit bf = st.fifo.pop_front();
+    const BufferedFlit& bf = vc_window(winner, static_cast<unsigned>(v))[st.head];
+    st.head = static_cast<std::uint16_t>(vc_slot(st.head, 1));
+    --st.count;
     residency_sum_ += static_cast<std::uint64_t>(now - bf.bw_cycle);
     ++residency_count_;
     ++energy_.buffer_reads;
@@ -293,10 +301,11 @@ void Router::switch_allocate(Cycle now) {
     --op.credits[static_cast<size_t>(st.out_vc)];
     if (st.out_vc < op.cached_active) --op.cached_free_credits;
     if (reg.flit.is_tail()) {
-      HN_CHECK_MSG(st.fifo.empty(), "flits behind a tail in a wormhole VC");
+      HN_CHECK_MSG(st.count == 0, "flits behind a tail in a wormhole VC");
       op.tail_sent |= 1u << static_cast<unsigned>(st.out_vc);
       st.state = VcState::S::Idle;
       ip.active_mask &= ~(1u << static_cast<unsigned>(v));
+      --busy_vcs_;
       st.pkt = nullptr;
       st.out_vc = -1;
     }
@@ -391,11 +400,15 @@ std::optional<Port> Router::compute_route(Packet* pkt, Port in, Cycle now) {
 }
 
 void Router::collect_in_flight(std::vector<Packet*>& out) const {
-  for (const auto& ip : in_) {
-    if (!ip.data) continue;
-    for (const auto& st : ip.vcs)
-      for (const auto& bf : st.fifo)
-        if (bf.flit.pkt) out.push_back(bf.flit.pkt);
+  // No buffer block: no flit was ever buffered, so no ST register holds one.
+  if (!buffers_) return;
+  for (int p = 0; p < kNumPorts; ++p) {
+    const auto& vcs = in_[static_cast<size_t>(p)].vcs;
+    for (unsigned v = 0; v < vcs.size(); ++v) {
+      const BufferedFlit* window = vc_window(p, v);
+      for (int i = 0; i < vcs[v].count; ++i)
+        if (Packet* pkt = window[vc_slot(vcs[v].head, i)].flit.pkt) out.push_back(pkt);
+    }
   }
   // Current bank (older grants) first.
   for (int b = 0; b < 2; ++b) {
@@ -411,14 +424,10 @@ void Router::collect_in_flight(std::vector<Packet*>& out) const {
 }
 
 bool Router::idle() const {
-  if (st_valid_[0] | st_valid_[1]) return false;
-  // A non-Idle VC is exactly a set mask bit, and a buffered flit implies a
-  // non-Idle VC (head flits flip Idle -> WaitVc before entering the FIFO,
-  // and the tail leaves an empty FIFO behind when the VC goes Idle).
-  for (const auto& ip : in_) {
-    if (ip.wait_mask | ip.active_mask) return false;
-  }
-  return true;
+  // A buffered flit implies a non-Idle VC (head flits flip Idle -> WaitVc
+  // before entering the buffer, and the tail leaves an empty window behind
+  // when the VC goes Idle).
+  return (st_valid_[0] | st_valid_[1]) == 0 && busy_vcs_ == 0;
 }
 
 int Router::powered_vcs() const {
@@ -435,7 +444,7 @@ void Router::vc_gating_tick(Cycle now) {
     for (auto& ip : in_) {
       if (!ip.data) continue;
       const VcState& st = ip.vcs[static_cast<size_t>(draining_vc_)];
-      if (st.state != VcState::S::Idle || !st.fifo.empty()) {
+      if (st.state != VcState::S::Idle) {
         clear = false;
         break;
       }
@@ -447,10 +456,7 @@ void Router::vc_gating_tick(Cycle now) {
     if (clear) draining_vc_ = -1;
   }
 
-  int busy = 0;
-  for (const auto& ip : in_)
-    busy += std::popcount(ip.wait_mask | ip.active_mask);
-  busy_vc_integral_ += static_cast<std::uint64_t>(busy);
+  busy_vc_integral_ += static_cast<std::uint64_t>(busy_vcs_);
 
   if (now < epoch_start_ + static_cast<Cycle>(cfg_.vc_gate_epoch_cycles)) return;
 

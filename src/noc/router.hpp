@@ -34,11 +34,12 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/ring.hpp"
 #include "common/geometry.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -106,6 +107,11 @@ class Router : public VcHolder {
   /// No buffered flits and no pending crossbar grants.
   bool idle() const;
 
+  /// Bytes of this router's VC buffer block: 0 until its first buffered flit.
+  std::size_t buffer_bytes() const {
+    return buffers_ ? buffer_slots() * sizeof(BufferedFlit) : 0;
+  }
+
   /// Checkpoint this router's state. Requires idle() — every VC must be
   /// empty; arbiter pointers, credits, gating state and counters serialize.
   virtual void save_state(StateWriter& w) const;
@@ -141,17 +147,21 @@ class Router : public VcHolder {
     Flit flit;
     Cycle bw_cycle = 0;
   };
+  static_assert(sizeof(BufferedFlit) == 24, "a buffered flit is a flit and a cycle");
 
-  /// One virtual channel of one input port.
+  /// One virtual channel of one input port. Its flits sit in the VC's
+  /// window of buffers_: `count` slots from `head`, wrapping at the depth.
+  /// Fields ordered by size, so the record packs into 32 bytes.
   struct VcState {
-    enum class S { Idle, WaitVc, Active };
-    S state = S::Idle;
-    RingDeque<BufferedFlit> fifo;
-    Port out_port = Port::Local;
-    int out_vc = -1;
+    enum class S : std::uint8_t { Idle, WaitVc, Active };
+    Packet* pkt = nullptr;  ///< packet currently owning this VC (flight-anchored)
     Cycle va_eligible = 0;
     Cycle sa_eligible = 0;
-    Packet* pkt = nullptr;  ///< packet currently owning this VC (flight-anchored)
+    std::uint16_t head = 0;   ///< window slot of the oldest buffered flit
+    std::uint16_t count = 0;  ///< buffered flits
+    Port out_port = Port::Local;
+    std::int8_t out_vc = -1;
+    S state = S::Idle;
   };
 
   struct InputPort {
@@ -292,6 +302,25 @@ class Router : public VcHolder {
 
   /// Index of the VC (if any) from input `p` picked by the input arbiter.
   int pick_sa_candidate(InputPort& ip, Port p, Cycle now);
+  std::size_t buffer_slots() const {
+    return static_cast<std::size_t>(kNumPorts * cfg_.num_vcs * cfg_.vc_buffer_depth);
+  }
+  /// First slot of the buffer window of VC `v` at input `p`.
+  BufferedFlit* vc_window(int p, unsigned v) const {
+    const auto vcs = static_cast<std::size_t>(cfg_.num_vcs);
+    const auto depth = static_cast<std::size_t>(cfg_.vc_buffer_depth);
+    return buffers_.get() + (static_cast<std::size_t>(p) * vcs + v) * depth;
+  }
+  /// Window slot `i` places after `head`, wrapping at the depth.
+  int vc_slot(int head, int i) const {
+    const int s = head + i;
+    return s < cfg_.vc_buffer_depth ? s : s - cfg_.vc_buffer_depth;
+  }
+
+  /// Every VC's flit buffer: kNumPorts x num_vcs windows of vc_buffer_depth
+  /// slots, port-major. Allocated at the router's first buffered flit, so a
+  /// router that never buffers one holds none (DESIGN.md §11).
+  std::unique_ptr<BufferedFlit[]> buffers_;
 
   /// Two banks of ST registers: switch_allocate fills bank st_cur_ ^ 1 for
   /// the next cycle while switch_traverse drains bank st_cur_, then the
@@ -300,6 +329,9 @@ class Router : public VcHolder {
   std::array<std::uint32_t, 2> st_valid_{};
   int st_cur_ = 0;
   std::uint32_t xbar_out_used_ = 0;  ///< bit per crossbar output used this cycle
+
+  /// VCs not Idle, across all inputs: the gating census and idle() read it.
+  int busy_vcs_ = 0;
 
   // --- VC power gating state ---
   int announced_active_vcs_;  ///< what upstream allocators may use

@@ -5,9 +5,9 @@
 
 namespace hybridnoc {
 
-DestinationLookupTable::DestinationLookupTable(int capacity)
-    : capacity_(capacity) {
-  HN_CHECK(capacity >= 1);
+DestinationLookupTable::DestinationLookupTable(int capacity, int num_slots)
+    : capacity_(capacity), num_slots_(num_slots) {
+  HN_CHECK(capacity >= 1 && num_slots >= 1);
   entries_.resize(static_cast<size_t>(capacity));
 }
 
@@ -103,7 +103,11 @@ void DestinationLookupTable::layout(Ar& ar, Self& self) {
   ar.section("dlt");
   ar.expect(self.capacity_, "DLT capacity mismatch");
   for (auto& e : self.entries_) {
-    ar.fields(e.dest, e.slot, e.duration);
+    // An empty entry holds slot = duration = 0.
+    ar.field(e.dest);
+    ar.ranged(e.slot, 0, self.num_slots_ - 1, "DLT entry slot out of range");
+    ar.ranged(e.duration, 0, self.num_slots_ - 1,
+              "DLT entry duration out of range");
     ar.ranged(e.in, Port::Local, Port::West, "DLT entry port out of range");
     ar.ranged(e.out, Port::Local, Port::West, "DLT entry port out of range");
     ar.fields(e.fail_count, e.last_used, e.generation, e.active);

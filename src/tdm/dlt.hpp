@@ -40,7 +40,8 @@ struct DltEntry {
 
 class DestinationLookupTable {
  public:
-  explicit DestinationLookupTable(int capacity);
+  /// `num_slots` is the slot-table size: every recorded slot lies below it.
+  DestinationLookupTable(int capacity, int num_slots);
 
   /// Record a connection observed passing through the local router
   /// (replaces an existing entry for the same destination; LRU-evicts when
@@ -94,6 +95,7 @@ class DestinationLookupTable {
   int index_of(NodeId dest) const;
 
   int capacity_;
+  int num_slots_;
   std::vector<DltEntry> entries_;
   mutable std::uint64_t accesses_ = 0;
 };

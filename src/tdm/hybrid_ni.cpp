@@ -12,7 +12,7 @@ namespace hybridnoc {
 HybridNi::HybridNi(const NocConfig& cfg, NodeId id, const Mesh& mesh,
                    TdmController* ctrl)
     : NetworkInterface(cfg, id, mesh),
-      dlt_(cfg.dlt_entries),
+      dlt_(cfg.dlt_entries, cfg.slot_table_size),
       ctrl_(ctrl),
       rng_(cfg.seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(id) + 1) {
   HN_CHECK(ctrl_ != nullptr);
@@ -800,6 +800,7 @@ Cycle HybridNi::sched_next_event(Cycle now) const {
 template <typename Ar, typename Self>
 void HybridNi::layout(Ar& ar, Self& self) {
   ar.section("hybrid_ni");
+  const int last_slot = self.cfg_.slot_table_size - 1;
   ar.map(self.connections_, [&](NodeId dst, auto& conn) {
     ar.check(self.mesh_.valid(dst), "connection destination invalid");
     std::uint64_t windows = conn.slots.size();
@@ -809,13 +810,18 @@ void HybridNi::layout(Ar& ar, Self& self) {
       conn.slots.resize(static_cast<size_t>(windows));
       conn.setup_ids.resize(static_cast<size_t>(windows));
     }
-    for (auto& s : conn.slots) ar.field(s);
+    for (auto& s : conn.slots) {
+      ar.ranged(s, 0, last_slot, "connection slot out of range");
+    }
     for (auto& id : conn.setup_ids) ar.field(id);
-    ar.fields(conn.duration, conn.last_used, conn.vicinity_fail,
-              conn.fail_streak, conn.doomed);
+    ar.ranged(conn.duration, 1, last_slot, "connection duration out of range");
+    ar.fields(conn.last_used, conn.vicinity_fail, conn.fail_streak, conn.doomed);
   });
   ar.map(self.pending_, [&](std::uint64_t, auto& p) {
-    ar.fields(p.dst, p.slot, p.retries, p.sent_at);
+    ar.field(p.dst);
+    ar.check(self.mesh_.valid(p.dst), "pending setup destination invalid");
+    ar.ranged(p.slot, 0, last_slot, "pending setup slot out of range");
+    ar.fields(p.retries, p.sent_at);
   });
   ar.set(self.pending_dsts_);
   // freq_/cooldown_until_ are lookup-only (never iterated); the sorted walk

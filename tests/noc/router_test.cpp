@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -232,6 +235,111 @@ TEST(Router, IdleReflectsBufferedFlits) {
   EXPECT_FALSE(b.router.idle());
   b.run_to(20);
   EXPECT_TRUE(b.router.idle());
+}
+
+static_assert(sizeof(Flit) == 16, "a flit is 16 bytes, as on the wire");
+static_assert(std::is_trivially_copyable_v<Flit>, "flits move by plain copy");
+
+// Closed-loop drive of two VCs of the west input. The upstream sends one
+// flit a cycle on a credit of its VC (a new packet's head only once every
+// credit of the VC is home), VC 1 first. VC 1 carries four one-flit packets
+// and then a four-flit one, all for the local port, whose downstream keeps
+// its credits until cycle 80: the last packet finds no grantable VC and
+// waits in VA with its flits buffered. Meanwhile VC 0 streams twelve flits
+// east, where every credit returns the cycle its flit arrives. Both windows
+// wrap at any depth, and a window that overran its slots would clobber the
+// waiting flits. After every cycle collect_in_flight must list exactly the
+// flits inside the router.
+void drive_wrapping_vcs(int depth) {
+  NocConfig cfg = NocConfig::packet_vc4(3);
+  cfg.vc_buffer_depth = depth;
+  RouterBench b(cfg);
+  const auto west = static_cast<size_t>(Port::West);
+  constexpr int kVcs = 2;
+  std::vector<PacketPtr> pkts;
+  std::vector<Flit> flits[kVcs];  // per input VC, in send order
+  std::map<const Packet*, int> input_vc;
+  auto add = [&](int vc, NodeId dst, int nflits) {
+    pkts.push_back(make_packet(pkts.size() + 1, 0, dst, nflits));
+    input_vc[pkts.back().get()] = vc;
+    for (int s = 0; s < nflits; ++s) flits[vc].push_back(make_flit(pkts.back(), s, vc));
+  };
+  for (int i = 0; i < 3; ++i) add(0, b.mesh.node({2, 1}), 4);
+  for (int i = 0; i < 4; ++i) add(1, b.mesh.node({1, 1}), 1);
+  add(1, b.mesh.node({1, 1}), 4);
+  const size_t total = flits[0].size() + flits[1].size();
+
+  size_t next[kVcs] = {};
+  int credits[kVcs] = {depth, depth};
+  std::vector<Cycle> sent_at;
+  std::vector<Flit> arrived;
+  std::vector<Credit> held_back;  // the local port's
+  for (Cycle t = 0; t < 400 && arrived.size() < total; ++t) {
+    while (auto c = b.in_credit[west]->receive(t)) ++credits[c->vc];
+    for (int vc = kVcs - 1; vc >= 0; --vc) {
+      if (next[vc] == flits[vc].size() || credits[vc] == 0) continue;
+      const Flit& f = flits[vc][next[vc]];
+      if (f.is_head() && credits[vc] != depth) continue;
+      b.in[west]->send(f, t);
+      sent_at.push_back(t);
+      ++next[vc];
+      --credits[vc];
+      break;
+    }
+    b.router.tick(t);
+    size_t on_links = 0;
+    for (const Port out : {Port::East, Port::Local}) {
+      FlitChannel& ch = *b.out[static_cast<size_t>(out)];
+      while (auto f = ch.receive(t)) {
+        arrived.push_back(*f);
+        if (out == Port::Local) {
+          held_back.push_back({f->vc});
+        } else {
+          b.out_credit[static_cast<size_t>(out)]->send({f->vc}, t);
+        }
+      }
+      on_links += ch.in_flight();
+    }
+    if (t >= 80) {
+      for (const Credit c : held_back)
+        b.out_credit[static_cast<size_t>(Port::Local)]->send(c, t);
+      held_back.clear();
+    }
+    const auto taken_in = std::count_if(sent_at.begin(), sent_at.end(), [&](Cycle c) {
+      return c + kDataChannelLatency <= t;
+    });
+    std::vector<Packet*> held;
+    b.router.collect_in_flight(held);
+    ASSERT_EQ(held.size(), static_cast<size_t>(taken_in) - arrived.size() - on_links)
+        << "cycle " << t;
+  }
+  for (int vc = 0; vc < kVcs; ++vc) {
+    std::vector<std::pair<PacketId, int>> sent, got;
+    for (const Flit& f : flits[vc]) sent.emplace_back(f.pkt->id, f.seq);
+    for (const Flit& f : arrived)
+      if (input_vc[f.pkt] == vc) got.emplace_back(f.pkt->id, f.seq);
+    EXPECT_EQ(got, sent) << "input VC " << vc;
+  }
+  EXPECT_TRUE(b.router.idle());
+}
+
+TEST(Router, VcBufferWindowsWrapInOrderAtDefaultDepth) { drive_wrapping_vcs(5); }
+
+TEST(Router, VcBufferWindowsWrapInOrderAtDepthOne) { drive_wrapping_vcs(1); }
+
+TEST(Router, BufferBlockAllocatedAtFirstFlit) {
+  RouterBench b;
+  b.run_to(50);
+  std::vector<Packet*> held;
+  b.router.collect_in_flight(held);
+  EXPECT_TRUE(held.empty());
+  EXPECT_EQ(b.router.buffer_bytes(), 0u) << "a router that never buffered a flit";
+  auto pkt = make_packet(1, 0, b.mesh.node({2, 1}), 1);
+  b.in[static_cast<int>(Port::West)]->send(make_flit(pkt, 0, 0), 50);
+  b.run_to(60);
+  const NocConfig& cfg = b.router.cfg();
+  EXPECT_EQ(b.router.buffer_bytes(),
+            static_cast<size_t>(kNumPorts * cfg.num_vcs * cfg.vc_buffer_depth) * 24u);
 }
 
 TEST(Router, AdaptiveRoutePrefersCreditRichPort) {

@@ -125,6 +125,33 @@ TEST(SweepSpecErrors, MoreThan32VcsIsStructured) {
   EXPECT_TRUE(parse_sweep_spec("set num_vcs = 32\n", &spec, &err)) << err.to_string();
 }
 
+// A router allocates kNumPorts x num_vcs x depth buffer slots at its first
+// flit: an absurd depth is a spec error, not a bad_alloc mid-run.
+TEST(SweepSpecErrors, VcBufferDepthAbove1024IsStructured) {
+  SweepSpec spec;
+  SpecError err;
+  EXPECT_FALSE(parse_sweep_spec("sweep vc_buffer_depth = 1024, 1025\n", &spec, &err));
+  EXPECT_NE(err.message.find("point 'vc_buffer_depth=1025' is invalid"),
+            std::string::npos)
+      << err.to_string();
+  EXPECT_NE(err.message.find("1024"), std::string::npos);
+  EXPECT_TRUE(parse_sweep_spec("set vc_buffer_depth = 1024\n", &spec, &err))
+      << err.to_string();
+}
+
+// An SDM plane's single VC holds the port's whole storage, so the bound
+// applies to depth x num_vcs there.
+TEST(SweepSpecErrors, SdmPlaneDepthAbove1024IsStructured) {
+  SweepSpec spec;
+  SpecError err;
+  EXPECT_FALSE(parse_sweep_spec("set preset = hybrid_sdm_vc4\n"
+                                "sweep vc_buffer_depth = 256, 257\n",
+                                &spec, &err));
+  EXPECT_NE(err.message.find("point 'vc_buffer_depth=257' is invalid"),
+            std::string::npos)
+      << err.to_string();
+}
+
 TEST(SweepSpecErrors, ExpansionLimit) {
   std::string text;
   // 8 axes x 10 values = 10^8 points: far past the limit.
