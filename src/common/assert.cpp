@@ -5,22 +5,8 @@
 
 namespace hybridnoc {
 
-namespace {
-thread_local bool g_checks_throw = false;
-}  // namespace
-
-ScopedCheckThrows::ScopedCheckThrows() : previous_(g_checks_throw) {
-  g_checks_throw = true;
-}
-
-ScopedCheckThrows::~ScopedCheckThrows() { g_checks_throw = previous_; }
-
 void check_failed(const char* expr, const char* file, int line,
                   const char* msg) {
-  if (g_checks_throw) {
-    std::string what(msg ? msg : expr);
-    throw CheckFailure(what);
-  }
   std::fprintf(stderr, "HN_CHECK failed: %s at %s:%d%s%s\n", expr, file, line,
                msg ? " — " : "", msg ? msg : "");
   std::abort();

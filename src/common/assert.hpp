@@ -5,40 +5,14 @@
 // release builds. The cost is a predictable branch per check and is invisible
 // next to the per-cycle work of the simulator.
 //
-// By default a failed check aborts. Front ends that validate *external input*
-// (trace files, workload descriptors, sweep specs) can instead arm the
-// thread-local throw mode with ScopedCheckThrows: inside its scope a failed
-// check raises CheckFailure, which the caller converts into a structured
-// error message and a nonzero exit instead of a crash. Only parsing/
-// validation code may run under the throw mode — simulation state is not
-// exception-safe across a failed invariant.
+// A failed check prints the expression and aborts. HN_CHECK guards the
+// simulator's own invariants only: values read from files, specs or flags
+// are checked with InputError (common/input.hpp) where they are read.
 #pragma once
-
-#include <stdexcept>
-#include <string>
 
 namespace hybridnoc {
 
-/// Raised by HN_CHECK under ScopedCheckThrows instead of aborting.
-struct CheckFailure : std::runtime_error {
-  explicit CheckFailure(const std::string& what) : std::runtime_error(what) {}
-};
-
-/// Arms throw-on-check-failure for the current thread for its lifetime.
-/// Nests safely (the previous mode is restored on destruction).
-class ScopedCheckThrows {
- public:
-  ScopedCheckThrows();
-  ~ScopedCheckThrows();
-  ScopedCheckThrows(const ScopedCheckThrows&) = delete;
-  ScopedCheckThrows& operator=(const ScopedCheckThrows&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// Aborts, or throws CheckFailure when the calling thread is inside a
-/// ScopedCheckThrows scope. Never returns normally either way.
+/// Prints the failed check and aborts.
 [[noreturn]] void check_failed(const char* expr, const char* file, int line,
                                const char* msg);
 

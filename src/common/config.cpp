@@ -2,54 +2,59 @@
 
 #include <sstream>
 
-#include "common/assert.hpp"
+#include "common/input.hpp"
 
 namespace hybridnoc {
 
-void NocConfig::validate() const {
-  HN_CHECK_MSG(k >= 2,
-               "mesh radix k must be >= 2: a 1-node mesh has no links, and "
-               "the tornado/hotspot patterns are degenerate on it");
-  HN_CHECK(num_vcs >= 1);
-  HN_CHECK_MSG(num_vcs <= 32, "num_vcs must be at most 32, the width of every VC bitmask");
-  HN_CHECK(vc_buffer_depth >= 1);
-  HN_CHECK_MSG(vc_buffer_depth <= kMaxVcBufferDepth,
-               "vc_buffer_depth must be at most 1024 flits");
+// A rule without its own message names itself: "config requires <expr>".
+#define HN_CONFIG_REQUIRES(expr) check_input(expr, "config requires " #expr)
+
+const NocConfig& NocConfig::validate() const {
+  check_input(k >= 2,
+              "mesh radix k must be >= 2: a 1-node mesh has no links, and "
+              "the tornado/hotspot patterns are degenerate on it");
+  HN_CONFIG_REQUIRES(num_vcs >= 1);
+  check_input(num_vcs <= 32,
+              "num_vcs must be at most 32, the width of every VC bitmask");
+  HN_CONFIG_REQUIRES(vc_buffer_depth >= 1);
+  check_input(vc_buffer_depth <= kMaxVcBufferDepth,
+              "vc_buffer_depth must be at most 1024 flits");
   // Each SDM plane is a one-VC network whose VC holds the whole port's
   // storage (sdm_network.cpp), so its depth is bounded the same way.
-  HN_CHECK_MSG(arch != RouterArch::HybridSdm ||
-                   vc_buffer_depth * num_vcs <= kMaxVcBufferDepth,
-               "an SDM plane's VC holds vc_buffer_depth x num_vcs flits, at most 1024");
-  HN_CHECK(ps_data_flits >= 1 && cs_data_flits >= 1 && config_flits >= 1);
-  HN_CHECK(slot_table_size >= 4);
-  HN_CHECK_MSG((slot_table_size & (slot_table_size - 1)) == 0,
-               "slot table size must be a power of two (modulo-S arithmetic)");
-  HN_CHECK(initial_active_slots >= 4 && initial_active_slots <= slot_table_size);
-  HN_CHECK((initial_active_slots & (initial_active_slots - 1)) == 0);
-  HN_CHECK(reservation_threshold > 0.0 && reservation_threshold <= 1.0);
-  HN_CHECK(path_freq_threshold >= 1);
-  HN_CHECK(policy_epoch_cycles >= 1);
-  HN_CHECK(max_setup_retries >= 0);
-  HN_CHECK(cs_latency_advantage > 0.0);
-  HN_CHECK(dlt_entries >= 1);
-  HN_CHECK(vc_threshold_high > vc_threshold_low);
-  HN_CHECK(vc_latency_high > vc_latency_low && vc_latency_low >= 0.0);
-  HN_CHECK(vc_gate_epoch_cycles >= 1);
-  HN_CHECK(min_active_vcs >= 1 && min_active_vcs <= num_vcs);
-  HN_CHECK(sdm_planes >= 2 && channel_bytes % sdm_planes == 0);
-  HN_CHECK(reservation_duration() < slot_table_size);
-  HN_CHECK(pending_setup_timeout_cycles >= 1);
-  HN_CHECK(link_ber >= 0.0 && link_ber < 1.0);
-  HN_CHECK(retx_timeout_cycles >= 1 && max_retx_attempts >= 0);
-  HN_CHECK(retx_backoff_cap_cycles >= retx_timeout_cycles);
-  HN_CHECK(cs_fail_threshold >= 1);
-  HN_CHECK(setup_backoff_base_cycles == 0 ||
-           setup_backoff_cap_cycles >= setup_backoff_base_cycles);
-  HN_CHECK(tick_threads >= 1);
-  HN_CHECK_MSG(tick_threads == 1 || !vc_power_gating,
-               "the parallel tick engine requires vc_power_gating off: VC "
-               "gating announcements cross router boundaries without a "
-               "pipelined channel in between");
+  check_input(arch != RouterArch::HybridSdm ||
+                  vc_buffer_depth * num_vcs <= kMaxVcBufferDepth,
+              "an SDM plane's VC holds vc_buffer_depth x num_vcs flits, at most 1024");
+  HN_CONFIG_REQUIRES(ps_data_flits >= 1 && cs_data_flits >= 1 && config_flits >= 1);
+  HN_CONFIG_REQUIRES(slot_table_size >= 4);
+  check_input((slot_table_size & (slot_table_size - 1)) == 0,
+              "slot table size must be a power of two (modulo-S arithmetic)");
+  HN_CONFIG_REQUIRES(initial_active_slots >= 4 && initial_active_slots <= slot_table_size);
+  HN_CONFIG_REQUIRES((initial_active_slots & (initial_active_slots - 1)) == 0);
+  HN_CONFIG_REQUIRES(reservation_threshold > 0.0 && reservation_threshold <= 1.0);
+  HN_CONFIG_REQUIRES(path_freq_threshold >= 1);
+  HN_CONFIG_REQUIRES(policy_epoch_cycles >= 1);
+  HN_CONFIG_REQUIRES(max_setup_retries >= 0);
+  HN_CONFIG_REQUIRES(cs_latency_advantage > 0.0);
+  HN_CONFIG_REQUIRES(dlt_entries >= 1);
+  HN_CONFIG_REQUIRES(vc_threshold_high > vc_threshold_low);
+  HN_CONFIG_REQUIRES(vc_latency_high > vc_latency_low && vc_latency_low >= 0.0);
+  HN_CONFIG_REQUIRES(vc_gate_epoch_cycles >= 1);
+  HN_CONFIG_REQUIRES(min_active_vcs >= 1 && min_active_vcs <= num_vcs);
+  HN_CONFIG_REQUIRES(sdm_planes >= 2 && channel_bytes % sdm_planes == 0);
+  HN_CONFIG_REQUIRES(reservation_duration() < slot_table_size);
+  HN_CONFIG_REQUIRES(pending_setup_timeout_cycles >= 1);
+  HN_CONFIG_REQUIRES(link_ber >= 0.0 && link_ber < 1.0);
+  HN_CONFIG_REQUIRES(retx_timeout_cycles >= 1 && max_retx_attempts >= 0);
+  HN_CONFIG_REQUIRES(retx_backoff_cap_cycles >= retx_timeout_cycles);
+  HN_CONFIG_REQUIRES(cs_fail_threshold >= 1);
+  HN_CONFIG_REQUIRES(setup_backoff_base_cycles == 0 ||
+                     setup_backoff_cap_cycles >= setup_backoff_base_cycles);
+  HN_CONFIG_REQUIRES(tick_threads >= 1);
+  check_input(tick_threads == 1 || !vc_power_gating,
+              "the parallel tick engine requires vc_power_gating off: VC "
+              "gating announcements cross router boundaries without a "
+              "pipelined channel in between");
+  return *this;
 }
 
 std::string NocConfig::summary() const {

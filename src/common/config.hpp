@@ -170,8 +170,9 @@ struct NocConfig {
     return cs_data_flits + (vicinity_sharing ? 1 : 0);
   }
 
-  /// Aborts (HN_CHECK) on inconsistent parameter combinations.
-  void validate() const;
+  /// Throws InputError naming the first inconsistent parameter; returns
+  /// *this, so a constructor can validate before it builds anything.
+  const NocConfig& validate() const;
 
   /// Human-readable one-line summary for bench headers.
   std::string summary() const;

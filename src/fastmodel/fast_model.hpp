@@ -52,14 +52,16 @@ namespace hybridnoc {
 bool fast_model_supports(const NocConfig& cfg, std::string* why = nullptr);
 
 /// One transfer-level run of `cfg` under a synthetic pattern, mirroring
-/// run_synthetic's warmup/measurement/saturation methodology. Aborts
-/// (HN_CHECK) when !fast_model_supports(cfg).
+/// run_synthetic's warmup/measurement/saturation methodology. Throws
+/// InputError on an invalid config; aborts (HN_CHECK) when
+/// !fast_model_supports(cfg).
 RunResult run_synthetic_fast(const NocConfig& cfg, const RunParams& params);
 
 /// Transfer-level twin of run_trace: replays `entries` (looped) with the
 /// same methodology. Message sizes come from the trace; entries shorter
-/// than cfg.cs_data_flits are circuit-ineligible (circuit_eligible). Aborts
-/// (HN_CHECK) when !fast_model_supports(cfg) or the trace fails check_trace.
+/// than cfg.cs_data_flits are circuit-ineligible (circuit_eligible). Throws
+/// InputError on an invalid config or a trace that fails check_trace;
+/// aborts (HN_CHECK) when !fast_model_supports(cfg).
 RunResult run_trace_fast(const NocConfig& cfg,
                          const std::vector<TraceEntry>& entries,
                          const RunParams& params);

@@ -48,8 +48,7 @@ Network::Network(const NocConfig& cfg)
           }) {}
 
 Network::Network(const NocConfig& cfg, RouterFactory make_router, NiFactory make_ni)
-    : cfg_(cfg), mesh_(cfg.k), engine_(*this, cfg.tick_threads) {
-  cfg_.validate();
+    : cfg_(cfg.validate()), mesh_(cfg.k), engine_(*this, cfg.tick_threads) {
   routers_.reserve(static_cast<size_t>(num_nodes()));
   nis_.reserve(static_cast<size_t>(num_nodes()));
   for (NodeId n = 0; n < num_nodes(); ++n) {

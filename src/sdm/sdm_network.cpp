@@ -19,9 +19,9 @@ NocConfig plane_config(const NocConfig& cfg) {
 }
 }  // namespace
 
-SdmNetwork::SdmNetwork(const NocConfig& cfg) : cfg_(cfg), mesh_(cfg.k) {
+SdmNetwork::SdmNetwork(const NocConfig& cfg)
+    : cfg_(cfg.validate()), mesh_(cfg.k) {
   HN_CHECK(cfg.arch == RouterArch::HybridSdm);
-  cfg_.validate();
   reserved_.resize(static_cast<size_t>(cfg_.sdm_planes));
   for (int p = 0; p < cfg_.sdm_planes; ++p) {
     planes_.push_back(std::make_unique<Network>(plane_config(cfg_)));

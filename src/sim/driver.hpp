@@ -32,7 +32,7 @@ RunResult run_synthetic(const NocConfig& cfg, const RunParams& params);
 /// than cfg.cs_data_flits are marked circuit-ineligible: a control message
 /// would be padded out by the fixed CS transfer size, so short traffic
 /// always packet-switches (the heterogeneous model's CPU-traffic rule).
-/// Aborts (HN_CHECK) when the trace fails check_trace.
+/// Throws InputError when the trace fails check_trace.
 RunResult run_trace(const NocConfig& cfg,
                     const std::vector<TraceEntry>& entries,
                     const RunParams& params);

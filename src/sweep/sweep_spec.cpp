@@ -5,8 +5,9 @@
 #include <map>
 #include <sstream>
 
-#include "common/assert.hpp"
 #include "common/fileio.hpp"
+#include "common/input.hpp"
+#include "fastmodel/fast_model.hpp"
 #include "sweep/canonical.hpp"
 
 namespace hybridnoc::sweep {
@@ -239,16 +240,10 @@ bool parse_sweep_spec(const std::string& text, SweepSpec* out,
 
   std::vector<Op> ops;
   std::istringstream in(text);
-  std::string raw;
-  int lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    std::string line = raw;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (line.empty()) continue;
-
+  LineReader reader(in, "spec");
+  std::string line;
+  while (reader.next(&line)) {
+    const int lineno = reader.line();
     const std::size_t eq = line.find('=');
     if (eq == std::string::npos) {
       return fail(err, lineno, "expected '<directive> <key> = <value>'");
@@ -332,12 +327,18 @@ bool parse_sweep_spec(const std::string& text, SweepSpec* out,
     }
     if (label.empty()) label = "point" + std::to_string(pt);
 
-    // Cross-field validation is HN_CHECK-based; specs are external input,
-    // so run it under the throw mode and surface a structured error.
+    // The config's own constraints, then what the run asks of it.
     try {
-      ScopedCheckThrows guard;
       p.cfg.validate();
-    } catch (const CheckFailure& e) {
+      const double rate = p.params.injection_rate;
+      check_input(rate >= 0.0 && rate <= p.cfg.ps_data_flits,
+                  "rate must lie in [0, ps_data_flits] flits/node/cycle");
+      std::string why;
+      if (p.params.fidelity == Fidelity::Fast &&
+          !fast_model_supports(p.cfg, &why)) {
+        throw InputError("fidelity fast: " + why);
+      }
+    } catch (const InputError& e) {
       return fail(err, 0, "point '" + label + "' is invalid: " + e.what());
     }
 

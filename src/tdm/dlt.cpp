@@ -5,9 +5,10 @@
 
 namespace hybridnoc {
 
-DestinationLookupTable::DestinationLookupTable(int capacity, int num_slots)
-    : capacity_(capacity), num_slots_(num_slots) {
-  HN_CHECK(capacity >= 1 && num_slots >= 1);
+DestinationLookupTable::DestinationLookupTable(int capacity, int num_slots,
+                                               int num_nodes)
+    : capacity_(capacity), num_slots_(num_slots), num_nodes_(num_nodes) {
+  HN_CHECK(capacity >= 1 && num_slots >= 1 && num_nodes >= 1);
   entries_.resize(static_cast<size_t>(capacity));
 }
 
@@ -103,8 +104,9 @@ void DestinationLookupTable::layout(Ar& ar, Self& self) {
   ar.section("dlt");
   ar.expect(self.capacity_, "DLT capacity mismatch");
   for (auto& e : self.entries_) {
-    // An empty entry holds slot = duration = 0.
-    ar.field(e.dest);
+    // An empty entry holds dest = kInvalidNode, slot = duration = 0.
+    ar.ranged(e.dest, kInvalidNode, self.num_nodes_ - 1,
+              "DLT entry destination outside the mesh");
     ar.ranged(e.slot, 0, self.num_slots_ - 1, "DLT entry slot out of range");
     ar.ranged(e.duration, 0, self.num_slots_ - 1,
               "DLT entry duration out of range");

@@ -40,8 +40,9 @@ struct DltEntry {
 
 class DestinationLookupTable {
  public:
-  /// `num_slots` is the slot-table size: every recorded slot lies below it.
-  DestinationLookupTable(int capacity, int num_slots);
+  /// `num_slots` is the slot-table size: every recorded slot lies below it;
+  /// every recorded destination lies below `num_nodes`.
+  DestinationLookupTable(int capacity, int num_slots, int num_nodes);
 
   /// Record a connection observed passing through the local router
   /// (replaces an existing entry for the same destination; LRU-evicts when
@@ -96,6 +97,7 @@ class DestinationLookupTable {
 
   int capacity_;
   int num_slots_;
+  int num_nodes_;
   std::vector<DltEntry> entries_;
   mutable std::uint64_t accesses_ = 0;
 };

@@ -11,6 +11,7 @@
 
 #include "common/assert.hpp"
 #include "common/fileio.hpp"
+#include "common/input.hpp"
 #include "noc/fault_model.hpp"
 #include "tdm/hybrid_network.hpp"
 
@@ -67,7 +68,8 @@ std::optional<FaultAction> parse_fault_action(const std::string& s) {
 std::uint64_t fault_record_key(ConfigKind kind, NodeId src, NodeId dst,
                                int occurrence) {
   HN_CHECK(src >= 0 && dst >= 0 && occurrence >= 0);
-  HN_CHECK(src < (1 << 20) && dst < (1 << 20) && occurrence < (1 << 20));
+  HN_CHECK(src < kFaultKeyLimit && dst < kFaultKeyLimit &&
+           occurrence < kFaultKeyLimit);
   return (static_cast<std::uint64_t>(kind) << 60) |
          (static_cast<std::uint64_t>(src) << 40) |
          (static_cast<std::uint64_t>(dst) << 20) |
@@ -96,34 +98,37 @@ void write_record(std::ostream& out, const FaultRecord& r) {
       << fault_action_name(r.action) << ' ' << r.delay << '\n';
 }
 
-/// Parse one record line (comment already stripped, known non-blank).
-FaultRecord parse_record(const std::string& line) {
+/// Parse one record line that `reader` returned.
+FaultRecord parse_record(const std::string& line, const LineReader& reader) {
   std::istringstream ls(line);
   FaultRecord r;
   std::string kind, action;
-  HN_CHECK_MSG(static_cast<bool>(ls >> r.cycle >> r.msg_id >> kind >> r.src >>
+  reader.check(static_cast<bool>(ls >> r.cycle >> r.msg_id >> kind >> r.src >>
                                  r.dst >> r.occurrence >> action >> r.delay),
                "malformed fault-trace record");
   const auto k = parse_config_kind(kind);
   const auto a = parse_fault_action(action);
-  HN_CHECK_MSG(k.has_value(), "unknown config kind in fault trace");
-  HN_CHECK_MSG(a.has_value(), "unknown fault action in fault trace");
-  HN_CHECK_MSG(r.src >= 0 && r.dst >= 0 && r.occurrence >= 0,
-               "invalid fault-trace record");
+  reader.check(k.has_value(), "unknown config kind in fault trace");
+  reader.check(a.has_value(), "unknown fault action in fault trace");
+  reader.check(r.src >= 0 && r.src < kFaultKeyLimit && r.dst >= 0 &&
+                   r.dst < kFaultKeyLimit && r.occurrence >= 0 &&
+                   r.occurrence < kFaultKeyLimit,
+               "invalid fault-trace record: src, dst and occurrence must lie "
+               "in [0, 2^20)");
   r.kind = *k;
   r.action = *a;
   // Data-plane records (v2) carry a port index in dst and a restricted
   // action set; reject inconsistent combinations at the parse boundary.
   if (r.kind == ConfigKind::Link) {
-    HN_CHECK_MSG(r.dst >= 1 && r.dst < kNumPorts, "invalid link fault port");
-    HN_CHECK_MSG(r.action == FaultAction::Corrupt ||
+    reader.check(r.dst >= 1 && r.dst < kNumPorts, "invalid link fault port");
+    reader.check(r.action == FaultAction::Corrupt ||
                      r.action == FaultAction::Stuck ||
                      r.action == FaultAction::Kill,
                  "invalid link fault action");
   } else if (r.kind == ConfigKind::Router) {
-    HN_CHECK_MSG(r.action == FaultAction::Kill, "invalid router fault action");
+    reader.check(r.action == FaultAction::Kill, "invalid router fault action");
   } else {
-    HN_CHECK_MSG(r.action != FaultAction::Corrupt &&
+    reader.check(r.action != FaultAction::Corrupt &&
                      r.action != FaultAction::Stuck &&
                      r.action != FaultAction::Kill,
                  "data-plane action on a config record");
@@ -131,24 +136,17 @@ FaultRecord parse_record(const std::string& line) {
   return r;
 }
 
-/// Strip `#` comments; returns false for lines with no content left.
-bool strip_to_content(std::string& line) {
-  const auto hash = line.find('#');
-  if (hash != std::string::npos) line.erase(hash);
-  return line.find_first_not_of(" \t\r") != std::string::npos;
-}
-
-void check_version_header(std::istream& in, const char* magic) {
-  std::string word;
+/// The first line with content must be `<magic> v<version>`.
+void check_version_header(LineReader& reader, const char* magic) {
+  std::string line, word;
   int version = -1;
   char v = '\0';
-  HN_CHECK_MSG(static_cast<bool>(in >> word >> v >> version) && word == magic &&
-                   v == 'v',
+  const bool got = reader.next(&line);
+  std::istringstream ls(line);
+  reader.check(got && ls >> word >> v >> version && word == magic && v == 'v',
                "bad fault-trace header");
-  HN_CHECK_MSG(version >= 1 && version <= FaultTrace::kVersion,
+  reader.check(version >= 1 && version <= FaultTrace::kVersion,
                "unsupported fault-trace version");
-  std::string rest;
-  std::getline(in, rest);  // consume the remainder of the header line
 }
 
 }  // namespace
@@ -159,14 +157,12 @@ void save_fault_trace(std::ostream& out, const FaultTrace& trace) {
   for (const auto& r : trace.records) write_record(out, r);
 }
 
-FaultTrace load_fault_trace(std::istream& in) {
-  check_version_header(in, kTraceMagic);
+FaultTrace load_fault_trace(std::istream& in, const std::string& source) {
+  LineReader reader(in, source);
+  check_version_header(reader, kTraceMagic);
   FaultTrace t;
   std::string line;
-  while (std::getline(in, line)) {
-    if (!strip_to_content(line)) continue;
-    t.records.push_back(parse_record(line));
-  }
+  while (reader.next(&line)) t.records.push_back(parse_record(line, reader));
   return t;
 }
 
@@ -248,29 +244,23 @@ void save_fault_scenario(std::ostream& out, const FaultScenario& s) {
   out << "end\n";
 }
 
-FaultScenario load_fault_scenario(std::istream& in) {
-  check_version_header(in, kScenarioMagic);
+FaultScenario load_fault_scenario(std::istream& in,
+                                  const std::string& source) {
+  LineReader reader(in, source);
+  check_version_header(reader, kScenarioMagic);
   FaultScenario s;
   std::string line;
   bool saw_end = false;
-  while (!saw_end && std::getline(in, line)) {
-    if (!strip_to_content(line)) continue;
+  while (!saw_end && reader.next(&line)) {
     std::istringstream ls(line);
     std::string key;
     ls >> key;
-    auto read_u64 = [&ls, &key]() {
-      std::uint64_t v = 0;
-      HN_CHECK_MSG(static_cast<bool>(ls >> v),
-                   "malformed scenario field value");
-      (void)key;
+    auto read = [&](auto v) {
+      reader.check(static_cast<bool>(ls >> v), "malformed scenario field value");
       return v;
     };
-    auto read_double = [&ls]() {
-      double v = 0;
-      HN_CHECK_MSG(static_cast<bool>(ls >> v),
-                   "malformed scenario field value");
-      return v;
-    };
+    auto read_u64 = [&]() { return read(std::uint64_t{0}); };
+    auto read_double = [&]() { return read(0.0); };
     if (key == "k") s.k = static_cast<int>(read_u64());
     else if (key == "slot_table_size") s.slot_table_size = static_cast<int>(read_u64());
     else if (key == "dynamic_slot_sizing") s.dynamic_slot_sizing = read_u64() != 0;
@@ -304,52 +294,49 @@ FaultScenario load_fault_scenario(std::istream& in) {
       d.port = static_cast<int>(read_u64());
       d.start = read_u64();
       if (key == "stick_link") d.duration = read_u64();
-      HN_CHECK_MSG(d.port >= 1 && d.port < kNumPorts,
+      reader.check(d.port >= 1 && d.port < kNumPorts,
                    "invalid scenario link fault port");
       (key == "kill_link" ? s.dead_links : s.stuck_links).push_back(d);
     } else if (key == "kill_router") {
       const auto node = static_cast<NodeId>(read_u64());
       s.dead_routers.emplace_back(node, read_u64());
     } else if (key == "invariant") {
-      HN_CHECK_MSG(static_cast<bool>(ls >> s.invariant),
+      reader.check(static_cast<bool>(ls >> s.invariant),
                    "malformed scenario field value");
     } else if (key == "traffic") {
       const auto n = read_u64();
-      while (s.traffic.size() < n && std::getline(in, line)) {
-        if (!strip_to_content(line)) continue;
+      while (s.traffic.size() < n && reader.next(&line)) {
         std::istringstream es(line);
         TraceEntry e;
-        HN_CHECK_MSG(
+        reader.check(
             static_cast<bool>(es >> e.cycle >> e.src >> e.dst >> e.flits),
             "malformed scenario traffic entry");
-        HN_CHECK_MSG(e.flits >= 1 && e.src >= 0 && e.dst >= 0 &&
+        reader.check(e.flits >= 1 && e.src >= 0 && e.dst >= 0 &&
                          (s.traffic.empty() || s.traffic.back().cycle <= e.cycle),
                      "invalid scenario traffic entry");
         s.traffic.push_back(e);
       }
-      HN_CHECK_MSG(s.traffic.size() == n, "truncated scenario traffic block");
+      reader.check(s.traffic.size() == n, "truncated scenario traffic block");
     } else if (key == "faults") {
       const auto n = read_u64();
-      while (s.faults.records.size() < n && std::getline(in, line)) {
-        if (!strip_to_content(line)) continue;
-        s.faults.records.push_back(parse_record(line));
+      while (s.faults.records.size() < n && reader.next(&line)) {
+        s.faults.records.push_back(parse_record(line, reader));
       }
-      HN_CHECK_MSG(s.faults.records.size() == n,
+      reader.check(s.faults.records.size() == n,
                    "truncated scenario fault block");
     } else if (key == "end") {
       saw_end = true;
     } else {
-      HN_CHECK_MSG(false, "unknown scenario field");
+      reader.fail("unknown scenario field '" + key + "'");
     }
   }
-  HN_CHECK_MSG(saw_end, "scenario file missing end marker");
+  reader.check(saw_end, "scenario file missing end marker");
   return s;
 }
 
 FaultScenario read_fault_scenario_file(const std::string& path) {
-  std::ifstream in(path);
-  HN_CHECK_MSG(in.good(), "cannot open fault scenario file");
-  return load_fault_scenario(in);
+  std::ifstream in = open_input(path);
+  return load_fault_scenario(in, path);
 }
 
 void write_fault_scenario_file(const std::string& path,
@@ -359,8 +346,9 @@ void write_fault_scenario_file(const std::string& path,
   std::ostringstream out;
   save_fault_scenario(out, s);
   std::string err;
-  HN_CHECK_MSG(write_file_atomic(path, out.str(), &err),
-               "cannot write fault scenario file");
+  if (!write_file_atomic(path, out.str(), &err)) {
+    throw InputError("cannot write '" + path + "': " + err);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -548,8 +536,7 @@ bool violates_invariant(const std::string& name, const ScenarioOutcome& o) {
   }
   if (name == "no-fault-teardowns") return o.ni[NiCounter::CsFaultTeardowns] > 0;
   if (name == "no-retx-give-ups") return o.ni[NiCounter::RetxGiveUps] > 0;
-  HN_CHECK_MSG(false, "unknown invariant name");
-  return false;
+  throw InputError("unknown invariant '" + name + "'");
 }
 
 std::vector<std::string> known_invariants() {
@@ -598,8 +585,8 @@ ShrinkResult shrink_fault_scenario(
     return violates_invariant(invariant, o);
   };
 
-  HN_CHECK_MSG(still_fails(faults),
-               "scenario does not violate the invariant to begin with");
+  check_input(still_fails(faults),
+              "scenario does not violate the invariant to begin with");
   say("baseline violates '" + invariant + "' with " +
       std::to_string(faults.size()) + " faults (of " +
       std::to_string(res.original_records) + " recorded events)");

@@ -80,7 +80,9 @@ struct FaultRecord {
 };
 
 /// Replay-key packing: kind in the top bits, then src/dst/occurrence (20
-/// bits each — far beyond any mesh or storm this simulator runs).
+/// bits each — far beyond any mesh or storm this simulator runs), each in
+/// [0, kFaultKeyLimit).
+inline constexpr int kFaultKeyLimit = 1 << 20;
 std::uint64_t fault_record_key(ConfigKind kind, NodeId src, NodeId dst,
                                int occurrence);
 
@@ -97,10 +99,11 @@ struct FaultTrace {
 };
 
 /// Text serialization: `hybridnoc-fault-trace v1` header, one record per
-/// line, `#` comments ignored. load aborts (HN_CHECK) on malformed lines or
-/// an unknown version.
+/// line, `#` comments ignored. load throws InputError naming `source` and
+/// the line on a malformed line or an unknown version.
 void save_fault_trace(std::ostream& out, const FaultTrace& trace);
-FaultTrace load_fault_trace(std::istream& in);
+FaultTrace load_fault_trace(std::istream& in,
+                            const std::string& source = "fault trace");
 
 /// A self-contained storm: protocol-relevant config knobs, the injection
 /// schedule, resize request cycles, seeded fault parameters (record mode)
@@ -155,9 +158,10 @@ struct FaultScenario {
 };
 
 void save_fault_scenario(std::ostream& out, const FaultScenario& s);
-FaultScenario load_fault_scenario(std::istream& in);
+FaultScenario load_fault_scenario(std::istream& in,
+                                  const std::string& source = "fault scenario");
 
-/// File helpers (abort on unreadable/unwritable paths).
+/// File helpers (throw InputError on unreadable/unwritable paths).
 FaultScenario read_fault_scenario_file(const std::string& path);
 void write_fault_scenario_file(const std::string& path,
                                const FaultScenario& s);
@@ -201,7 +205,7 @@ ScenarioOutcome run_fault_scenario(const FaultScenario& s, ScenarioMode mode,
                                    FaultTrace* recorded = nullptr);
 
 /// Invariant registry for the shrinker. `violates_invariant` returns true
-/// when `o` VIOLATES the named invariant; unknown names abort.
+/// when `o` VIOLATES the named invariant; unknown names throw InputError.
 bool violates_invariant(const std::string& name, const ScenarioOutcome& o);
 std::vector<std::string> known_invariants();
 

@@ -12,7 +12,7 @@ namespace hybridnoc {
 HybridNi::HybridNi(const NocConfig& cfg, NodeId id, const Mesh& mesh,
                    TdmController* ctrl)
     : NetworkInterface(cfg, id, mesh),
-      dlt_(cfg.dlt_entries, cfg.slot_table_size),
+      dlt_(cfg.dlt_entries, cfg.slot_table_size, mesh.num_nodes()),
       ctrl_(ctrl),
       rng_(cfg.seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(id) + 1) {
   HN_CHECK(ctrl_ != nullptr);

@@ -5,24 +5,22 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/input.hpp"
 
 namespace hybridnoc {
 
-std::vector<TraceEntry> load_trace(std::istream& in) {
+std::vector<TraceEntry> load_trace(std::istream& in, const std::string& source) {
   std::vector<TraceEntry> out;
+  LineReader reader(in, source);
   std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
+  while (reader.next(&line)) {
     std::istringstream ls(line);
     TraceEntry e;
-    if (!(ls >> e.cycle)) continue;  // blank / comment-only line
-    HN_CHECK_MSG(static_cast<bool>(ls >> e.src >> e.dst >> e.flits),
+    reader.check(static_cast<bool>(ls >> e.cycle >> e.src >> e.dst >> e.flits),
                  "malformed trace line");
-    HN_CHECK_MSG(e.flits >= 1 && e.src >= 0 && e.dst >= 0, "invalid trace entry");
-    HN_CHECK_MSG(out.empty() || out.back().cycle <= e.cycle,
+    reader.check(e.flits >= 1 && e.src >= 0 && e.dst >= 0,
+                 "invalid trace entry");
+    reader.check(out.empty() || out.back().cycle <= e.cycle,
                  "trace entries out of cycle order");
     out.push_back(e);
   }
@@ -30,17 +28,17 @@ std::vector<TraceEntry> load_trace(std::istream& in) {
 }
 
 void check_trace(const std::vector<TraceEntry>& entries, int num_nodes) {
-  HN_CHECK_MSG(!entries.empty(), "empty trace");
+  check_input(!entries.empty(), "empty trace");
   for (size_t i = 0; i < entries.size(); ++i) {
     const TraceEntry& e = entries[i];
-    HN_CHECK_MSG(e.src >= 0 && e.src < num_nodes && e.dst >= 0 &&
-                     e.dst < num_nodes,
-                 "trace entry outside the mesh");
-    HN_CHECK_MSG(e.src != e.dst, "self-directed trace entry");
-    HN_CHECK_MSG(e.flits >= 1 && e.flits <= kMaxTraceFlits,
-                 "trace entry flits outside 1..65535");
-    HN_CHECK_MSG(i == 0 || entries[i - 1].cycle <= e.cycle,
-                 "trace entries out of cycle order");
+    check_input(e.src >= 0 && e.src < num_nodes && e.dst >= 0 &&
+                    e.dst < num_nodes,
+                "trace entry outside the mesh");
+    check_input(e.src != e.dst, "self-directed trace entry");
+    check_input(e.flits >= 1 && e.flits <= kMaxTraceFlits,
+                "trace entry flits outside 1..65535");
+    check_input(i == 0 || entries[i - 1].cycle <= e.cycle,
+                "trace entries out of cycle order");
   }
 }
 

@@ -28,12 +28,14 @@ struct TraceEntry {
 /// Largest trace message in flits (the fast model stores lengths in 16 bits).
 inline constexpr int kMaxTraceFlits = 65535;
 
-/// Parse a trace stream. Aborts (HN_CHECK) on malformed lines or entries
-/// out of cycle order.
-std::vector<TraceEntry> load_trace(std::istream& in);
+/// Parse a trace stream. Throws InputError naming `source` and the line on
+/// a malformed line or an entry out of cycle order.
+std::vector<TraceEntry> load_trace(std::istream& in,
+                                   const std::string& source = "trace");
 
-/// What both fidelities require of a trace on `num_nodes` nodes (HN_CHECK):
-/// non-empty, sorted, in-mesh, not self-directed, 1..kMaxTraceFlits flits.
+/// What both fidelities require of a trace on `num_nodes` nodes (throws
+/// InputError): non-empty, sorted, in-mesh, not self-directed,
+/// 1..kMaxTraceFlits flits.
 void check_trace(const std::vector<TraceEntry>& entries, int num_nodes);
 void save_trace(std::ostream& out, const std::vector<TraceEntry>& entries);
 

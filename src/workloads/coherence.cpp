@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/assert.hpp"
 #include "common/geometry.hpp"
+#include "common/input.hpp"
 #include "common/rng.hpp"
 #include "tdm/switching_policy.hpp"
 
@@ -24,14 +24,17 @@ Cycle estimated_delivery(const Mesh& mesh, Cycle cycle, NodeId src, NodeId dst,
 }  // namespace
 
 CoherenceTrace generate_coherence_trace(const CoherenceParams& p) {
-  HN_CHECK(p.k >= 2);
-  HN_CHECK(p.cycles >= 1);
-  HN_CHECK(p.request_rate > 0.0 && p.request_rate <= 1.0);
-  HN_CHECK(p.ctrl_flits >= 1);
-  HN_CHECK(p.data_flits >= 1);
-  HN_CHECK(p.data_fraction >= 0.0 && p.data_fraction <= 1.0);
-  HN_CHECK(p.forward_fraction >= 0.0 && p.forward_fraction <= 1.0);
-  HN_CHECK(p.num_homes >= 0 && p.num_homes <= p.k * p.k);
+  check_input(p.k >= 2, "coherence: k must be >= 2");
+  check_input(p.cycles >= 1, "coherence: cycles must be >= 1");
+  check_input(p.request_rate > 0.0 && p.request_rate <= 1.0,
+              "coherence: request_rate must be in (0, 1]");
+  check_input(p.ctrl_flits >= 1 && p.data_flits >= 1,
+              "coherence: ctrl_flits and data_flits must be >= 1");
+  check_input(p.data_fraction >= 0.0 && p.data_fraction <= 1.0 &&
+                  p.forward_fraction >= 0.0 && p.forward_fraction <= 1.0,
+              "coherence: data_fraction and forward_fraction must be in [0, 1]");
+  check_input(p.num_homes >= 0 && p.num_homes <= p.k * p.k,
+              "coherence: num_homes must be in [0, k * k]");
 
   const Mesh mesh(p.k);
   const int n = mesh.num_nodes();

@@ -7,6 +7,7 @@
 
 #include "common/assert.hpp"
 #include "common/geometry.hpp"
+#include "common/input.hpp"
 #include "common/rng.hpp"
 
 namespace hybridnoc {
@@ -27,8 +28,8 @@ int NnDescriptor::max_depth() const {
 namespace {
 
 // Longest-path stage index per layer via Kahn's algorithm; doubles as the
-// cycle check (a node left unprocessed sits on a cycle).
-void compute_depths(NnDescriptor& d) {
+// cycle check (false: a node left unprocessed sits on a cycle).
+bool compute_depths(NnDescriptor& d) {
   std::vector<int> indegree(d.layers.size(), 0);
   for (const NnEdge& e : d.edges) ++indegree[e.consumer];
   std::vector<int> ready;
@@ -47,8 +48,7 @@ void compute_depths(NnDescriptor& d) {
       if (--indegree[e.consumer] == 0) ready.push_back(e.consumer);
     }
   }
-  HN_CHECK_MSG(processed == d.layers.size(),
-               "nn descriptor: layer graph has a cycle");
+  return processed == d.layers.size();
 }
 
 /// Row-major tile ids of a layer's placement rectangle.
@@ -68,56 +68,55 @@ std::vector<NodeId> layer_tiles(const NnLayer& l, const Mesh& mesh) {
 NnDescriptor parse_nn_descriptor(std::istream& in, const std::string& name) {
   NnDescriptor d;
   d.name = name;
+  LineReader reader(in, name);
   std::string line;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
+  while (reader.next(&line)) {
     std::istringstream ls(line);
     std::string directive;
-    if (!(ls >> directive)) continue;  // blank / comment-only line
+    ls >> directive;
     if (directive == "mesh") {
-      HN_CHECK_MSG(d.k == 0, "nn descriptor: duplicate mesh directive");
-      HN_CHECK_MSG(static_cast<bool>(ls >> d.k) && d.k >= 2,
-                   "nn descriptor: mesh radix must be an integer >= 2");
+      reader.check(d.k == 0, "nn descriptor: duplicate mesh directive");
+      reader.check(static_cast<bool>(ls >> d.k) && d.k >= 2 && d.k <= 46340,
+                   "nn descriptor: mesh radix must be an integer >= 2 "
+                   "(and at most 46340)");
       continue;
     }
-    HN_CHECK_MSG(d.k != 0, "nn descriptor: mesh directive must come first");
+    reader.check(d.k != 0, "nn descriptor: mesh directive must come first");
     if (directive == "layer") {
       NnLayer l;
-      HN_CHECK_MSG(static_cast<bool>(ls >> l.name >> l.x >> l.y >> l.w >> l.h),
+      reader.check(static_cast<bool>(ls >> l.name >> l.x >> l.y >> l.w >> l.h),
                    "nn descriptor: malformed layer line");
-      HN_CHECK_MSG(d.layer_index(l.name) < 0,
+      reader.check(d.layer_index(l.name) < 0,
                    "nn descriptor: duplicate layer name");
-      HN_CHECK_MSG(l.w >= 1 && l.h >= 1 && l.x >= 0 && l.y >= 0 &&
-                       l.x + l.w <= d.k && l.y + l.h <= d.k,
+      reader.check(l.w >= 1 && l.h >= 1 && l.x >= 0 && l.y >= 0 &&
+                       l.x <= d.k - l.w && l.y <= d.k - l.h,
                    "nn descriptor: layer placement outside the mesh grid");
       d.layers.push_back(std::move(l));
     } else if (directive == "edge") {
       std::string prod, cons;
-      std::int64_t bytes = 0;
-      HN_CHECK_MSG(static_cast<bool>(ls >> prod >> cons >> bytes),
-                   "nn descriptor: malformed edge line");
       NnEdge e;
+      reader.check(static_cast<bool>(ls >> prod >> cons >> e.bytes),
+                   "nn descriptor: malformed edge line");
       e.producer = d.layer_index(prod);
       e.consumer = d.layer_index(cons);
-      HN_CHECK_MSG(e.producer >= 0 && e.consumer >= 0,
+      reader.check(e.producer >= 0 && e.consumer >= 0,
                    "nn descriptor: edge references unknown layer");
-      HN_CHECK_MSG(bytes > 0,
+      reader.check(e.bytes > 0,
                    "nn descriptor: edge byte volume must be positive");
-      e.bytes = bytes;
+      // Only a one-tile layer feeding its own tile has no tile pair that
+      // crosses the network (nn_edge_tile_pairs finds one otherwise).
+      const NnLayer& a = d.layers[e.producer];
+      const NnLayer& b = d.layers[e.consumer];
+      reader.check(a.tiles() > 1 || b.tiles() > 1 || a.x != b.x || a.y != b.y,
+                   "nn descriptor: edge has no non-self tile pair");
       d.edges.push_back(e);
     } else {
-      HN_CHECK_MSG(false, "nn descriptor: unknown directive");
+      reader.fail("nn descriptor: unknown directive '" + directive + "'");
     }
   }
-  HN_CHECK_MSG(!d.layers.empty(), "nn descriptor: no layers");
-  HN_CHECK_MSG(!d.edges.empty(), "nn descriptor: no edges");
-  compute_depths(d);
-
-  // Every edge must map onto at least one tile pair that actually crosses
-  // the network; a single-tile layer feeding itself would generate nothing.
-  // nn_edge_tile_pairs aborts on the degenerate case.
-  for (const NnEdge& e : d.edges) nn_edge_tile_pairs(d, e);
+  reader.check(!d.layers.empty(), "nn descriptor: no layers");
+  reader.check(!d.edges.empty(), "nn descriptor: no edges");
+  reader.check(compute_depths(d), "nn descriptor: layer graph has a cycle");
   return d;
 }
 
@@ -255,9 +254,9 @@ const char* builtin_nn_descriptor_text(const std::string& name, int k) {
 
 NnDescriptor builtin_nn_descriptor(const std::string& name, int k) {
   const char* text = builtin_nn_descriptor_text(name, k);
-  HN_CHECK_MSG(text != nullptr,
-               "unknown builtin nn descriptor (names: resnet50, transformer, "
-               "gnmt; meshes: 6, 8)");
+  check_input(text != nullptr,
+              "unknown builtin nn descriptor (names: resnet50, transformer, "
+              "gnmt; meshes: 6, 8)");
   return parse_nn_descriptor_string(text, name);
 }
 
@@ -323,10 +322,10 @@ Cycle nn_auto_stage_cycles(const NnDescriptor& d, const NnGenParams& p) {
 
 std::vector<TraceEntry> generate_nn_trace(const NnDescriptor& d,
                                           const NnGenParams& p) {
-  HN_CHECK(p.iterations >= 1);
-  HN_CHECK(p.flits_per_packet >= 1);
-  HN_CHECK(p.channel_bytes >= 1);
-  HN_CHECK(p.intensity > 0.0);
+  check_input(p.iterations >= 1, "nn iterations must be >= 1");
+  check_input(p.flits_per_packet >= 1 && p.channel_bytes >= 1,
+              "nn flits_per_packet and channel_bytes must be >= 1");
+  check_input(p.intensity > 0.0, "nn intensity must be positive");
 
   const Cycle stage =
       p.stage_cycles > 0 ? p.stage_cycles : nn_auto_stage_cycles(d, p);

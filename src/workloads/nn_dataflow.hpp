@@ -20,9 +20,10 @@
 //   mesh <k>                      required, first non-comment line
 //   layer <name> <x> <y> <w> <h>  tile rectangle [x, x+w) x [y, y+h)
 //   edge <producer> <consumer> <bytes>
-// Parsing aborts (HN_CHECK) on malformed lines, unknown layer references,
-// non-positive byte volumes, out-of-grid placements, duplicate layers and
-// cyclic edge sets — the golden-trace suite exercises each path.
+// Parsing throws InputError, naming the line, on malformed lines, unknown
+// layer references, non-positive byte volumes, out-of-grid placements,
+// duplicate layers and cyclic edge sets — the descriptor tests exercise
+// each path.
 //
 // Byte-volume accounting is exact and testable: per edge and iteration the
 // generator emits exactly nn_edge_flits(edge, params) payload flits (bytes
@@ -66,8 +67,8 @@ struct NnDescriptor {
   int max_depth() const;
 };
 
-/// Parse a descriptor stream. Aborts (HN_CHECK) on any malformed input;
-/// `name` labels the workload in summaries.
+/// Parse a descriptor stream. Throws InputError("<name>:<line>: ...") on any
+/// malformed input; `name` labels the workload in summaries.
 NnDescriptor parse_nn_descriptor(std::istream& in,
                                  const std::string& name = "nn");
 NnDescriptor parse_nn_descriptor_string(const std::string& text,
@@ -76,7 +77,7 @@ NnDescriptor parse_nn_descriptor_string(const std::string& text,
 /// Bundled descriptors: "resnet50", "transformer", "gnmt", each scaled for
 /// k = 6 and k = 8 meshes. Returns nullptr for unknown (name, k).
 const char* builtin_nn_descriptor_text(const std::string& name, int k);
-/// Parse a bundled descriptor; aborts (HN_CHECK) on unknown (name, k).
+/// Parse a bundled descriptor; throws InputError on unknown (name, k).
 NnDescriptor builtin_nn_descriptor(const std::string& name, int k);
 std::vector<std::string> builtin_nn_names();
 

@@ -1,8 +1,6 @@
 #include "workloads/workload.hpp"
 
-#include <fstream>
-
-#include "common/assert.hpp"
+#include "common/input.hpp"
 
 namespace hybridnoc {
 
@@ -21,9 +19,10 @@ double trace_offered_rate(const std::vector<TraceEntry>& entries, int nodes) {
 
 WorkloadTrace build_workload(const std::string& spec,
                              const WorkloadOptions& opts) {
-  HN_CHECK_MSG(is_workload_spec(spec),
-               "unknown workload spec (expected nn:<name>, nn:@<file> or "
-               "coherence)");
+  if (!is_workload_spec(spec)) {
+    throw InputError("unknown workload spec '" + spec +
+                     "' (expected nn:<name>, nn:@<file> or coherence)");
+  }
   WorkloadTrace out;
   out.name = spec;
   if (spec == "coherence") {
@@ -38,11 +37,10 @@ WorkloadTrace build_workload(const std::string& spec,
     NnDescriptor desc;
     if (!arg.empty() && arg[0] == '@') {
       const std::string path = arg.substr(1);
-      std::ifstream in(path);
-      HN_CHECK_MSG(in.good(), "cannot open nn descriptor file");
+      std::ifstream in = open_input(path);
       desc = parse_nn_descriptor(in, path);
-      HN_CHECK_MSG(desc.k == opts.k,
-                   "nn descriptor mesh radix does not match the run's mesh");
+      check_input(desc.k == opts.k,
+                  "nn descriptor mesh radix does not match the run's mesh");
     } else {
       desc = builtin_nn_descriptor(arg, opts.k);
     }

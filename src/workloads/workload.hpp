@@ -41,9 +41,9 @@ struct WorkloadTrace {
 /// True when `spec` names a workload this module can build.
 bool is_workload_spec(const std::string& spec);
 
-/// Resolve `spec` and generate its trace. Aborts (HN_CHECK) on an unknown
-/// spec, an unknown builtin descriptor name, or an unreadable/malformed
-/// descriptor file.
+/// Resolve `spec` and generate its trace. Throws InputError on an unknown
+/// spec, an unknown builtin descriptor name, an unreadable or malformed
+/// descriptor file, or generator options out of range.
 WorkloadTrace build_workload(const std::string& spec,
                              const WorkloadOptions& opts);
 

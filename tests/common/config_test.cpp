@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_input_error.hpp"
+
 namespace hybridnoc {
 namespace {
 
@@ -63,14 +65,14 @@ TEST(NocConfig, ValidateAcceptsAllPresets) {
 TEST(NocConfigDeathTest, RejectsNonPowerOfTwoSlotTable) {
   NocConfig c = NocConfig::hybrid_tdm_vc4();
   c.slot_table_size = 100;
-  EXPECT_DEATH(c.validate(), "power of two");
+  EXPECT_INPUT_ERROR(c.validate(), "power of two");
 }
 
 TEST(NocConfigDeathTest, RejectsInvertedVcThresholds) {
   NocConfig c = NocConfig::hybrid_tdm_vct();
   c.vc_threshold_high = 0.1;
   c.vc_threshold_low = 0.5;
-  EXPECT_DEATH(c.validate(), "HN_CHECK");
+  EXPECT_INPUT_ERROR(c.validate(), "vc_threshold_high");
 }
 
 TEST(NocConfig, SummaryNamesArchitecture) {

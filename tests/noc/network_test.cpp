@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "expect_input_error.hpp"
 
 namespace hybridnoc {
 namespace {
@@ -24,6 +25,14 @@ PacketPtr make_data(PacketId id, NodeId src, NodeId dst, int flits) {
 /// link) + NI injection/ejection overhead + serialization.
 Cycle expected_zero_load(int hops, int flits) {
   return static_cast<Cycle>(5 * hops + 6 + flits);
+}
+
+// The config is checked before the network builds a channel or starts a
+// worker thread, so the throw leaves nothing behind.
+TEST(Network, InvalidConfigThrowsBeforeBuilding) {
+  NocConfig cfg = NocConfig::packet_vc4(1);
+  cfg.tick_threads = 2;
+  EXPECT_INPUT_ERROR({ Network net(cfg); }, "mesh radix");
 }
 
 TEST(Network, SingleZeroLoadPacketLatencyMatchesModel) {

@@ -19,6 +19,7 @@
 #include <string>
 #include <thread>
 
+#include "expect_input_error.hpp"
 #include "noc/network.hpp"
 #include "run_fingerprint.hpp"
 #include "tdm/fault_trace.hpp"
@@ -556,7 +557,7 @@ TEST(ThreadEquivalence, ValidateRejectsGatingWithThreads) {
   NocConfig cfg = NocConfig::packet_vc4(4);
   cfg.vc_power_gating = true;
   cfg.tick_threads = 4;
-  EXPECT_DEATH({ Network net(cfg); }, "vc_power_gating");
+  EXPECT_INPUT_ERROR({ Network net(cfg); }, "vc_power_gating");
 }
 
 }  // namespace

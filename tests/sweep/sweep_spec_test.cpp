@@ -105,7 +105,8 @@ TEST(SweepSpecErrors, MalformedLine) {
 }
 
 // Config cross-validation runs per expanded point and reports a structured
-// error instead of aborting the process (HN_CHECK under ScopedCheckThrows).
+// error instead of aborting the process (NocConfig::validate throws
+// InputError, which the expansion turns into a SpecError).
 TEST(SweepSpecErrors, InvalidPointIsStructured) {
   SweepSpec spec;
   SpecError err;
@@ -150,6 +151,33 @@ TEST(SweepSpecErrors, SdmPlaneDepthAbove1024IsStructured) {
   EXPECT_NE(err.message.find("point 'vc_buffer_depth=257' is invalid"),
             std::string::npos)
       << err.to_string();
+}
+
+// Run parameters are checked against the point's config too: a rate above
+// one packet per node per cycle, or the fast model on a config it cannot
+// run, is a spec error, not an abort when the point runs.
+TEST(SweepSpecErrors, RateAbovePacketSizeIsStructured) {
+  SweepSpec spec;
+  SpecError err;
+  EXPECT_FALSE(parse_sweep_spec("set preset = hybrid_tdm_vc4\n"
+                                "set k = 4\n"
+                                "sweep rate = 5, 9\n",
+                                &spec, &err));
+  EXPECT_NE(err.message.find("point 'rate=9' is invalid"), std::string::npos)
+      << err.to_string();
+  EXPECT_NE(err.message.find("rate"), std::string::npos);
+}
+
+TEST(SweepSpecErrors, FastFidelityOnCycleOnlyConfigIsStructured) {
+  SweepSpec spec;
+  SpecError err;
+  EXPECT_FALSE(parse_sweep_spec("set preset = hybrid_tdm_hop_vc4\n"
+                                "sweep fidelity = cycle, fast\n",
+                                &spec, &err));
+  EXPECT_NE(err.message.find("point 'fidelity=fast' is invalid"),
+            std::string::npos)
+      << err.to_string();
+  EXPECT_NE(err.message.find("path sharing"), std::string::npos);
 }
 
 TEST(SweepSpecErrors, ExpansionLimit) {

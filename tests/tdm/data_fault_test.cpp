@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/config.hpp"
+#include "expect_input_error.hpp"
 #include "noc/fault_model.hpp"
 #include "tdm/fault_trace.hpp"
 #include "tdm/hybrid_network.hpp"
@@ -268,30 +269,30 @@ TEST(FaultTraceV2DeathTest, RejectsMalformedDataPlaneRecords) {
   std::istringstream bad_port(
       "hybridnoc-fault-trace v2\n"
       "10 0 link 7 0 0 kill 0\n");
-  EXPECT_DEATH((void)load_fault_trace(bad_port), "link fault port");
+  EXPECT_INPUT_ERROR((void)load_fault_trace(bad_port), "link fault port");
   std::istringstream bad_port_high(
       "hybridnoc-fault-trace v2\n"
       "10 0 link 7 5 0 kill 0\n");
-  EXPECT_DEATH((void)load_fault_trace(bad_port_high), "link fault port");
+  EXPECT_INPUT_ERROR((void)load_fault_trace(bad_port_high), "link fault port");
   // Config-message actions on hardware records and vice versa.
   std::istringstream link_drop(
       "hybridnoc-fault-trace v2\n"
       "10 0 link 7 3 0 drop 0\n");
-  EXPECT_DEATH((void)load_fault_trace(link_drop), "link fault action");
+  EXPECT_INPUT_ERROR((void)load_fault_trace(link_drop), "link fault action");
   std::istringstream router_stuck(
       "hybridnoc-fault-trace v2\n"
       "10 0 router 7 0 0 stuck 4\n");
-  EXPECT_DEATH((void)load_fault_trace(router_stuck), "router fault action");
+  EXPECT_INPUT_ERROR((void)load_fault_trace(router_stuck), "router fault action");
   std::istringstream setup_kill(
       "hybridnoc-fault-trace v2\n"
       "10 0 setup 0 15 0 kill 0\n");
-  EXPECT_DEATH((void)load_fault_trace(setup_kill),
-               "data-plane action on a config record");
+  EXPECT_INPUT_ERROR((void)load_fault_trace(setup_kill),
+                     "data-plane action on a config record");
   // A v1 loader rejects nothing new: v1 files still load (covered by the
   // round-trip tests in fault_replay_test), but a future version does not.
   std::istringstream v3(
       "hybridnoc-fault-trace v3\n");
-  EXPECT_DEATH((void)load_fault_trace(v3), "version");
+  EXPECT_INPUT_ERROR((void)load_fault_trace(v3), "version");
 }
 
 // ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ namespace hybridnoc {
 namespace {
 
 constexpr int kSlots = 16;  ///< slot-table size of the tables under test
+constexpr int kNodes = 16;  ///< mesh size of the tables under test
 
 TEST(Dlt, ObserveAndFind) {
-  DestinationLookupTable dlt(8, kSlots);
+  DestinationLookupTable dlt(8, kSlots, kNodes);
   dlt.observe(7, 12, 4, Port::West, Port::East, 100);
   dlt.activate_route(12, Port::West);
   const auto e = dlt.find(7);
@@ -30,7 +31,7 @@ TEST(Dlt, ObserveAndFind) {
 }
 
 TEST(Dlt, ReobserveReplacesAndResetsCounter) {
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   dlt.observe(7, 12, 4, Port::West, Port::East, 100);
   dlt.activate_route(12, Port::West);
   EXPECT_FALSE(dlt.record_failure(7));  // counter '01'
@@ -44,7 +45,7 @@ TEST(Dlt, ReobserveReplacesAndResetsCounter) {
 }
 
 TEST(Dlt, LruEvictionWhenFull) {
-  DestinationLookupTable dlt(2, kSlots);
+  DestinationLookupTable dlt(2, kSlots, kNodes);
   dlt.observe(1, 0, 4, Port::West, Port::East, 10);
   dlt.activate_route(0, Port::West);
   dlt.observe(2, 1, 4, Port::West, Port::East, 20);
@@ -60,7 +61,7 @@ TEST(Dlt, LruEvictionWhenFull) {
 TEST(Dlt, TwoBitCounterSaturatesAtTwo) {
   // Section III-A1: when the counter becomes '10' the entry is removed and
   // a dedicated path setup is generated.
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   dlt.observe(9, 3, 4, Port::West, Port::East, 0);
   dlt.activate_route(3, Port::West);
   EXPECT_FALSE(dlt.record_failure(9));  // '01'
@@ -71,7 +72,7 @@ TEST(Dlt, TwoBitCounterSaturatesAtTwo) {
 }
 
 TEST(Dlt, InvalidateRouteRemovesMatchingEntries) {
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   dlt.observe(5, 7, 4, Port::West, Port::East, 0);
   dlt.activate_route(7, Port::West);
   dlt.observe(6, 7, 4, Port::North, Port::East, 0);
@@ -82,7 +83,7 @@ TEST(Dlt, InvalidateRouteRemovesMatchingEntries) {
 }
 
 TEST(Dlt, FindAdjacent) {
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   dlt.observe(10, 0, 4, Port::West, Port::East, 0);
   dlt.activate_route(0, Port::West);
   const auto e =
@@ -97,7 +98,7 @@ TEST(Dlt, FindAdjacent) {
 TEST(Dlt, ProvisionalEntriesAreNotShared) {
   // A setup passing through is not proof the circuit completed; only after
   // the router forwards circuit traffic does the entry become usable.
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   dlt.observe(7, 5, 4, Port::West, Port::East, 0);
   EXPECT_FALSE(dlt.find(7).has_value());
   EXPECT_FALSE(dlt.find_adjacent(8, [](NodeId a, NodeId b) { return a + 1 == b; })
@@ -110,7 +111,7 @@ TEST(Dlt, ProvisionalEntriesAreNotShared) {
 }
 
 TEST(Dlt, ActivationRequiresMatchingRoute) {
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   dlt.observe(7, 5, 4, Port::West, Port::East, 0);
   dlt.activate_route(5, Port::North);  // wrong input port
   EXPECT_FALSE(dlt.find(7).has_value());
@@ -119,7 +120,7 @@ TEST(Dlt, ActivationRequiresMatchingRoute) {
 }
 
 TEST(Dlt, ClearAndSize) {
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   dlt.observe(1, 0, 4, Port::West, Port::East, 0);
   dlt.activate_route(0, Port::West);
   dlt.observe(2, 0, 4, Port::North, Port::South, 0);
@@ -135,6 +136,7 @@ struct FirstEntry {
   std::uint8_t in = static_cast<std::uint8_t>(Port::West);
   int slot = 0;
   int duration = 4;
+  NodeId dest = 0;
 };
 
 // Hand-built DLT archives: `entries` entries under a header that claims
@@ -144,7 +146,7 @@ std::string dlt_archive(int capacity, int entries, FirstEntry first = {}) {
   w.section("dlt");
   w.i32(capacity);
   for (int i = 0; i < entries; ++i) {
-    w.i32(/*dest=*/i);
+    w.i32(i == 0 ? first.dest : i);
     w.i32(i == 0 ? first.slot : i);
     w.i32(i == 0 ? first.duration : 4);
     w.u8(i == 0 ? first.in : static_cast<std::uint8_t>(Port::West));
@@ -164,7 +166,7 @@ void restore_from(DestinationLookupTable& dlt, const std::string& sealed) {
 }
 
 TEST(DltRestore, WellFormedArchiveRestores) {
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   restore_from(dlt, dlt_archive(4, 4, {.in = static_cast<std::uint8_t>(Port::North)}));
   EXPECT_EQ(dlt.size(), 4);
   const auto e = dlt.find(0);
@@ -175,12 +177,12 @@ TEST(DltRestore, WellFormedArchiveRestores) {
 // The body holds one entry per slot of the restoring table, so only the
 // capacity field itself disagrees.
 TEST(DltRestore, CapacityMismatchThrows) {
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   EXPECT_THROW(restore_from(dlt, dlt_archive(8, 4)), StateError);
 }
 
 TEST(DltRestore, EntryPortOutOfRangeThrows) {
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   const auto bad = static_cast<std::uint8_t>(kNumPorts);
   EXPECT_THROW(restore_from(dlt, dlt_archive(4, 4, {.in = bad})), StateError);
 }
@@ -188,26 +190,38 @@ TEST(DltRestore, EntryPortOutOfRangeThrows) {
 // Empty entries (dest = kInvalidNode, slot = duration = 0) are what a
 // partly filled table writes.
 TEST(DltRestore, EmptyEntriesRoundTrip) {
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   dlt.observe(7, kSlots - 1, 4, Port::West, Port::East, 3);
   StateWriter w;
   dlt.save_state(w);
-  DestinationLookupTable back(4, kSlots);
+  DestinationLookupTable back(4, kSlots, kNodes);
   restore_from(back, w.seal());
   EXPECT_EQ(back.size(), 1);
 }
 
 TEST(DltRestore, EntrySlotOutOfRangeThrows) {
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   EXPECT_THROW(restore_from(dlt, dlt_archive(4, 4, {.slot = kSlots})), StateError);
   EXPECT_THROW(restore_from(dlt, dlt_archive(4, 4, {.slot = -1})), StateError);
 }
 
 TEST(DltRestore, EntryDurationOutOfRangeThrows) {
-  DestinationLookupTable dlt(4, kSlots);
+  DestinationLookupTable dlt(4, kSlots, kNodes);
   EXPECT_THROW(restore_from(dlt, dlt_archive(4, 4, {.duration = kSlots})),
                StateError);
   EXPECT_THROW(restore_from(dlt, dlt_archive(4, 4, {.duration = -1})), StateError);
+}
+
+// A restored destination names a node of the mesh, or kInvalidNode for an
+// empty entry: find() must never hand out a path to a node that is not there.
+TEST(DltRestore, EntryDestOutsideMeshThrows) {
+  DestinationLookupTable dlt(4, kSlots, kNodes);
+  EXPECT_THROW(restore_from(dlt, dlt_archive(4, 4, {.dest = 99999})), StateError);
+  EXPECT_THROW(restore_from(dlt, dlt_archive(4, 4, {.dest = kNodes})), StateError);
+  EXPECT_THROW(restore_from(dlt, dlt_archive(4, 4, {.dest = kInvalidNode - 1})),
+               StateError);
+  restore_from(dlt, dlt_archive(4, 4, {.dest = kNodes - 1}));
+  EXPECT_TRUE(dlt.find(kNodes - 1).has_value());
 }
 
 // Hand-built hybrid-NI archives: a fresh NI's base state, then one
@@ -254,7 +268,8 @@ struct HybridNiFixture {
     w.i32(a.pending_dst);
     w.u64(0);  // frequency counts
     w.u64(0);  // cooldowns
-    DestinationLookupTable(cfg.dlt_entries, cfg.slot_table_size).save_state(w);
+    DestinationLookupTable(cfg.dlt_entries, cfg.slot_table_size, cfg.num_nodes())
+        .save_state(w);
     Rng(1).save_state(w);
     w.b(/*frozen=*/false);
     w.u64(/*epoch_start=*/0);

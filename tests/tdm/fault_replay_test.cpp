@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include "expect_input_error.hpp"
 #include "tdm/fault_trace.hpp"
 #include "tdm/hybrid_network.hpp"
 
@@ -27,6 +28,20 @@ namespace {
 
 std::string fixture_path(const std::string& name) {
   return std::string(HN_FIXTURE_DIR) + "/" + name;
+}
+
+TEST(FaultScenario, MalformedLineNamesSourceAndLine) {
+  std::istringstream in(
+      "hybridnoc-fault-scenario v2\n"
+      "k 4\n"
+      "traffic 2\n"
+      "0 1 14 5\n"
+      "7 2 13\n"
+      "end\n");
+  const std::string what =
+      input_error([&] { (void)load_fault_scenario(in, "s.scenario"); });
+  EXPECT_TRUE(what.starts_with("s.scenario:5: malformed scenario traffic entry"))
+      << what;
 }
 
 // ---------------------------------------------------------------------------
@@ -66,21 +81,44 @@ TEST(FaultTrace, ParseWriteParseEquality) {
 
 TEST(FaultTraceDeathTest, RejectsMalformedAndUnversioned) {
   std::istringstream bad_header("not-a-trace v1\n");
-  EXPECT_DEATH((void)load_fault_trace(bad_header), "header");
+  EXPECT_INPUT_ERROR((void)load_fault_trace(bad_header), "header");
   std::istringstream bad_version("hybridnoc-fault-trace v99\n");
-  EXPECT_DEATH((void)load_fault_trace(bad_version), "version");
+  EXPECT_INPUT_ERROR((void)load_fault_trace(bad_version), "version");
   std::istringstream truncated(
       "hybridnoc-fault-trace v1\n"
       "12 34 setup 0 23\n");
-  EXPECT_DEATH((void)load_fault_trace(truncated), "malformed");
+  EXPECT_INPUT_ERROR((void)load_fault_trace(truncated), "malformed");
   std::istringstream bad_kind(
       "hybridnoc-fault-trace v1\n"
       "12 34 warble 0 23 0 drop 0\n");
-  EXPECT_DEATH((void)load_fault_trace(bad_kind), "kind");
+  EXPECT_INPUT_ERROR((void)load_fault_trace(bad_kind), "kind");
   std::istringstream bad_action(
       "hybridnoc-fault-trace v1\n"
       "12 34 setup 0 23 0 explode 0\n");
-  EXPECT_DEATH((void)load_fault_trace(bad_action), "action");
+  EXPECT_INPUT_ERROR((void)load_fault_trace(bad_action), "action");
+}
+
+TEST(FaultTrace, MalformedLineNamesSourceAndLine) {
+  std::istringstream in(
+      "hybridnoc-fault-trace v2\n"
+      "# cycle msg_id kind src dst occurrence action delay\n"
+      "12 34 setup 0 23 0 drop 0\n"
+      "12 34 setup 0 23\n");
+  const std::string what =
+      input_error([&] { (void)load_fault_trace(in, "storm.trace"); });
+  EXPECT_TRUE(what.starts_with("storm.trace:4: malformed fault-trace record"))
+      << what;
+}
+
+// fault_record_key packs src, dst and occurrence into 20 bits each, so a
+// loaded record must fit them.
+TEST(FaultTrace, RecordFieldsBeyondReplayKeyAreRejected) {
+  for (const char* record : {"12 34 setup 1048576 23 0 drop 0\n",
+                             "12 34 setup 0 1048576 0 drop 0\n",
+                             "12 34 setup 0 23 1048576 drop 0\n"}) {
+    std::istringstream in(std::string("hybridnoc-fault-trace v2\n") + record);
+    EXPECT_INPUT_ERROR((void)load_fault_trace(in), "invalid fault-trace record");
+  }
 }
 
 TEST(FaultScenario, SaveLoadRoundTrip) {
@@ -120,11 +158,11 @@ TEST(FaultScenarioDeathTest, RejectsUnknownFieldAndMissingEnd) {
       "hybridnoc-fault-scenario v1\n"
       "warp_factor 9\n"
       "end\n");
-  EXPECT_DEATH((void)load_fault_scenario(unknown), "unknown scenario field");
+  EXPECT_INPUT_ERROR((void)load_fault_scenario(unknown), "unknown scenario field");
   std::istringstream no_end(
       "hybridnoc-fault-scenario v1\n"
       "k 4\n");
-  EXPECT_DEATH((void)load_fault_scenario(no_end), "end marker");
+  EXPECT_INPUT_ERROR((void)load_fault_scenario(no_end), "end marker");
 }
 
 // ---------------------------------------------------------------------------

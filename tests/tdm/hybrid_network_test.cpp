@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "expect_input_error.hpp"
 
 namespace hybridnoc {
 namespace {
@@ -48,6 +49,13 @@ void drain(Network& net, int max_cycles = 30000) {
   net.set_policy_frozen(true);
   for (int i = 0; i < max_cycles && !net.quiescent(); ++i) net.tick();
   ASSERT_TRUE(net.quiescent()) << "network failed to drain";
+}
+
+TEST(HybridNetwork, InvalidConfigThrowsBeforeBuilding) {
+  NocConfig cfg = test_cfg(4);
+  cfg.slot_table_size = 100;
+  EXPECT_INPUT_ERROR({ HybridNetwork net(cfg); }, "power of two");
+  EXPECT_INPUT_ERROR({ HybridNetwork net(test_cfg(1)); }, "mesh radix");
 }
 
 TEST(HybridNetwork, PathSetupEstablishesConnection) {

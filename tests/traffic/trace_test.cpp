@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "expect_input_error.hpp"
 #include "noc/network.hpp"
 
 namespace hybridnoc {
@@ -66,24 +67,30 @@ TEST(Trace, RoundTripPreservesBoundaryValues) {
 
 TEST(TraceDeathTest, RejectsOutOfOrderAndMalformed) {
   std::istringstream bad_order("5 0 1 5\n3 0 1 5\n");
-  EXPECT_DEATH((void)load_trace(bad_order), "cycle order");
+  EXPECT_INPUT_ERROR((void)load_trace(bad_order), "cycle order");
   std::istringstream malformed("1 2\n");
-  EXPECT_DEATH((void)load_trace(malformed), "malformed");
+  EXPECT_INPUT_ERROR((void)load_trace(malformed), "malformed");
 }
 
 TEST(TraceDeathTest, RejectsInvalidFieldValues) {
   std::istringstream zero_flits("0 1 2 0\n");
-  EXPECT_DEATH((void)load_trace(zero_flits), "invalid");
+  EXPECT_INPUT_ERROR((void)load_trace(zero_flits), "invalid");
   std::istringstream negative_flits("0 1 2 -3\n");
-  EXPECT_DEATH((void)load_trace(negative_flits), "invalid");
+  EXPECT_INPUT_ERROR((void)load_trace(negative_flits), "invalid");
   std::istringstream negative_src("0 -1 2 5\n");
-  EXPECT_DEATH((void)load_trace(negative_src), "invalid");
+  EXPECT_INPUT_ERROR((void)load_trace(negative_src), "invalid");
   std::istringstream negative_dst("0 1 -2 5\n");
-  EXPECT_DEATH((void)load_trace(negative_dst), "invalid");
+  EXPECT_INPUT_ERROR((void)load_trace(negative_dst), "invalid");
   std::istringstream garbage_tokens("0 one 2 5\n");
-  EXPECT_DEATH((void)load_trace(garbage_tokens), "malformed");
+  EXPECT_INPUT_ERROR((void)load_trace(garbage_tokens), "malformed");
   std::istringstream comment_mid_fields("0 1 # 2 5\n");
-  EXPECT_DEATH((void)load_trace(comment_mid_fields), "malformed");
+  EXPECT_INPUT_ERROR((void)load_trace(comment_mid_fields), "malformed");
+}
+
+TEST(Trace, MalformedLineNamesSourceAndLine) {
+  std::istringstream in("# header\n0 1 2 5\n\n3 4 oops 1\n");
+  const std::string what = input_error([&] { (void)load_trace(in, "t.trace"); });
+  EXPECT_TRUE(what.starts_with("t.trace:4: malformed trace line")) << what;
 }
 
 TEST(TraceTraffic, EmitsAtScheduledCycles) {

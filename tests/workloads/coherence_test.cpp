@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 
+#include "expect_input_error.hpp"
 #include "workloads/coherence.hpp"
 
 namespace hybridnoc {
@@ -163,10 +164,10 @@ TEST(CoherenceTest, RestrictedHomeSetIsRespected) {
 TEST(CoherenceDeathTest, RejectsInvalidParams) {
   CoherenceParams p = small_params();
   p.request_rate = 0.0;
-  EXPECT_DEATH((void)generate_coherence_trace(p), "request_rate");
+  EXPECT_INPUT_ERROR((void)generate_coherence_trace(p), "request_rate");
   p = small_params();
   p.num_homes = p.k * p.k + 1;
-  EXPECT_DEATH((void)generate_coherence_trace(p), "num_homes");
+  EXPECT_INPUT_ERROR((void)generate_coherence_trace(p), "num_homes");
 }
 
 }  // namespace

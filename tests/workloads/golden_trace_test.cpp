@@ -20,6 +20,7 @@
 #include <string>
 
 #include "common/fileio.hpp"
+#include "expect_input_error.hpp"
 #include "fastmodel/fast_model.hpp"
 #include "sim/driver.hpp"
 #include "traffic/trace.hpp"
@@ -120,11 +121,11 @@ TEST(GoldenTraceTest, GoldenTracesReplayThroughBothFidelities) {
 TEST(GoldenTraceDeathTest, RunTraceRejectsBrokenTraces) {
   const NocConfig cfg = NocConfig::hybrid_tdm_vc4(4);
   RunParams p;
-  EXPECT_DEATH((void)run_trace(cfg, {}, p), "empty trace");
-  EXPECT_DEATH((void)run_trace(cfg, {TraceEntry{0, 3, 3, 5}}, p),
-               "self-directed");
-  EXPECT_DEATH((void)run_trace(cfg, {TraceEntry{0, 0, 99, 5}}, p),
-               "outside the mesh");
+  EXPECT_INPUT_ERROR((void)run_trace(cfg, {}, p), "empty trace");
+  EXPECT_INPUT_ERROR((void)run_trace(cfg, {TraceEntry{0, 3, 3, 5}}, p),
+                     "self-directed");
+  EXPECT_INPUT_ERROR((void)run_trace(cfg, {TraceEntry{0, 0, 99, 5}}, p),
+                     "outside the mesh");
 }
 
 TEST(GoldenTraceDeathTest, BothFidelitiesValidateEntries) {
@@ -133,26 +134,26 @@ TEST(GoldenTraceDeathTest, BothFidelitiesValidateEntries) {
   // for the fast model's 16-bit transfer length is refused, not truncated.
   const NocConfig cfg = NocConfig::hybrid_tdm_vc4(4);
   RunParams p;
-  EXPECT_DEATH((void)run_trace_fast(cfg, {TraceEntry{0, 0, 99, 5}}, p),
-               "outside the mesh");
-  EXPECT_DEATH((void)run_trace_fast(cfg, {TraceEntry{0, 3, 3, 5}}, p),
-               "self-directed");
-  EXPECT_DEATH((void)run_trace_fast(cfg, {}, p), "empty trace");
-  EXPECT_DEATH((void)run_trace(cfg, {TraceEntry{0, 0, 1, 0}}, p),
-               "flits outside");
-  EXPECT_DEATH((void)run_trace_fast(cfg, {TraceEntry{0, 0, 1, 70000}}, p),
-               "flits outside");
-  EXPECT_DEATH((void)run_trace_fast(
-                   cfg, {TraceEntry{5, 0, 1, 5}, TraceEntry{3, 1, 2, 5}}, p),
-               "cycle order");
+  EXPECT_INPUT_ERROR((void)run_trace_fast(cfg, {TraceEntry{0, 0, 99, 5}}, p),
+                     "outside the mesh");
+  EXPECT_INPUT_ERROR((void)run_trace_fast(cfg, {TraceEntry{0, 3, 3, 5}}, p),
+                     "self-directed");
+  EXPECT_INPUT_ERROR((void)run_trace_fast(cfg, {}, p), "empty trace");
+  EXPECT_INPUT_ERROR((void)run_trace(cfg, {TraceEntry{0, 0, 1, 0}}, p),
+                     "flits outside");
+  EXPECT_INPUT_ERROR((void)run_trace_fast(cfg, {TraceEntry{0, 0, 1, 70000}}, p),
+                     "flits outside");
+  EXPECT_INPUT_ERROR((void)run_trace_fast(
+                         cfg, {TraceEntry{5, 0, 1, 5}, TraceEntry{3, 1, 2, 5}}, p),
+                     "cycle order");
 }
 
 TEST(GoldenTraceDeathTest, WorkloadSpecRejectsUnknownAndUnreadable) {
   WorkloadOptions o;
   o.k = 6;
-  EXPECT_DEATH((void)build_workload("bogus", o), "unknown workload");
-  EXPECT_DEATH((void)build_workload("nn:@/no/such/file", o), "cannot open");
-  EXPECT_DEATH((void)build_workload("nn:alexnet", o), "unknown builtin");
+  EXPECT_INPUT_ERROR((void)build_workload("bogus", o), "unknown workload");
+  EXPECT_INPUT_ERROR((void)build_workload("nn:@/no/such/file", o), "cannot open");
+  EXPECT_INPUT_ERROR((void)build_workload("nn:alexnet", o), "unknown builtin");
 }
 
 TEST(GoldenTraceTest, FileDescriptorsLoadLikeBuiltins) {

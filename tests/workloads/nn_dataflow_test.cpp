@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/geometry.hpp"
+#include "expect_input_error.hpp"
 #include "workloads/nn_dataflow.hpp"
 
 namespace hybridnoc {
@@ -57,42 +58,51 @@ TEST(NnDescriptorTest, BuiltinsParseForBothMeshSizes) {
 }
 
 TEST(NnDescriptorDeathTest, RejectsMalformedDescriptors) {
-  // Satellite requirement: bad layer refs, negative volumes, out-of-grid
-  // placement — plus the remaining structural HN_CHECK paths.
-  EXPECT_DEATH(parse_nn_descriptor_string(
-                   "mesh 4\nlayer a 0 0 4 1\nlayer b 0 1 4 1\n"
-                   "edge a nosuch 64\n"),
-               "unknown layer");
-  EXPECT_DEATH(parse_nn_descriptor_string(
-                   "mesh 4\nlayer a 0 0 4 1\nlayer b 0 1 4 1\n"
-                   "edge a b -64\n"),
-               "positive");
-  EXPECT_DEATH(parse_nn_descriptor_string(
-                   "mesh 4\nlayer a 0 0 4 1\nlayer b 3 3 2 2\n"
-                   "edge a b 64\n"),
-               "outside the mesh");
-  EXPECT_DEATH(parse_nn_descriptor_string("layer a 0 0 1 1\n"),
-               "mesh directive must come first");
-  EXPECT_DEATH(parse_nn_descriptor_string("mesh 1\nlayer a 0 0 1 1\n"),
-               ">= 2");
-  EXPECT_DEATH(parse_nn_descriptor_string(
-                   "mesh 4\nlayer a 0 0 4 1\nlayer a 0 1 4 1\n"),
-               "duplicate layer");
-  EXPECT_DEATH(parse_nn_descriptor_string(
-                   "mesh 4\nlayer a 0 0 1 1\nfrobnicate a\n"),
-               "unknown directive");
-  EXPECT_DEATH(parse_nn_descriptor_string(
-                   "mesh 4\nlayer a 0 0 1 1\nlayer b 1 0 1 1\n"
-                   "edge a b 64\nedge b a 64\n"),
-               "cycle");
-  EXPECT_DEATH(parse_nn_descriptor_string(
-                   "mesh 4\nlayer a 0 0 1 1\nlayer b 0 0 1 1\n"
-                   "edge a b 64\n"),
-               "non-self tile pair");
-  EXPECT_DEATH(parse_nn_descriptor_string("mesh 4\nlayer a 0 0 1 1\n"),
-               "no edges");
-  EXPECT_DEATH(parse_nn_descriptor_string("mesh 4\nlayer a 0 0\n"),
-               "malformed layer");
+  // Bad layer refs, negative volumes, out-of-grid placement — plus the
+  // remaining structural checks.
+  EXPECT_INPUT_ERROR(parse_nn_descriptor_string(
+                         "mesh 4\nlayer a 0 0 4 1\nlayer b 0 1 4 1\n"
+                         "edge a nosuch 64\n"),
+                     "unknown layer");
+  EXPECT_INPUT_ERROR(parse_nn_descriptor_string(
+                         "mesh 4\nlayer a 0 0 4 1\nlayer b 0 1 4 1\n"
+                         "edge a b -64\n"),
+                     "positive");
+  EXPECT_INPUT_ERROR(parse_nn_descriptor_string(
+                         "mesh 4\nlayer a 0 0 4 1\nlayer b 3 3 2 2\n"
+                         "edge a b 64\n"),
+                     "outside the mesh");
+  EXPECT_INPUT_ERROR(parse_nn_descriptor_string("layer a 0 0 1 1\n"),
+                     "mesh directive must come first");
+  EXPECT_INPUT_ERROR(parse_nn_descriptor_string("mesh 1\nlayer a 0 0 1 1\n"),
+                     ">= 2");
+  EXPECT_INPUT_ERROR(parse_nn_descriptor_string(
+                         "mesh 4\nlayer a 0 0 4 1\nlayer a 0 1 4 1\n"),
+                     "duplicate layer");
+  EXPECT_INPUT_ERROR(parse_nn_descriptor_string(
+                         "mesh 4\nlayer a 0 0 1 1\nfrobnicate a\n"),
+                     "unknown directive");
+  EXPECT_INPUT_ERROR(parse_nn_descriptor_string(
+                         "mesh 4\nlayer a 0 0 1 1\nlayer b 1 0 1 1\n"
+                         "edge a b 64\nedge b a 64\n"),
+                     "cycle");
+  EXPECT_INPUT_ERROR(parse_nn_descriptor_string(
+                         "mesh 4\nlayer a 0 0 1 1\nlayer b 0 0 1 1\n"
+                         "edge a b 64\n"),
+                     "non-self tile pair");
+  EXPECT_INPUT_ERROR(parse_nn_descriptor_string("mesh 4\nlayer a 0 0 1 1\n"),
+                     "no edges");
+  EXPECT_INPUT_ERROR(parse_nn_descriptor_string("mesh 4\nlayer a 0 0\n"),
+                     "malformed layer");
+}
+
+TEST(NnDescriptorTest, MalformedLineNamesSourceAndLine) {
+  const std::string what = input_error([] {
+    (void)parse_nn_descriptor_string(
+        "# two layers\nmesh 4\nlayer a 0 0 4 1\n\nlayer b 0 1\n", "d.nn");
+  });
+  EXPECT_TRUE(what.starts_with("d.nn:5: nn descriptor: malformed layer line"))
+      << what;
 }
 
 TEST(NnTraceTest, TwinRunsAreIdenticalAndSeedsDiffer) {

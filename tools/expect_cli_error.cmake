@@ -1,5 +1,6 @@
 # Runs `${TOOL} ${ARGS}` and fails unless the tool exits with status 2 and
-# prints a line starting with "error:". A hang is cut off after 5 s.
+# prints a line starting with "error:" (and, when EXPECT is set, output
+# matching that regex). A hang is cut off after 5 s.
 #   cmake -DTOOL=<binary> -DARGS="sweep --step 0" -P expect_cli_error.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND ${TOOL} ${args}
@@ -12,4 +13,7 @@ if(NOT rc STREQUAL "2")
 endif()
 if(NOT "\n${out}${err}" MATCHES "\nerror: ")
   message(FATAL_ERROR "no 'error:' line in the output\n${out}${err}")
+endif()
+if(EXPECT AND NOT "${out}${err}" MATCHES "${EXPECT}")
+  message(FATAL_ERROR "output does not match '${EXPECT}'\n${out}${err}")
 endif()

@@ -13,9 +13,7 @@
 // Architectures: packet | sdm | tdm | tdm-vct | hop | hop-vct
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
@@ -24,9 +22,10 @@
 #include <string>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "common/fileio.hpp"
+#include "common/input.hpp"
 #include "common/table.hpp"
+#include "fastmodel/fast_model.hpp"
 #include "hetero/benchmarks.hpp"
 #include "hetero/hetero_system.hpp"
 #include "sim/driver.hpp"
@@ -46,8 +45,7 @@ struct Args {
     return it == kv.end() ? dflt : it->second;
   }
   /// Numeric value of --k, or `dflt` when absent. A value that is not
-  /// wholly a number, or lies outside [lo, hi], is a usage error (exit 2),
-  /// never an abort, undefined behaviour or an uncaught exception.
+  /// wholly a number, or lies outside [lo, hi], throws InputError.
   double num(const std::string& k, double dflt, double lo = -kInf,
              double hi = kInf) const {
     const auto it = kv.find(k);
@@ -60,10 +58,10 @@ struct Args {
     } catch (const std::exception&) {  // invalid_argument, out_of_range
     }
     if (!(v >= lo && v <= hi)) {  // NaN fails both
-      std::cerr << std::setprecision(16) << "error: --" << k
-                << " expects a number in [" << lo << ", " << hi << "], got '"
-                << it->second << "'\n";
-      std::exit(2);
+      std::ostringstream msg;
+      msg << std::setprecision(16) << "--" << k << " expects a number in ["
+          << lo << ", " << hi << "], got '" << it->second << "'";
+      throw InputError(msg.str());
     }
     return v;
   }
@@ -75,9 +73,8 @@ struct Args {
     const double v = num(k, static_cast<double>(dflt), static_cast<double>(lo),
                          std::min(static_cast<double>(hi), 0x1p53));
     if (v != std::floor(v)) {
-      std::cerr << "error: --" << k << " expects a whole number, got '"
-                << kv.at(k) << "'\n";
-      std::exit(2);
+      throw InputError("--" + k + " expects a whole number, got '" + kv.at(k) +
+                       "'");
     }
     return static_cast<T>(v);
   }
@@ -120,9 +117,8 @@ NocConfig arch_preset(const std::string& name, int k) {
   if (name == "tdm-vct") return NocConfig::hybrid_tdm_vct(k);
   if (name == "hop") return NocConfig::hybrid_tdm_hop_vc4(k);
   if (name == "hop-vct") return NocConfig::hybrid_tdm_hop_vct(k);
-  std::cerr << "error: unknown --arch '" << name
-            << "' (packet|sdm|tdm|tdm-vct|hop|hop-vct)\n";
-  std::exit(2);
+  throw InputError("unknown --arch '" + name +
+                   "' (packet|sdm|tdm|tdm-vct|hop|hop-vct)");
 }
 
 NocConfig arch_config(const Args& a, const std::string& dflt_arch, int k) {
@@ -140,18 +136,17 @@ TrafficPattern pattern_arg(const std::string& name) {
   if (name == "bitcomp") return TrafficPattern::BitComplement;
   if (name == "shuffle") return TrafficPattern::Shuffle;
   if (name == "hotspot") return TrafficPattern::Hotspot;
-  std::cerr << "error: unknown --pattern '" << name << "'\n";
-  std::exit(2);
+  throw InputError("unknown --pattern '" + name + "'");
 }
 
 Fidelity fidelity_arg(const std::string& name) {
   if (name == "cycle") return Fidelity::Cycle;
   if (name == "fast") return Fidelity::Fast;
-  std::cerr << "error: unknown --fidelity '" << name << "' (cycle|fast)\n";
-  std::exit(2);
+  throw InputError("unknown --fidelity '" + name + "' (cycle|fast)");
 }
 
-RunParams run_params(const Args& a, TrafficPattern pattern, double rate) {
+RunParams run_params(const Args& a, const NocConfig& cfg,
+                     TrafficPattern pattern, double rate) {
   RunParams p;
   p.pattern = pattern;
   p.injection_rate = rate;
@@ -159,6 +154,10 @@ RunParams run_params(const Args& a, TrafficPattern pattern, double rate) {
   p.measure_packets = a.count<std::uint64_t>("packets", 20000, 1);
   p.seed = a.count<std::uint64_t>("seed", 1);
   p.fidelity = fidelity_arg(a.get("fidelity", "cycle"));
+  std::string why;
+  if (p.fidelity == Fidelity::Fast && !fast_model_supports(cfg, &why)) {
+    throw InputError("--fidelity fast: " + why);
+  }
   return p;
 }
 
@@ -167,42 +166,6 @@ void emit(const Args& a, TextTable& t) {
     t.print_csv(std::cout);
   } else {
     t.print(std::cout);
-  }
-}
-
-/// Builds the named workload with validation armed to throw: an unknown
-/// spec, an unreadable nn:@file descriptor, or a mismatched descriptor
-/// becomes a structured error on stderr and `false`, never an abort.
-bool build_workload_checked(const std::string& spec,
-                            const WorkloadOptions& opts, WorkloadTrace* out) {
-  try {
-    ScopedCheckThrows guard;
-    *out = build_workload(spec, opts);
-    return true;
-  } catch (const CheckFailure& e) {
-    std::cerr << "error: bad --workload '" << spec << "': " << e.what()
-              << "\n";
-    return false;
-  }
-}
-
-/// Loads a trace file with validation armed to throw, so a malformed entry
-/// or out-of-order cycle reports the offending file instead of aborting.
-bool load_trace_checked(const std::string& path,
-                        std::vector<TraceEntry>* out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "error: cannot open trace file '" << path << "'\n";
-    return false;
-  }
-  try {
-    ScopedCheckThrows guard;
-    *out = load_trace(in);
-    return true;
-  } catch (const CheckFailure& e) {
-    std::cerr << "error: malformed trace file '" << path << "': " << e.what()
-              << "\n";
-    return false;
   }
 }
 
@@ -224,17 +187,14 @@ int cmd_synth(const Args& a) {
   RunResult r;
   RunParams params;
   if (workload) {
-    WorkloadTrace wt;
-    if (!build_workload_checked(a.get("workload", ""), workload_options(a, k),
-                                &wt)) {
-      return 2;
-    }
-    params = run_params(a, TrafficPattern::UniformRandom, wt.offered_rate);
+    const WorkloadTrace wt =
+        build_workload(a.get("workload", ""), workload_options(a, k));
+    params = run_params(a, cfg, TrafficPattern::UniformRandom, wt.offered_rate);
     r = run_trace(cfg, wt.entries, params);
     source = wt.name;
   } else {
     const TrafficPattern pattern = pattern_arg(a.get("pattern", "uniform"));
-    params = run_params(a, pattern,
+    params = run_params(a, cfg, pattern,
                         a.num("rate", 0.1, 0.0, cfg.ps_data_flits));
     r = run_synthetic(cfg, params);
     source = traffic_pattern_name(pattern);
@@ -260,20 +220,16 @@ int cmd_sweep(const Args& a) {
   const NocConfig cfg = arch_config(a, "tdm", k);
   const TrafficPattern pattern = pattern_arg(a.get("pattern", "uniform"));
   const double step = a.num("step", 0.05);
-  if (!(step > 0.0)) {  // also rejects NaN; a step <= 0 would never end
-    std::cerr << "error: --step must be positive, got " << step << "\n";
-    return 2;
-  }
+  // Also rejects NaN; a step <= 0 would never end.
+  check_input(step > 0.0, "--step must be positive");
   const double max_rate = cfg.ps_data_flits;
   const double from = a.num("from", 0.05, 0.0, max_rate);
   const double to = a.num("to", 0.4, 0.0, max_rate);
-  if (from > to) {
-    std::cerr << "error: --from " << from << " exceeds --to " << to << "\n";
-    return 2;
-  }
+  check_input(from <= to, "--from exceeds --to");
   std::vector<double> rates;
   for (double r = from; r <= to + 1e-9; r += step) rates.push_back(r);
-  const auto results = sweep_load(cfg, run_params(a, pattern, 0.0), rates);
+  const auto results =
+      sweep_load(cfg, run_params(a, cfg, pattern, 0.0), rates);
   TextTable t({"rate", "latency", "p99", "accepted", "cs", "saturated"});
   for (size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
@@ -285,29 +241,24 @@ int cmd_sweep(const Args& a) {
   return 0;
 }
 
-/// Is `name` one of `benches`? If not, names the valid ones on stderr.
+/// Throws InputError naming the valid ones unless `name` is in `benches`.
 template <typename Bench>
-bool known_benchmark(const std::vector<Bench>& benches,
+void check_benchmark(const std::vector<Bench>& benches,
                      const std::string& flag, const std::string& name) {
+  std::string names;
   for (const Bench& b : benches) {
-    if (b.name == name) return true;
+    if (b.name == name) return;
+    names += (names.empty() ? "" : "|") + b.name;
   }
-  std::cerr << "error: unknown --" << flag << " '" << name << "' (";
-  for (size_t i = 0; i < benches.size(); ++i) {
-    std::cerr << (i ? "|" : "") << benches[i].name;
-  }
-  std::cerr << ")\n";
-  return false;
+  throw InputError("unknown --" + flag + " '" + name + "' (" + names + ")");
 }
 
 int cmd_hetero(const Args& a) {
   const NocConfig cfg = arch_config(a, "hop-vct", 6);
   const std::string cpu = a.get("cpu", "APPLU");
   const std::string gpu = a.get("gpu", "BLACKSCHOLES");
-  if (!known_benchmark(cpu_benchmarks(), "cpu", cpu) ||
-      !known_benchmark(gpu_benchmarks(), "gpu", gpu)) {
-    return 2;
-  }
+  check_benchmark(cpu_benchmarks(), "cpu", cpu);
+  check_benchmark(gpu_benchmarks(), "gpu", gpu);
   const WorkloadMix mix{cpu_benchmark(cpu), gpu_benchmark(gpu)};
   HeteroSystem sys(cfg, mix, a.count<std::uint64_t>("seed", 1));
   const auto m = sys.run(a.count<std::uint64_t>("warmup", 6000),
@@ -333,12 +284,8 @@ int cmd_trace_gen(const Args& a) {
   const int k = mesh_radix(a);
   std::vector<TraceEntry> entries;
   if (a.flag("workload")) {
-    WorkloadTrace wt;
-    if (!build_workload_checked(a.get("workload", ""), workload_options(a, k),
-                                &wt)) {
-      return 2;
-    }
-    entries = std::move(wt.entries);
+    entries = build_workload(a.get("workload", ""), workload_options(a, k))
+                  .entries;
   } else {
     const Mesh mesh(k);
     SyntheticTraffic traffic(mesh, pattern_arg(a.get("pattern", "uniform")),
@@ -357,9 +304,7 @@ int cmd_trace_gen(const Args& a) {
   save_trace(out, entries);
   std::string werr;
   if (!write_file_atomic(path, out.str(), &werr)) {
-    std::cerr << "error: cannot write trace '" << path << "': " << werr
-              << "\n";
-    return 2;
+    throw InputError("cannot write trace '" + path + "': " + werr);
   }
   std::cout << "wrote " << entries.size() << " injections to " << path << "\n";
   return 0;
@@ -367,9 +312,11 @@ int cmd_trace_gen(const Args& a) {
 
 int cmd_trace_run(const Args& a) {
   const int k = mesh_radix(a);
+  const std::string path = a.get("in", "traffic.trace");
+  std::ifstream in = open_input(path);
+  std::vector<TraceEntry> entries = load_trace(in, path);
+  check_trace(entries, k * k);
   auto net = make_network(arch_config(a, "tdm", k));
-  std::vector<TraceEntry> entries;
-  if (!load_trace_checked(a.get("in", "traffic.trace"), &entries)) return 2;
   TraceTraffic traffic(std::move(entries));
   StatAccumulator lat;
   net->set_deliver_handler([&](const PacketPtr& p, Cycle at) {
@@ -425,10 +372,15 @@ int usage() {
 
 int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
-  if (a.command == "synth") return cmd_synth(a);
-  if (a.command == "sweep") return cmd_sweep(a);
-  if (a.command == "hetero") return cmd_hetero(a);
-  if (a.command == "trace-gen") return cmd_trace_gen(a);
-  if (a.command == "trace-run") return cmd_trace_run(a);
+  try {
+    if (a.command == "synth") return cmd_synth(a);
+    if (a.command == "sweep") return cmd_sweep(a);
+    if (a.command == "hetero") return cmd_hetero(a);
+    if (a.command == "trace-gen") return cmd_trace_gen(a);
+    if (a.command == "trace-run") return cmd_trace_run(a);
+  } catch (const InputError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   return usage();
 }

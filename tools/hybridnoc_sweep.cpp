@@ -19,11 +19,14 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/input.hpp"
 #include "sweep/orchestrator.hpp"
 #include "sweep/sweep_spec.hpp"
 
 namespace {
 
+using hybridnoc::check_input;
+using hybridnoc::InputError;
 using hybridnoc::sweep::SpecError;
 using hybridnoc::sweep::SweepOptions;
 using hybridnoc::sweep::SweepReport;
@@ -63,9 +66,9 @@ bool parse_double_arg(const char* s, double* out) {
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Parses the command line and runs it; every usage, spec or environment
+/// error is thrown and reported once, by main.
+int run(int argc, char** argv) {
   if (argc < 2) {
     usage();
     return 2;
@@ -76,87 +79,58 @@ int main(int argc, char** argv) {
 
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    const auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        std::exit(2);
-      }
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) throw InputError(a + " needs a value");
       return argv[++i];
     };
+    const auto u64_value = [&](std::uint64_t* out) {
+      if (!parse_u64_arg(value(), out)) throw InputError("bad " + a);
+    };
+    const auto prob_value = [&](double* out) {
+      opt.faults.enabled = true;
+      if (!parse_double_arg(value(), out)) throw InputError("bad " + a);
+    };
     if (a == "--spec") {
-      spec_path = need_value("--spec");
+      spec_path = value();
     } else if (a == "--out") {
-      out_dir = need_value("--out");
+      out_dir = value();
     } else if (a == "--workers") {
-      opt.workers = std::atoi(need_value("--workers"));
+      opt.workers = std::atoi(value());
     } else if (a == "--max-attempts") {
-      opt.max_attempts = std::atoi(need_value("--max-attempts"));
+      opt.max_attempts = std::atoi(value());
     } else if (a == "--timeout-ms") {
-      if (!parse_u64_arg(need_value("--timeout-ms"), &opt.timeout_ms)) {
-        std::fprintf(stderr, "error: bad --timeout-ms\n");
-        return 2;
-      }
+      u64_value(&opt.timeout_ms);
     } else if (a == "--backoff-base-ms") {
-      if (!parse_u64_arg(need_value("--backoff-base-ms"),
-                         &opt.backoff_base_ms)) {
-        std::fprintf(stderr, "error: bad --backoff-base-ms\n");
-        return 2;
-      }
+      u64_value(&opt.backoff_base_ms);
     } else if (a == "--backoff-cap-ms") {
-      if (!parse_u64_arg(need_value("--backoff-cap-ms"),
-                         &opt.backoff_cap_ms)) {
-        std::fprintf(stderr, "error: bad --backoff-cap-ms\n");
-        return 2;
-      }
+      u64_value(&opt.backoff_cap_ms);
     } else if (a == "--no-share-warmup") {
       opt.share_warmup = false;
     } else if (a == "--fresh") {
       opt.resume = false;
     } else if (a == "--fault-seed") {
       opt.faults.enabled = true;
-      if (!parse_u64_arg(need_value("--fault-seed"), &opt.faults.seed)) {
-        std::fprintf(stderr, "error: bad --fault-seed\n");
-        return 2;
-      }
+      u64_value(&opt.faults.seed);
     } else if (a == "--fault-throw") {
-      opt.faults.enabled = true;
-      if (!parse_double_arg(need_value("--fault-throw"),
-                            &opt.faults.throw_prob)) {
-        std::fprintf(stderr, "error: bad --fault-throw\n");
-        return 2;
-      }
+      prob_value(&opt.faults.throw_prob);
     } else if (a == "--fault-hang") {
-      opt.faults.enabled = true;
-      if (!parse_double_arg(need_value("--fault-hang"),
-                            &opt.faults.hang_prob)) {
-        std::fprintf(stderr, "error: bad --fault-hang\n");
-        return 2;
-      }
+      prob_value(&opt.faults.hang_prob);
     } else if (a == "--fault-torn") {
-      opt.faults.enabled = true;
-      if (!parse_double_arg(need_value("--fault-torn"),
-                            &opt.faults.torn_write_prob)) {
-        std::fprintf(stderr, "error: bad --fault-torn\n");
-        return 2;
-      }
+      prob_value(&opt.faults.torn_write_prob);
     } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", a.c_str());
       usage();
-      return 2;
+      throw InputError("unknown option '" + a + "'");
     }
   }
-
   if (spec_path.empty()) {
-    std::fprintf(stderr, "error: --spec is required\n");
     usage();
-    return 2;
+    throw InputError("--spec is required");
   }
 
   SweepSpec spec;
   SpecError serr;
   if (!hybridnoc::sweep::load_sweep_spec(spec_path, &spec, &serr)) {
-    std::fprintf(stderr, "error: %s\n", serr.to_string().c_str());
-    return 2;
+    throw InputError(serr.to_string());
   }
 
   if (mode == "expand") {
@@ -170,27 +144,26 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (mode != "run") {
-    std::fprintf(stderr, "error: unknown mode '%s'\n", mode.c_str());
     usage();
-    return 2;
+    throw InputError("unknown mode '" + mode + "'");
   }
-  if (out_dir.empty()) {
-    std::fprintf(stderr, "error: run needs --out DIR\n");
-    return 2;
-  }
-  if (opt.workers < 1 || opt.max_attempts < 1) {
-    std::fprintf(stderr,
-                 "error: --workers and --max-attempts must be >= 1\n");
-    return 2;
-  }
+  check_input(!out_dir.empty(), "run needs --out DIR");
+  check_input(opt.workers >= 1 && opt.max_attempts >= 1,
+              "--workers and --max-attempts must be >= 1");
   opt.out_dir = out_dir;
 
+  const SweepReport report = hybridnoc::sweep::run_sweep(spec, opt);
+  std::printf("%s\n", report.degradation.to_string().c_str());
+  std::printf("aggregate: %s\n", report.aggregate_path.c_str());
+  return report.degradation.complete() ? 0 : 3;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
   try {
-    const SweepReport report = hybridnoc::sweep::run_sweep(spec, opt);
-    std::printf("%s\n", report.degradation.to_string().c_str());
-    std::printf("aggregate: %s\n", report.aggregate_path.c_str());
-    return report.degradation.complete() ? 0 : 3;
-  } catch (const std::exception& e) {
+    return run(argc, argv);
+  } catch (const std::exception& e) {  // InputError, or the environment's
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/input.hpp"
 #include "common/rng.hpp"
 #include "tdm/fault_trace.hpp"
 
@@ -211,6 +212,7 @@ int run_record(const Args& a) {
   // (or on explicit request).
   s.e2e_recovery = a.e2e || a.link_ber > 0.0 || !a.kill_links.empty() ||
                    !a.stick_links.empty() || !a.kill_routers.empty();
+  s.to_config().validate();  // before the storm generator loops on k < 2
   s.traffic = make_storm_traffic(a.k, a.pairs, a.cycles + s.cooldown_cycles,
                                  a.seed * 1000003 + 11);
   const ScenarioOutcome o =
@@ -278,7 +280,12 @@ int run_shrink(const Args& a) {
 
 int main(int argc, char** argv) {
   const hybridnoc::Args args = hybridnoc::parse_args(argc, argv);
-  if (args.mode == "record") return hybridnoc::run_record(args);
-  if (args.mode == "replay") return hybridnoc::run_replay(args);
-  return hybridnoc::run_shrink(args);
+  try {
+    if (args.mode == "record") return hybridnoc::run_record(args);
+    if (args.mode == "replay") return hybridnoc::run_replay(args);
+    return hybridnoc::run_shrink(args);
+  } catch (const hybridnoc::InputError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }
