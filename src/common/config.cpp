@@ -13,6 +13,9 @@ const NocConfig& NocConfig::validate() const {
   check_input(k >= 2,
               "mesh radix k must be >= 2: a 1-node mesh has no links, and "
               "the tornado/hotspot patterns are degenerate on it");
+  check_input(k <= kMaxMeshRadix,
+              "mesh radix k must be at most 46340: k * k node ids must fit "
+              "an int");
   HN_CONFIG_REQUIRES(num_vcs >= 1);
   check_input(num_vcs <= 32,
               "num_vcs must be at most 32, the width of every VC bitmask");
@@ -28,6 +31,8 @@ const NocConfig& NocConfig::validate() const {
   HN_CONFIG_REQUIRES(slot_table_size >= 4);
   check_input((slot_table_size & (slot_table_size - 1)) == 0,
               "slot table size must be a power of two (modulo-S arithmetic)");
+  check_input(slot_table_size <= kMaxSlotTableSize,
+              "slot table size must be at most 8192 (16-bit lease handles)");
   HN_CONFIG_REQUIRES(initial_active_slots >= 4 && initial_active_slots <= slot_table_size);
   HN_CONFIG_REQUIRES((initial_active_slots & (initial_active_slots - 1)) == 0);
   HN_CONFIG_REQUIRES(reservation_threshold > 0.0 && reservation_threshold <= 1.0);

@@ -28,6 +28,8 @@ inline const char* router_arch_name(RouterArch a) {
 struct NocConfig {
   // --- topology / canonical router (Table I) ---
   int k = 6;                ///< mesh is k x k
+  /// Largest radix validate() accepts: k * k node ids must fit an int.
+  static constexpr int kMaxMeshRadix = 46340;
   int num_vcs = 4;          ///< virtual channels per input port
   int vc_buffer_depth = 5;  ///< flits per VC
   /// Deepest VC buffer validate() accepts: a router allocates
@@ -45,6 +47,9 @@ struct NocConfig {
 
   // --- TDM slot tables (Sections II-B/II-C) ---
   int slot_table_size = 128;
+  /// Largest slot table validate() accepts: a valid entry reaches its lease
+  /// through a 16-bit handle, and a table holds up to kNumPorts x S entries.
+  static constexpr int kMaxSlotTableSize = 8192;
   bool time_slot_stealing = true;
   /// Reservations are refused when valid-entry occupancy exceeds this
   /// fraction, preventing packet-switched starvation (paper uses 0.9).

@@ -382,12 +382,40 @@ bool is_data_fault_record(const FaultRecord& r) {
   return r.kind == ConfigKind::Link || r.kind == ConfigKind::Router;
 }
 
+/// Throws InputError unless every traffic entry, link and router the
+/// scenario names lies inside `mesh`. The loader cannot check them: `k` may
+/// follow them in the file.
+void check_scenario_in_mesh(const FaultScenario& s, const Mesh& mesh) {
+  if (!s.traffic.empty()) check_trace(s.traffic, mesh.num_nodes());
+  const auto check_link = [&](NodeId node, int port, Cycle duration) {
+    check_input(mesh.valid(node) &&
+                    mesh.has_neighbor(node, static_cast<Port>(port)),
+                "scenario link fault outside the mesh");
+    check_input(duration >= 1, "scenario stuck-link duration must be >= 1");
+  };
+  for (const auto& d : s.dead_links) check_link(d.node, d.port, 1);
+  for (const auto& d : s.stuck_links) check_link(d.node, d.port, d.duration);
+  for (const auto& d : s.dead_routers) {
+    check_input(mesh.valid(d.first), "scenario router fault outside the mesh");
+  }
+  for (const FaultRecord& r : s.faults.records) {
+    if (r.kind == ConfigKind::Router) {
+      check_input(mesh.valid(r.src), "scenario router fault outside the mesh");
+    } else if (r.kind == ConfigKind::Link) {
+      check_link(r.src, r.dst, r.action == FaultAction::Stuck ? r.delay : 1);
+      check_input(r.action != FaultAction::Corrupt || r.occurrence >= 1,
+                  "scenario link corruption occurrence must be >= 1");
+    }
+  }
+}
+
 }  // namespace
 
 ScenarioOutcome run_fault_scenario(const FaultScenario& s, ScenarioMode mode,
                                    bool audit_each_event,
                                    FaultTrace* recorded) {
   HybridNetwork net(s.to_config());
+  check_scenario_in_mesh(s, net.mesh());
   const bool data_faults = s.link_ber > 0.0 || !s.dead_links.empty() ||
                            !s.stuck_links.empty() || !s.dead_routers.empty();
   if (mode == ScenarioMode::Record) {

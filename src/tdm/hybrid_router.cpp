@@ -10,11 +10,10 @@ HybridRouter::HybridRouter(const NocConfig& cfg, NodeId id, const Mesh& mesh,
                            TdmController* ctrl)
     : Router(cfg, id, mesh),
       slots_(cfg.slot_table_size,
-             ctrl ? ctrl->active_slots() : cfg.slot_table_size),
+             ctrl ? ctrl->active_slots() : cfg.slot_table_size,
+             cfg.reservation_lease_cycles > 0),
       ctrl_(ctrl) {
   HN_CHECK(ctrl_ != nullptr);
-  // The expiry-bucket index only pays for itself when leases can expire.
-  slots_.set_expiry_tracking(cfg.reservation_lease_cycles > 0);
 }
 
 const Flit* HybridRouter::peek_arrival(Port port, Cycle cycle) const {

@@ -11,16 +11,36 @@ namespace {
 bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 }  // namespace
 
-SlotTable::SlotTable(int capacity, int active)
-    : capacity_(capacity), active_(active) {
-  HN_CHECK(is_pow2(capacity) && is_pow2(active) && active <= capacity);
+static_assert(kNumPorts * NocConfig::kMaxSlotTableSize <= 65536,
+              "every valid entry's lease index must fit a 16-bit handle");
+
+SlotTable::SlotTable(int capacity, int active, bool leased)
+    : capacity_(capacity), active_(active), leased_(leased) {
+  HN_CHECK(is_pow2(capacity) && is_pow2(active) && active <= capacity &&
+           capacity <= NocConfig::kMaxSlotTableSize);
 }
 
 void SlotTable::allocate() {
   if (!out_.empty()) return;
   const size_t cells = static_cast<size_t>(kNumPorts) * capacity_;
   out_.assign(cells, kFree);
-  lease_.resize(cells);
+  handle_.resize(cells);
+}
+
+void SlotTable::occupy(size_t c, Port out, PacketId owner, Cycle stamp) {
+  out_[c] = static_cast<std::uint8_t>(out);
+  handle_[c] = static_cast<std::uint16_t>(leases_.size());
+  leases_.push_back(Lease{owner, stamp, static_cast<std::uint32_t>(c)});
+  ++valid_by_port_[c / static_cast<size_t>(capacity_)];
+}
+
+void SlotTable::vacate(size_t c) {
+  const std::uint16_t h = handle_[c];
+  leases_[h] = leases_.back();
+  handle_[leases_[h].cell] = h;
+  leases_.pop_back();
+  out_[c] = kFree;
+  --valid_by_port_[c / static_cast<size_t>(capacity_)];
 }
 
 bool SlotTable::can_reserve(int slot, int duration, Port in, Port out) const {
@@ -46,12 +66,7 @@ bool SlotTable::reserve(int slot, int duration, Port in, Port out,
   if (!can_reserve(slot, duration, in, out)) return false;
   allocate();
   for (int d = 0; d < duration; ++d) {
-    const int s = wrap(slot + d);
-    const size_t c = cell(s, in);
-    out_[c] = static_cast<std::uint8_t>(out);
-    lease_[c] = Lease{owner, now};
-    ++valid_by_port_[static_cast<size_t>(in)];
-    note_expiry(s, in, kCycleNever, now);
+    occupy(cell(wrap(slot + d), in), out, owner, now);
   }
   return true;
 }
@@ -63,10 +78,9 @@ std::optional<Port> SlotTable::release(int slot, int duration, Port in,
   for (int d = 0; d < duration; ++d) {
     const size_t c = cell(wrap(slot + d), in);
     if (out_[c] == kFree) continue;
-    if (owner != 0 && lease_[c].owner != owner) continue;  // someone else's
+    if (owner != 0 && lease(c).owner != owner) continue;  // someone else's
     if (!first_out) first_out = static_cast<Port>(out_[c]);
-    out_[c] = kFree;  // its bucket reference is now stale
-    --valid_by_port_[static_cast<size_t>(in)];
+    vacate(c);
   }
   return first_out;
 }
@@ -86,18 +100,14 @@ std::optional<PacketId> SlotTable::owner_at(int slot, Port in) const {
   if (valid_entries(in) == 0) return std::nullopt;
   const size_t c = cell(wrap(slot), in);
   if (out_[c] == kFree) return std::nullopt;
-  return lease_[c].owner;
+  return lease(c).owner;
 }
 
 void SlotTable::refresh(int slot, int count, Port in, Cycle now) {
   if (valid_entries(in) == 0) return;
   for (int d = 0; d < count; ++d) {
-    const int s = wrap(slot + d);
-    const size_t c = cell(s, in);
-    if (out_[c] == kFree) continue;
-    const Cycle prev = lease_[c].stamp;
-    lease_[c].stamp = now;
-    note_expiry(s, in, prev, now);
+    const size_t c = cell(wrap(slot + d), in);
+    if (out_[c] != kFree) lease(c).stamp = now;
   }
 }
 
@@ -127,23 +137,8 @@ bool SlotTable::input_free(int slot, int duration, Port in) const {
 
 void SlotTable::reset() {
   std::fill(out_.begin(), out_.end(), kFree);
+  leases_.clear();
   valid_by_port_.fill(0);
-  for (auto& buckets : expiry_buckets_) buckets.clear();
-}
-
-void SlotTable::set_expiry_tracking(bool on) {
-  if (track_expiry_ == on) return;
-  track_expiry_ = on;
-  for (auto& buckets : expiry_buckets_) buckets.clear();
-  if (!on) return;
-  for (int j = 0; j < kNumPorts; ++j) {
-    const Port in = static_cast<Port>(j);
-    if (valid_by_port_[static_cast<size_t>(j)] == 0) continue;
-    for (int s = 0; s < active_; ++s) {
-      const size_t c = cell(s, in);
-      if (out_[c] != kFree) note_expiry(s, in, kCycleNever, lease_[c].stamp);
-    }
-  }
 }
 
 bool SlotTable::grow() {
@@ -162,7 +157,7 @@ void SlotTable::set_active_size(int active) {
 // the reader rebuilds the table and checks each entry it places.
 void SlotTable::save_state(StateWriter& w) const {
   w.section("slot_table");
-  w.fields(capacity_, active_, track_expiry_);
+  w.fields(capacity_, active_, leased_);
   for (int j = 0; j < kNumPorts; ++j) {
     const Port in = static_cast<Port>(j);
     w.field(valid_by_port_[static_cast<size_t>(j)]);
@@ -170,7 +165,7 @@ void SlotTable::save_state(StateWriter& w) const {
     for (int s = 0; s < active_; ++s) {
       const size_t c = cell(s, in);
       if (out_[c] == kFree) continue;
-      w.fields(s, out_[c], lease_[c].owner, lease_[c].stamp);
+      w.fields(s, out_[c], lease(c).owner, lease(c).stamp);
     }
   }
 }
@@ -179,13 +174,9 @@ void SlotTable::restore_state(StateReader& r) {
   r.section("slot_table");
   r.expect(capacity_, "slot-table capacity mismatch");
   int active = 0;
-  bool track = false;
-  r.fields(active, track);
+  r.fields(active, leased_);
   r.check(is_pow2(active) && active <= capacity_,
           "slot-table active size invalid");
-  // Rebuild with tracking off so the entry fill carries no bucket
-  // bookkeeping, then re-enable to reindex from the restored entries.
-  if (track_expiry_) set_expiry_tracking(false);
   set_active_size(active);
   for (int j = 0; j < kNumPorts; ++j) {
     const Port in = static_cast<Port>(j);
@@ -197,12 +188,14 @@ void SlotTable::restore_state(StateReader& r) {
       r.ranged(s, 0, active - 1, "slot index out of range");
       const size_t c = cell(s, in);
       r.check(out_[c] == kFree, "duplicate slot entry");
-      r.ranged(out_[c], 0, kNumPorts - 1, "slot entry port out of range");
-      r.fields(lease_[c].owner, lease_[c].stamp);
-      ++valid_by_port_[static_cast<size_t>(j)];
+      std::uint8_t out = kFree;
+      PacketId owner = 0;
+      Cycle stamp = 0;
+      r.ranged(out, 0, kNumPorts - 1, "slot entry port out of range");
+      r.fields(owner, stamp);
+      occupy(c, static_cast<Port>(out), owner, stamp);
     }
   }
-  if (track) set_expiry_tracking(true);
 }
 
 }  // namespace hybridnoc

@@ -20,21 +20,19 @@
 // no circuit traffic for a long time are reclaimed (expire_older_than),
 // bounding the damage of a lost teardown.
 //
-// Storage follows the hardware split: a hot column of one byte per
-// (input port, slot) holding the output port, or kFree when the valid bit is
-// clear, and a cold column of 16-byte leases (owner, stamp). Both are flat,
-// one allocation each, indexed port-major, so every read that needs only the
-// valid bit and output port (lookup, conflict checks, the untracked sweep)
-// touches bytes. Both columns are allocated together on the first successful
-// reserve (or a restore that brings entries), never at construction: a
-// router that never carries a circuit holds no entry storage, so a table
-// with no storage has no valid entries. Per-port valid counts let every
-// reader skip a port the moment its count is zero, which is also what keeps
-// readers off the columns before they exist: on a quiet router the periodic
-// sweeps are five integer reads. The expiry index
-// stores no per-entry bucket: a valid entry's bucket is its stamp >>
-// kExpiryBucketShift, so a bucket reference is live exactly while its entry
-// is valid and still stamped inside that bucket.
+// Storage follows the hardware split. The hot column holds one byte per
+// (input port, slot): the output port, or kFree when the valid bit is clear.
+// Every read that needs only the valid bit and output port (lookup, conflict
+// checks, the lease sweep's scan) touches these bytes alone. Beside it, a
+// 16-bit handle per cell leads a valid entry to its lease (owner, stamp) in
+// a compact store that holds one lease per valid entry and swap-removes on
+// release, so lease memory grows with reservations, not with capacity.
+// Both cell columns are flat, port-major and allocated together on the
+// first successful reserve (or a restore that brings entries), never at
+// construction: a router that never carries a circuit holds no entry
+// storage. Per-port valid counts let every reader skip a port the moment
+// its count is zero, which also keeps readers off the columns before they
+// exist: on a quiet router the periodic sweep is five integer reads.
 //
 // Section II-C's dynamic time-division granularity is supported through the
 // active size: only the first `active` entries participate (arithmetic is
@@ -45,11 +43,10 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
-#include "common/pool.hpp"
+#include "common/config.hpp"
 #include "common/types.hpp"
 
 namespace hybridnoc {
@@ -60,8 +57,11 @@ class StateReader;
 class SlotTable {
  public:
   /// `capacity` is the physical table size; `active` the initially powered
-  /// region. Both must be powers of two, active <= capacity.
-  SlotTable(int capacity, int active);
+  /// region. Both must be powers of two, active <= capacity <=
+  /// NocConfig::kMaxSlotTableSize.
+  /// `leased` records whether the owner sweeps expired leases; it is kept
+  /// only for checkpoints, whose archive carries it as one byte.
+  SlotTable(int capacity, int active, bool leased = true);
 
   int capacity() const { return capacity_; }
   int active_size() const { return active_; }
@@ -102,93 +102,44 @@ class SlotTable {
   /// number of entries released. This is the backstop that reclaims
   /// reservations orphaned by lost teardown messages.
   ///
-  /// Ports with no valid entries are skipped outright. With expiry tracking
-  /// on (the default), each port's entries are bucketed by
-  /// stamp >> kExpiryBucketShift, so a sweep visits only buckets that can
-  /// hold expirable stamps — O(expired + stale refs retired + one straddling
-  /// bucket per port) instead of a full active x kNumPorts scan. Bucket
-  /// references go stale when an entry is released or re-stamped into
-  /// another bucket; they are validated (and discarded) lazily here, which
-  /// keeps reserve/refresh O(1).
-  ///
-  /// Expiry order is port-major (all of port 0's expirations before port
-  /// 1's). Callers' on_expire actions (DLT invalidation, counter bumps) are
-  /// commutative across entries, so the order is not observable.
+  /// Ports with no valid entries are skipped outright; the others' port
+  /// bytes are scanned in slot order, and only valid entries read their
+  /// lease. Expiry order is port-major (all of port 0's expirations before
+  /// port 1's). Callers' on_expire actions (DLT invalidation, counter
+  /// bumps) are commutative across entries, so the order is not observable.
   template <typename ExpireFn>
   int expire_older_than(Cycle cutoff, ExpireFn&& on_expire) {
     int expired = 0;
     for (int j = 0; j < kNumPorts; ++j) {
-      if (valid_by_port_[static_cast<size_t>(j)] == 0) continue;
       const Port in = static_cast<Port>(j);
-      if (!track_expiry_) {
-        for (int s = 0; s < active_; ++s) {
-          const size_t c = cell(s, in);
-          if (out_[c] == kFree || lease_[c].stamp >= cutoff) continue;
-          out_[c] = kFree;
-          --valid_by_port_[static_cast<size_t>(j)];
-          ++expired;
-          on_expire(s, in);
-        }
-        continue;
-      }
-      auto& buckets = expiry_buckets_[static_cast<size_t>(j)];
-      auto it = buckets.begin();
-      // A bucket with key K holds stamps in [K << shift, (K+1) << shift); it
-      // can contain expirable entries only if its lowest stamp is < cutoff.
-      while (it != buckets.end() &&
-             (it->first << kExpiryBucketShift) < cutoff) {
-        SlotList survivors;
-        for (const std::uint32_t slot : it->second) {
-          const size_t c = cell(static_cast<int>(slot), in);
-          const Cycle stamp = lease_[c].stamp;
-          if (out_[c] == kFree || (stamp >> kExpiryBucketShift) != it->first) {
-            continue;  // stale reference
-          }
-          if (stamp >= cutoff) {  // straddling bucket: not old enough yet
-            survivors.push_back(slot);
-            continue;
-          }
-          out_[c] = kFree;
-          --valid_by_port_[static_cast<size_t>(j)];
-          ++expired;
-          on_expire(static_cast<int>(slot), in);
-        }
-        if (survivors.empty()) {
-          it = buckets.erase(it);
-        } else {
-          it->second = std::move(survivors);
-          ++it;
-        }
+      for (int s = 0; s < active_ && valid_entries(in) > 0; ++s) {
+        const size_t c = cell(s, in);
+        if (out_[c] == kFree || lease(c).stamp >= cutoff) continue;
+        vacate(c);
+        ++expired;
+        on_expire(s, in);
       }
     }
     return expired;
   }
-
-  /// Enable/disable the expiry-bucket index. Routers disable it when the
-  /// reservation lease is off so reserve/refresh carry no bookkeeping;
-  /// enabling it (re)builds the index from the current valid entries.
-  void set_expiry_tracking(bool on);
 
   /// Some input holds `out` at the slot of `cycle`? Returns that input.
   std::optional<Port> output_reserved_at(Cycle cycle, Port out) const;
 
   /// Fraction of (active slot, input) entries that are valid.
   double occupancy() const;
-  int valid_entries() const {
-    int total = 0;
-    for (const int c : valid_by_port_) total += c;
-    return total;
-  }
+  int valid_entries() const { return static_cast<int>(leases_.size()); }
   /// Valid entries under one input port — lets sweeps and audits skip a
   /// port's whole column in O(1).
   int valid_entries(Port in) const {
     return valid_by_port_[static_cast<size_t>(in)];
   }
 
-  /// Heap bytes of the entry columns (port bytes plus leases); zero until
-  /// the first reservation allocates them.
+  /// Heap bytes of the entry storage (port bytes, handles and leases); zero
+  /// until the first reservation allocates it.
   size_t storage_bytes() const {
-    return out_.capacity() + lease_.capacity() * sizeof(Lease);
+    return out_.capacity() + handle_.capacity() * sizeof(std::uint16_t) +
+           leases_.capacity() * sizeof(Lease);
   }
 
   /// True if all entries [slot, slot+duration) for `in` are invalid —
@@ -205,65 +156,56 @@ class SlotTable {
   /// Set the active region explicitly (clears the table).
   void set_active_size(int active);
 
-  /// Checkpoint: serialize active size, tracking mode and every valid entry
-  /// (sparse — owner/stamp/out per valid slot). The expiry-bucket index is
-  /// not serialized; restore rebuilds it, which preserves behaviour because
-  /// expiry callbacks are commutative across entries (see expire_older_than).
+  /// Checkpoint: serialize active size, the lease flag and every valid
+  /// entry (sparse — out/owner/stamp per valid slot, port-major in slot
+  /// order). The lease store's order is not serialized: restore rebuilds
+  /// it in archive order, which preserves behaviour because every reader
+  /// reaches a lease through its cell (see expire_older_than).
   void save_state(StateWriter& w) const;
   /// Restores into a table of the same capacity; throws StateError on a
   /// structural mismatch (never aborts — a bad archive means "recompute").
   void restore_state(StateReader& r);
 
  private:
-  /// 1024-cycle expiry buckets, matching the routers' sweep cadence.
-  static constexpr int kExpiryBucketShift = 10;
   /// Port byte of an invalid entry (valid bit clear).
   static constexpr std::uint8_t kFree = 0xFF;
   static_assert(kNumPorts < kFree, "port ids must fit below kFree");
 
-  /// Cold half of an entry: read by owner-fenced releases, the lease and
-  /// checkpoints, never by lookups.
+  /// Cold half of a valid entry: read by owner-fenced releases, the lease
+  /// sweep and checkpoints, never by lookups.
   struct Lease {
     PacketId owner = 0;  ///< id of the setup that wrote the entry
     Cycle stamp = 0;     ///< last reserve/traversal cycle (lease clock)
+    std::uint32_t cell = 0;  ///< the entry's cell, for swap-remove
   };
-  static_assert(sizeof(Lease) == 16, "lease column is two 64-bit words");
 
-  /// Allocate both columns, all entries free; no-op once allocated.
+  /// Allocate both cell columns, all entries free; no-op once allocated.
   void allocate();
-  /// Port-major index of (slot, in) in both columns.
+  /// Port-major index of (slot, in) in the cell columns.
   size_t cell(int slot, Port in) const {
     return static_cast<size_t>(in) * static_cast<size_t>(capacity_) +
            static_cast<size_t>(slot);
   }
   int wrap(int slot) const { return slot & (active_ - 1); }
-  /// Index the valid entry at (slot, in) just stamped `stamp`, unless it was
-  /// already valid with stamp `prev` in the same bucket, whose reference
-  /// still finds it. Callers pass prev = kCycleNever for a fresh entry.
-  void note_expiry(int slot, Port in, Cycle prev, Cycle stamp) {
-    if (!track_expiry_) return;
-    const Cycle key = stamp >> kExpiryBucketShift;
-    if (prev != kCycleNever && (prev >> kExpiryBucketShift) == key) return;
-    expiry_buckets_[static_cast<size_t>(in)][key].push_back(
-        static_cast<std::uint32_t>(slot));
-  }
+  /// Make the free cell `c` a valid entry in -> out with a new lease.
+  void occupy(size_t c, Port out, PacketId owner, Cycle stamp);
+  /// Clear the valid cell `c` and swap-remove its lease.
+  void vacate(size_t c);
+  Lease& lease(size_t c) { return leases_[handle_[c]]; }
+  const Lease& lease(size_t c) const { return leases_[handle_[c]]; }
 
   int capacity_;
   int active_;
+  bool leased_;
   /// Output port per (input port, slot), kFree when invalid; empty until
   /// allocate(), and never read for a port whose valid count is zero.
   std::vector<std::uint8_t> out_;
-  /// Owner and stamp per (input port, slot); meaningful only where valid.
-  std::vector<Lease> lease_;
+  /// Index into leases_ per (input port, slot); meaningful only where valid.
+  std::vector<std::uint16_t> handle_;
+  /// One lease per valid entry, in no particular order. Capacity is kept
+  /// across releases and resets, so steady-state churn never allocates.
+  std::vector<Lease> leases_;
   std::array<int, kNumPorts> valid_by_port_{};
-  bool track_expiry_ = true;
-  /// Per input port: stamp bucket -> slot indices, lazily validated.
-  /// The ordered map keeps sweeps in deterministic ascending-bucket order;
-  /// nodes and index storage are pool-backed because new stamp buckets keep
-  /// appearing as simulated time advances — the one slot-table operation
-  /// that would otherwise enter the allocator in steady state.
-  using SlotList = std::vector<std::uint32_t, PoolAlloc<std::uint32_t>>;
-  std::array<PooledMap<Cycle, SlotList>, kNumPorts> expiry_buckets_;
 };
 
 }  // namespace hybridnoc

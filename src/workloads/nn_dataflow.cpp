@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/config.hpp"
 #include "common/geometry.hpp"
 #include "common/input.hpp"
 #include "common/rng.hpp"
@@ -76,7 +77,8 @@ NnDescriptor parse_nn_descriptor(std::istream& in, const std::string& name) {
     ls >> directive;
     if (directive == "mesh") {
       reader.check(d.k == 0, "nn descriptor: duplicate mesh directive");
-      reader.check(static_cast<bool>(ls >> d.k) && d.k >= 2 && d.k <= 46340,
+      reader.check(static_cast<bool>(ls >> d.k) && d.k >= 2 &&
+                       d.k <= NocConfig::kMaxMeshRadix,
                    "nn descriptor: mesh radix must be an integer >= 2 "
                    "(and at most 46340)");
       continue;

@@ -174,11 +174,12 @@ TEST(ZeroAlloc, PoolOffFallbackCarriesLoadedTraffic) {
   BlockPool::set_enabled(true);
 }
 
-/// A slot-table entry is a valid bit plus an output port (Section II) and a
-/// 16-byte lease (owner, stamp), and a table stores entries only once it
-/// holds a reservation: constructing one requests no heap bytes, and the
-/// first reserve() requests at most 18 bytes per (input port, slot) entry
-/// for both columns at once. Every router and the fast model build one
+/// A slot-table entry is a valid bit plus an output port (Section II), and
+/// only a valid entry holds a lease (owner, stamp). A table stores entries
+/// only once it holds a reservation: constructing one requests no heap
+/// bytes, and the first reserve() requests the port byte and the 16-bit
+/// lease handle of every (input port, slot) cell plus one 24-byte lease
+/// (owner, stamp and its cell). Every router and the fast model build one
 /// table per node, so this bounds both fidelities' largest array, and keeps
 /// it at zero on routers that never carry a circuit.
 TEST(ZeroAlloc, SlotTableBytesPerEntry) {
@@ -188,22 +189,20 @@ TEST(ZeroAlloc, SlotTableBytesPerEntry) {
 #else
   constexpr std::uint64_t kSlots = 256;
   constexpr std::uint64_t kEntries = kNumPorts * kSlots;
+  constexpr std::uint64_t kLeaseBytes = 24;
   std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
   SlotTable table(static_cast<int>(kSlots), static_cast<int>(kSlots));
   EXPECT_EQ(g_bytes.load(std::memory_order_relaxed) - before, 0u)
       << "constructing a table allocated";
   EXPECT_EQ(table.storage_bytes(), 0u);
 
-  // The expiry index is pool-backed bookkeeping, not entry storage; with it
-  // off the reservation's requests are the two columns alone.
-  table.set_expiry_tracking(false);
   before = g_bytes.load(std::memory_order_relaxed);
   ASSERT_TRUE(table.reserve(0, 1, Port::West, Port::East, 1, 0));
   const std::uint64_t requested =
       g_bytes.load(std::memory_order_relaxed) - before;
-  EXPECT_LE(requested, kEntries * 18)
+  EXPECT_LE(requested, kEntries * 4 + kLeaseBytes)
       << "bytes per entry: " << static_cast<double>(requested) / kEntries;
-  EXPECT_GE(table.storage_bytes(), kEntries * 17);
+  EXPECT_EQ(table.storage_bytes(), kEntries * 3 + kLeaseBytes);
 #endif
 }
 

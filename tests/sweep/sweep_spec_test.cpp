@@ -140,6 +140,20 @@ TEST(SweepSpecErrors, VcBufferDepthAbove1024IsStructured) {
       << err.to_string();
 }
 
+// Node ids are k * k in an int: a radix beyond 46340 is a spec error, not
+// an overflow when the point builds its mesh.
+TEST(SweepSpecErrors, RadixAbove46340IsStructured) {
+  SweepSpec spec;
+  SpecError err;
+  EXPECT_FALSE(parse_sweep_spec("sweep k = 46340, 46341\n", &spec, &err));
+  EXPECT_NE(err.message.find("point 'k=46341' is invalid"), std::string::npos)
+      << err.to_string();
+  EXPECT_NE(err.message.find("46340"), std::string::npos);
+  EXPECT_FALSE(parse_sweep_spec("set k = 100000\n", &spec, &err));
+  EXPECT_NE(err.message.find("46340"), std::string::npos) << err.to_string();
+  EXPECT_TRUE(parse_sweep_spec("set k = 46340\n", &spec, &err)) << err.to_string();
+}
+
 // An SDM plane's single VC holds the port's whole storage, so the bound
 // applies to depth x num_vcs there.
 TEST(SweepSpecErrors, SdmPlaneDepthAbove1024IsStructured) {

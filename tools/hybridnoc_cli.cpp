@@ -107,8 +107,11 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-/// --k, the mesh radix: at least 2, and k * k node ids must fit an int.
-int mesh_radix(const Args& a) { return a.count("k", 6, 2, 46340); }
+/// --k, the mesh radix, in validate()'s range: trace-gen and trace-run use
+/// it before any config is validated.
+int mesh_radix(const Args& a) {
+  return a.count("k", 6, 2, NocConfig::kMaxMeshRadix);
+}
 
 NocConfig arch_preset(const std::string& name, int k) {
   if (name == "packet") return NocConfig::packet_vc4(k);
