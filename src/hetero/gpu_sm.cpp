@@ -41,13 +41,6 @@ int GpuSm::ready_warps(Cycle now) const {
   return n;
 }
 
-int GpuSm::waiting_warps() const {
-  int n = 0;
-  for (const auto& w : warps_)
-    if (w.waiting_mem) ++n;
-  return n;
-}
-
 void GpuSm::tick(Cycle now) {
   // One memory request issues per cycle: the first warp (round-robin) whose
   // compute phase has finished.
@@ -60,7 +53,8 @@ void GpuSm::tick(Cycle now) {
       // Dependent load: the warp stalls until the reply; its slack is what
       // the other available warps can hide (Section V-A2).
       warp.waiting_mem = true;
-      const std::int64_t available = kWarps - waiting_warps();
+      ++waiting_;
+      const std::int64_t available = kWarps - waiting_;
       issue_(w, next_addr_ + rng_.next_u64(), available * kSlackPerAvailableWarp);
     } else {
       // Streaming access covered by an MSHR: the warp computes on; the
@@ -79,6 +73,7 @@ void GpuSm::on_reply(int warp, Cycle now) {
   Warp& w = warps_[static_cast<size_t>(warp)];
   HN_CHECK(w.waiting_mem);
   w.waiting_mem = false;
+  --waiting_;
   w.compute_done = roll_compute(now);
 }
 

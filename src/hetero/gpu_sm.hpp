@@ -40,7 +40,7 @@ class GpuSm {
   NodeId node() const { return node_; }
   int sm_index() const { return sm_index_; }
   int ready_warps(Cycle now) const;
-  int waiting_warps() const;
+  int waiting_warps() const { return waiting_; }
   std::uint64_t transactions_completed() const { return transactions_; }
 
  private:
@@ -58,6 +58,7 @@ class GpuSm {
   IssueFn issue_;
   std::vector<Warp> warps_;
   int issue_rr_ = 0;
+  int waiting_ = 0;  ///< warps with waiting_mem set
   std::uint64_t transactions_ = 0;
   std::uint64_t next_addr_;
 };

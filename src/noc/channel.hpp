@@ -1,7 +1,7 @@
 // Pipelined point-to-point channels. All cross-component communication in the
-// simulator (flits, credits, sideband signals) flows through Channel<T>
-// registers, which is what makes the fixed component tick order safe: nothing
-// written in cycle T is visible before T + latency.
+// simulator flows through these registers — flits through Channel<T>,
+// credits through CreditWire — which is what makes the fixed component tick
+// order safe: nothing written in cycle T is visible before T + latency.
 //
 // Data links use latency 2 ("written at end of T, readable at T+2"): the
 // intervening cycle is the link-transmission stage, so a circuit-switched flit
@@ -10,6 +10,7 @@
 // (Section II-B).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <type_traits>
@@ -187,8 +188,8 @@ class Channel : public ChannelBase {
 
   /// In-flight items kept inside the channel. A data link carries at most
   /// one flit per cycle and holds it for latency 2, so it never holds more
-  /// than three (ready at now, now + 1 and now + 2); a credit wire holds two
-  /// cycles' worth. Bursts past this spill the queue to the heap for good.
+  /// than three (ready at now, now + 1 and now + 2). Bursts past this spill
+  /// the queue to the heap for good.
   static constexpr std::size_t kInlineItems = 4;
 
   // Consumer-side fields first (receive() reads the occupancy word, the
@@ -217,6 +218,120 @@ struct Credit {
   int vc = 0;
 };
 
-using CreditChannel = Channel<Credit>;
+/// The per-VC credit return wires of one link (Section II-D): latency 1, at
+/// most one credit per VC per cycle. The consumer drains every credit the
+/// cycle it matures, so at most two ready cycles are ever in flight — the
+/// one the consumer reads this cycle and the one the producer writes for
+/// the next — and each is one VC bitmask. receive() hands the credits of a
+/// cycle out in ascending VC order rather than send order; every consumer's
+/// per-VC update commutes, so the order is unobservable. Staged (cross-shard)
+/// sends collect in one more mask, since one compute phase writes one cycle.
+class CreditWire final : public ChannelBase {
+ public:
+  CreditWire() = default;
+  // pending_ may point at this wire's own sink_.
+  CreditWire(const CreditWire&) = delete;
+  CreditWire& operator=(const CreditWire&) = delete;
+
+  /// As Channel::set_consumer: every new ready cycle wakes the consumer.
+  void set_consumer(TickScheduler* sched, int consumer_id) {
+    sched_ = sched;
+    consumer_ = consumer_id;
+  }
+
+  /// As Channel::set_pending_mask: `bit` is set in `*mask` while any credit
+  /// is in flight.
+  void set_pending_mask(std::uint32_t* mask, std::uint32_t bit) {
+    HN_CHECK(mask != nullptr);
+    pending_ = mask;
+    pending_bit_ = bit;
+    if (count_ > 0) *pending_ |= pending_bit_;
+  }
+
+  /// Return a credit for `c.vc` at the end of cycle `now`; readable at now + 1.
+  void send(Credit c, Cycle now) {
+    HN_CHECK(c.vc >= 0 && c.vc < 32);
+    const std::uint32_t bit = 1u << static_cast<unsigned>(c.vc);
+    const Cycle ready = now + kCreditChannelLatency;
+    if (staged_) {
+      // Producer-thread-private; the live masks and the consumer wake are
+      // touched only at commit_staged().
+      HN_CHECK_MSG(staged_mask_ == 0 || staged_ready_ == ready,
+                   "staged credits span two cycles");
+      HN_CHECK_MSG(!(staged_mask_ & bit), "two credits for one VC in one cycle");
+      staged_mask_ |= bit;
+      staged_ready_ = ready;
+      return;
+    }
+    push(ready, bit);
+  }
+
+  void commit_staged() override {
+    if (staged_mask_ == 0) return;
+    push(staged_ready_, staged_mask_);
+    staged_mask_ = 0;
+  }
+
+  /// Pop the lowest-VC credit readable at `now`, if any.
+  std::optional<Credit> receive(Cycle now) {
+    if (count_ == 0 || ready_[head_] > now) return std::nullopt;
+    HN_CHECK_MSG(ready_[head_] == now, "unconsumed channel item");
+    std::uint32_t& mask = mask_[head_];
+    const Credit c{std::countr_zero(mask)};
+    mask &= mask - 1;
+    if (mask == 0) {
+      head_ ^= 1u;
+      if (--count_ == 0) *pending_ &= ~pending_bit_;
+    }
+    return c;
+  }
+
+  /// Ready cycle of the oldest in-flight credit, kCycleNever when empty.
+  Cycle next_ready() const { return count_ > 0 ? ready_[head_] : kCycleNever; }
+
+  /// Credits in flight, staged ones excluded.
+  std::size_t in_flight() const {
+    std::size_t n = 0;
+    for (unsigned i = 0; i < count_; ++i)
+      n += static_cast<std::size_t>(std::popcount(mask_[(head_ + i) & 1u]));
+    return n;
+  }
+
+ private:
+  /// Merge `bits` into the live cycle `ready`, opening it (and waking the
+  /// consumer) if it is new.
+  void push(Cycle ready, std::uint32_t bits) {
+    if (count_ > 0) {
+      const unsigned back = (head_ + count_ - 1u) & 1u;
+      HN_CHECK_MSG(ready_[back] <= ready, "channel writes must be issued in cycle order");
+      if (ready_[back] == ready) {
+        HN_CHECK_MSG(!(mask_[back] & bits), "two credits for one VC in one cycle");
+        mask_[back] |= bits;
+        return;
+      }
+      HN_CHECK_MSG(count_ < 2, "unconsumed channel item");
+    }
+    const unsigned slot = (head_ + count_) & 1u;
+    ready_[slot] = ready;
+    mask_[slot] = bits;
+    ++count_;
+    *pending_ |= pending_bit_;
+    if (sched_) sched_->wake_at(consumer_, ready);
+  }
+
+  // Consumer-side fields first; the producer-only staging pair goes last.
+  std::uint8_t head_ = 0;   ///< slot of the oldest live cycle
+  std::uint8_t count_ = 0;  ///< live cycles, 0..2
+  std::uint32_t pending_bit_ = 0;
+  /// Consumer occupancy word; until one is registered the bit lands in sink_.
+  std::uint32_t* pending_ = &sink_;
+  Cycle ready_[2] = {};
+  std::uint32_t mask_[2] = {};  ///< VCs with a credit ready at ready_[i]
+  TickScheduler* sched_ = nullptr;  ///< null until set_consumer()
+  int consumer_ = -1;
+  std::uint32_t sink_ = 0;
+  std::uint32_t staged_mask_ = 0;  ///< cross-shard outbox (staged mode only)
+  Cycle staged_ready_ = 0;
+};
 
 }  // namespace hybridnoc

@@ -25,16 +25,14 @@ std::array<Ch, sizeof...(I)> channel_array(int latency, std::index_sequence<I...
 struct alignas(64) Network::NodeChannels {
   /// Credits for each router output, from the downstream router (Local:
   /// from the NI's ejection buffer).
-  std::array<CreditChannel, kNumPorts> router_credit_in =
-      channel_array<CreditChannel>(kCreditChannelLatency,
-                                   std::make_index_sequence<kNumPorts>{});
+  std::array<CreditWire, kNumPorts> router_credit_in;
   /// Flits into each router input, from the upstream router (Local: the
   /// NI's injection).
   std::array<FlitChannel, kNumPorts> router_flit_in =
       channel_array<FlitChannel>(kDataChannelLatency,
                                  std::make_index_sequence<kNumPorts>{});
   FlitChannel ni_eject{kDataChannelLatency};           ///< router -> NI flits
-  CreditChannel ni_credit_in{kCreditChannelLatency};  ///< injection credits
+  CreditWire ni_credit_in;  ///< injection credits
 };
 
 Network::Network(const NocConfig& cfg)
@@ -125,9 +123,9 @@ void Network::build() {
     // router n always share a shard, so these four never cross shards.
     NodeChannels& own = node_channels(n);
     FlitChannel* inj = &own.router_flit_in[static_cast<size_t>(Port::Local)];
-    CreditChannel* inj_cr = &own.ni_credit_in;
+    CreditWire* inj_cr = &own.ni_credit_in;
     FlitChannel* ej = &own.ni_eject;
-    CreditChannel* ej_cr = &own.router_credit_in[static_cast<size_t>(Port::Local)];
+    CreditWire* ej_cr = &own.router_credit_in[static_cast<size_t>(Port::Local)];
     inj->set_consumer(sched_for(router_sched_id(n)), router_sched_id(n));
     inj_cr->set_consumer(sched_for(ni_sched_id(n)), ni_sched_id(n));
     ej->set_consumer(sched_for(ni_sched_id(n)), ni_sched_id(n));
@@ -147,7 +145,7 @@ void Network::build() {
       Router& nb = *routers_[static_cast<size_t>(m)];
       FlitChannel* data =
           &node_channels(m).router_flit_in[static_cast<size_t>(opposite(p))];
-      CreditChannel* cr = &own.router_credit_in[static_cast<size_t>(pi)];
+      CreditWire* cr = &own.router_credit_in[static_cast<size_t>(pi)];
       data->set_consumer(sched_for(router_sched_id(m)), router_sched_id(m));
       cr->set_consumer(sched_for(router_sched_id(n)), router_sched_id(n));
       // Mesh links are the only channels that can cross a shard boundary

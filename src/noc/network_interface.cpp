@@ -17,8 +17,8 @@ NetworkInterface::NetworkInterface(const NocConfig& cfg, NodeId id, const Mesh& 
   for (auto& v : out_vcs_) v.credits = cfg_.vc_buffer_depth;
 }
 
-void NetworkInterface::connect(FlitChannel* inject, CreditChannel* inject_credits_in,
-                               FlitChannel* eject, CreditChannel* eject_credits_out,
+void NetworkInterface::connect(FlitChannel* inject, CreditWire* inject_credits_in,
+                               FlitChannel* eject, CreditWire* eject_credits_out,
                                Router* router) {
   inject_ = inject;
   inject_credits_in_ = inject_credits_in;

@@ -39,8 +39,8 @@ class NetworkInterface : public VcHolder {
   NetworkInterface(const NetworkInterface&) = delete;
   NetworkInterface& operator=(const NetworkInterface&) = delete;
 
-  void connect(FlitChannel* inject, CreditChannel* inject_credits_in,
-               FlitChannel* eject, CreditChannel* eject_credits_out,
+  void connect(FlitChannel* inject, CreditWire* inject_credits_in,
+               FlitChannel* eject, CreditWire* eject_credits_out,
                Router* router);
 
   /// Hardware fault model (owned by the Network; nullptr = perfect fabric).
@@ -63,6 +63,7 @@ class NetworkInterface : public VcHolder {
   /// traffic synchronously are not supported in staged mode; all in-tree
   /// handlers are passive observers.
   void set_stage_deliveries(bool on) { stage_deliveries_ = on; }
+  bool has_staged_deliveries() const { return !staged_deliveries_.empty(); }
   void flush_staged_deliveries() {
     for (auto& [pkt, cycle] : staged_deliveries_) deliver_(pkt, cycle);
     staged_deliveries_.clear();
@@ -214,16 +215,16 @@ class NetworkInterface : public VcHolder {
   /// decision uses to estimate packet-switched latency inflation.
   double ewma_inject_delay() const { return ewma_inject_delay_; }
 
-  const NocConfig cfg_;
+  const NocConfig& cfg_;  ///< the Network's one validated configuration
   const NodeId id_;
   const Mesh& mesh_;
   Router* router_ = nullptr;
   const FaultModel* faults_ = nullptr;
 
   FlitChannel* inject_ = nullptr;
-  CreditChannel* inject_credits_in_ = nullptr;
+  CreditWire* inject_credits_in_ = nullptr;
   FlitChannel* eject_ = nullptr;
-  CreditChannel* eject_credits_out_ = nullptr;
+  CreditWire* eject_credits_out_ = nullptr;
   /// Occupancy of the two inbound channels, kept by the channels (see
   /// Channel::set_pending_mask): a tick polls only the ones that hold items.
   static constexpr std::uint32_t kCreditPending = 1u << 0;

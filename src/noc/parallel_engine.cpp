@@ -154,13 +154,19 @@ void ParallelTickEngine::compute_phase(int s, Cycle now) {
   sh.sched.begin_cycle(now);
   sh.sched.sweep([&](int id) {
     if (id < num_nodes_) {
-      net_.ni_ptrs_[static_cast<size_t>(id)]->tick(now);
+      tick_ni(sh, id, now);
       ++sh.ni_ticks;
     } else {
       net_.router_ptrs_[static_cast<size_t>(id - num_nodes_)]->tick(now);
       ++sh.router_ticks;
     }
   });
+}
+
+void ParallelTickEngine::tick_ni(Shard& sh, int n, Cycle now) {
+  NetworkInterface* ni = net_.ni_ptrs_[static_cast<size_t>(n)];
+  ni->tick(now);
+  if (ni->has_staged_deliveries()) sh.delivering.push_back(ni);
 }
 
 void ParallelTickEngine::commit_compact_phase(int s, Cycle now) {
@@ -191,7 +197,7 @@ void ParallelTickEngine::serial_cycle(Cycle now) {
   for (Shard& sh : shards_) sh.sched.begin_cycle(now);
   for (int n = 0; n < num_nodes_; ++n) {
     if (sched_for(n)->component_active(n)) {
-      net_.ni_ptrs_[static_cast<size_t>(n)]->tick(now);
+      tick_ni(shards_[static_cast<size_t>(shard_of(n))], n, now);
     }
   }
   for (int n = 0; n < num_nodes_; ++n) {
@@ -251,7 +257,12 @@ bool ParallelTickEngine::idle_at_sharded(Cycle now, Cycle* next_wake) {
 }
 
 void ParallelTickEngine::drain_deliveries() {
-  for (NetworkInterface* ni : net_.ni_ptrs_) ni->flush_staged_deliveries();
+  // Shards own ascending node ranges and each lists its delivering NIs in
+  // ascending id order, so this is the ascending NI order over the mesh.
+  for (Shard& sh : shards_) {
+    for (NetworkInterface* ni : sh.delivering) ni->flush_staged_deliveries();
+    sh.delivering.clear();
+  }
 }
 
 void ParallelTickEngine::accumulate_profile(TickProfile& p) const {

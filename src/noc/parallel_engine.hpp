@@ -67,6 +67,7 @@
 namespace hybridnoc {
 
 class Network;
+class NetworkInterface;
 struct TickProfile;
 
 class ParallelTickEngine {
@@ -137,6 +138,9 @@ class ParallelTickEngine {
     TickScheduler sched;
     /// Staged channels this shard consumes, in construction order.
     std::vector<ChannelBase*> commit_list;
+    /// NIs of this shard that staged a delivery this cycle, in ascending
+    /// id order (the order the sweep ticks them).
+    std::vector<NetworkInterface*> delivering;
     /// Dispatch counters, written only by the owning worker thread.
     std::uint64_t ni_ticks = 0;
     std::uint64_t router_ticks = 0;
@@ -151,6 +155,8 @@ class ParallelTickEngine {
   void run_sharded(Cycle now);
   bool idle_at_sharded(Cycle now, Cycle* next_wake);
   void compute_phase(int s, Cycle now);
+  /// Tick NI `n` (owned by shard `sh`) and note it if it staged a delivery.
+  void tick_ni(Shard& sh, int n, Cycle now);
   void commit_compact_phase(int s, Cycle now);
   void serial_cycle(Cycle now);
   void drain_deliveries();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 
 #include "common/state_io.hpp"
 #include "noc/fault_model.hpp"
@@ -14,17 +15,25 @@ Router::Router(const NocConfig& cfg, NodeId id, const Mesh& mesh)
   HN_CHECK_MSG(cfg_.num_vcs <= 32, "VC-state bitmasks hold at most 32 VCs");
   HN_CHECK_MSG(cfg_.vc_buffer_depth <= NocConfig::kMaxVcBufferDepth,
                "VC buffer depth above NocConfig::kMaxVcBufferDepth");
+  const auto nv = static_cast<size_t>(cfg_.num_vcs);
+  vc_block_ = std::make_unique_for_overwrite<std::byte[]>(
+      kNumPorts * nv * (sizeof(VcState) + sizeof(int)));
+  std::byte* at = vc_block_.get();
   for (auto& ip : in_) {
-    ip.vcs.resize(static_cast<size_t>(cfg_.num_vcs));
+    ip.vcs = reinterpret_cast<VcState*>(at);
+    std::uninitialized_default_construct_n(ip.vcs, nv);
+    at += nv * sizeof(VcState);
   }
   for (auto& op : out_) {
-    op.credits.assign(static_cast<size_t>(cfg_.num_vcs), cfg_.vc_buffer_depth);
+    op.credits = reinterpret_cast<int*>(at);
+    std::uninitialized_fill_n(op.credits, nv, cfg_.vc_buffer_depth);
+    at += nv * sizeof(int);
     op.grantable_mask =
         cfg_.num_vcs >= 32 ? ~0u : ((1u << static_cast<unsigned>(cfg_.num_vcs)) - 1u);
   }
 }
 
-void Router::connect_input(Port p, FlitChannel* data_in, CreditChannel* credit_out,
+void Router::connect_input(Port p, FlitChannel* data_in, CreditWire* credit_out,
                            VcHolder* upstream, Port upstream_out) {
   auto& ip = in_[static_cast<size_t>(p)];
   HN_CHECK(ip.data == nullptr);
@@ -37,11 +46,12 @@ void Router::connect_input(Port p, FlitChannel* data_in, CreditChannel* credit_o
   ++ports_present_;
 }
 
-void Router::connect_output(Port p, FlitChannel* data_out, CreditChannel* credit_in) {
+void Router::connect_output(Port p, FlitChannel* data_out, CreditWire* credit_in) {
   auto& op = out_[static_cast<size_t>(p)];
   HN_CHECK(op.data == nullptr);
   op.data = data_out;
   op.credit_in = credit_in;
+  if (p != Port::Local) ++links_out_;
   credit_in->set_pending_mask(&pending_,
                               1u << (kCreditPendingShift + static_cast<unsigned>(p)));
 }
@@ -95,7 +105,7 @@ void Router::receive_credits(Cycle now) {
     ready &= ready - 1;
     while (auto c = op.credit_in->receive(now)) {
       const auto v = static_cast<size_t>(c->vc);
-      HN_CHECK(v < op.credits.size());
+      HN_CHECK(v < static_cast<size_t>(cfg_.num_vcs));
       ++op.credits[v];
       if (c->vc < op.cached_active) ++op.cached_free_credits;
       HN_CHECK_MSG(op.credits[v] <= cfg_.vc_buffer_depth, "credit overflow");
@@ -144,7 +154,7 @@ void Router::receive_flits(Cycle now) {
       HN_CHECK_MSG(f->switching == Switching::Packet,
                    "circuit flit reached the packet pipeline");
       const auto v = static_cast<size_t>(f->vc);
-      HN_CHECK(v < ip.vcs.size());
+      HN_CHECK(v < static_cast<size_t>(cfg_.num_vcs));
       VcState& st = ip.vcs[v];
       ++energy_.buffer_writes;
       if (f->is_head()) {
@@ -403,8 +413,8 @@ void Router::collect_in_flight(std::vector<Packet*>& out) const {
   // No buffer block: no flit was ever buffered, so no ST register holds one.
   if (!buffers_) return;
   for (int p = 0; p < kNumPorts; ++p) {
-    const auto& vcs = in_[static_cast<size_t>(p)].vcs;
-    for (unsigned v = 0; v < vcs.size(); ++v) {
+    const VcState* vcs = in_[static_cast<size_t>(p)].vcs;
+    for (unsigned v = 0; v < static_cast<unsigned>(cfg_.num_vcs); ++v) {
       const BufferedFlit* window = vc_window(p, v);
       for (int i = 0; i < vcs[v].count; ++i)
         if (Packet* pkt = window[vc_slot(vcs[v].head, i)].flit.pkt) out.push_back(pkt);
@@ -505,10 +515,7 @@ void Router::accounting_tick(Cycle now) {
   ++energy_.cycles;
   energy_.vc_active_cycles +=
       static_cast<std::uint64_t>(powered_vcs()) * static_cast<std::uint64_t>(kNumPorts);
-  int links_out = 0;
-  for (int o = 1; o < kNumPorts; ++o)  // skip Local
-    if (out_[static_cast<size_t>(o)].data) ++links_out;
-  energy_.link_active_cycles += static_cast<std::uint64_t>(links_out);
+  energy_.link_active_cycles += static_cast<std::uint64_t>(links_out_);
 }
 
 void Router::accumulate_idle_energy(EnergyCounters& e, std::uint64_t ncycles) const {
@@ -519,10 +526,7 @@ void Router::accumulate_idle_energy(EnergyCounters& e, std::uint64_t ncycles) co
   e.cycles += ncycles;
   e.vc_active_cycles += ncycles * static_cast<std::uint64_t>(powered_vcs()) *
                         static_cast<std::uint64_t>(kNumPorts);
-  int links_out = 0;
-  for (int o = 1; o < kNumPorts; ++o)  // skip Local
-    if (out_[static_cast<size_t>(o)].data) ++links_out;
-  e.link_active_cycles += ncycles * static_cast<std::uint64_t>(links_out);
+  e.link_active_cycles += ncycles * static_cast<std::uint64_t>(links_out_);
 }
 
 void Router::align_epochs(Cycle now) {
@@ -591,8 +595,9 @@ void Router::layout(Ar& ar, Self& self) {
   }
   for (auto& op : self.out_) {
     if (!op.data) continue;
-    for (auto& c : op.credits) ar.field(c);
-    for (unsigned v = 0; v < op.credits.size(); ++v) {
+    const auto nv = static_cast<unsigned>(self.cfg_.num_vcs);
+    for (unsigned v = 0; v < nv; ++v) ar.field(op.credits[v]);
+    for (unsigned v = 0; v < nv; ++v) {
       ar.bit(op.vc_busy, v);
       ar.bit(op.tail_sent, v);
     }
@@ -624,7 +629,7 @@ void Router::restore_state(StateReader& r) {
     // have changed: recompute on first use.
     op.cached_active = -1;
     op.grantable_mask = 0;
-    for (unsigned v = 0; v < op.credits.size(); ++v) {
+    for (unsigned v = 0; v < static_cast<unsigned>(cfg_.num_vcs); ++v) {
       if (!((op.vc_busy | op.tail_sent) >> v & 1u) &&
           op.credits[v] == cfg_.vc_buffer_depth) {
         op.grantable_mask |= 1u << v;

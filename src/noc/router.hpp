@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/config.hpp"
@@ -75,9 +76,9 @@ class Router : public VcHolder {
   Router& operator=(const Router&) = delete;
 
   // --- wiring (done once by the Network) ---
-  void connect_input(Port p, FlitChannel* data_in, CreditChannel* credit_out,
+  void connect_input(Port p, FlitChannel* data_in, CreditWire* credit_out,
                      VcHolder* upstream, Port upstream_out);
-  void connect_output(Port p, FlitChannel* data_out, CreditChannel* credit_in);
+  void connect_output(Port p, FlitChannel* data_out, CreditWire* credit_in);
   /// Downstream router (or NI) whose announced active-VC count bounds VA.
   void set_downstream_active_vcs(Port p, const int* active_vcs);
   /// Hardware fault model (owned by the Network; nullptr = perfect fabric).
@@ -164,12 +165,15 @@ class Router : public VcHolder {
     S state = S::Idle;
   };
 
+  static_assert(std::is_trivially_destructible_v<VcState>,
+                "VC state lives in a raw block that runs no destructors");
+
   struct InputPort {
     FlitChannel* data = nullptr;        ///< occupancy: pending_ bit p
-    CreditChannel* credit_out = nullptr;  ///< credits back to the upstream holder
+    CreditWire* credit_out = nullptr;   ///< credits back to the upstream holder
     VcHolder* upstream = nullptr;
     Port upstream_out = Port::Local;
-    std::vector<VcState> vcs;
+    VcState* vcs = nullptr;  ///< num_vcs records in vc_block_
     int sa_rr = 0;  ///< round-robin pointer over VCs (input arbiter)
     /// Bitmask caches of the per-VC states (bit v set <=> vcs[v].state is
     /// WaitVc / Active). The allocation stages and the gating census scan
@@ -181,9 +185,9 @@ class Router : public VcHolder {
 
   struct OutputPort {
     FlitChannel* data = nullptr;
-    CreditChannel* credit_in = nullptr;  ///< occupancy: pending_ bit 8 + p
+    CreditWire* credit_in = nullptr;  ///< occupancy: pending_ bit 8 + p
     const int* downstream_active_vcs = nullptr;
-    std::vector<int> credits;
+    int* credits = nullptr;  ///< num_vcs downstream credit counters in vc_block_
     /// Bit v set <=> downstream VC v is allocated to an in-flight packet.
     std::uint32_t vc_busy = 0;
     /// Bit v set <=> VC v's tail is gone and it waits for credits to refill.
@@ -272,9 +276,10 @@ class Router : public VcHolder {
   Port route_data(NodeId dst) const { return route_xy(mesh_, id_, dst); }
   Port route_adaptive(NodeId dst, Cycle now);
   int powered_vcs() const;  ///< active + draining (for leakage)
-  int num_ports_in_use() const { return static_cast<int>(ports_present_); }
+  int num_ports_in_use() const { return ports_present_; }
 
-  const NocConfig cfg_;
+  /// The Network's one validated configuration, shared by every component.
+  const NocConfig& cfg_;
   const NodeId id_;
   const Mesh& mesh_;
   FaultModel* faults_ = nullptr;
@@ -317,6 +322,11 @@ class Router : public VcHolder {
     return s < cfg_.vc_buffer_depth ? s : s - cfg_.vc_buffer_depth;
   }
 
+  /// Every input VC's state, then every output's downstream credit
+  /// counters, kNumPorts x num_vcs of each, port-major: one allocation that
+  /// InputPort::vcs and OutputPort::credits point into.
+  std::unique_ptr<std::byte[]> vc_block_;
+
   /// Every VC's flit buffer: kNumPorts x num_vcs windows of vc_buffer_depth
   /// slots, port-major. Allocated at the router's first buffered flit, so a
   /// router that never buffers one holds none (DESIGN.md §11).
@@ -342,7 +352,8 @@ class Router : public VcHolder {
   std::uint64_t residency_count_ = 0;
   Cycle epoch_start_ = 0;
 
-  size_t ports_present_ = 0;
+  int ports_present_ = 0;  ///< connected inputs
+  int links_out_ = 0;      ///< connected outputs other than Local
 };
 
 }  // namespace hybridnoc

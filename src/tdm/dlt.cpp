@@ -9,7 +9,6 @@ DestinationLookupTable::DestinationLookupTable(int capacity, int num_slots,
                                                int num_nodes)
     : capacity_(capacity), num_slots_(num_slots), num_nodes_(num_nodes) {
   HN_CHECK(capacity >= 1 && num_slots >= 1 && num_nodes >= 1);
-  entries_.resize(static_cast<size_t>(capacity));
 }
 
 int DestinationLookupTable::index_of(NodeId dest) const {
@@ -22,6 +21,7 @@ int DestinationLookupTable::index_of(NodeId dest) const {
 void DestinationLookupTable::observe(NodeId dest, int slot, int duration, Port in,
                                      Port out, Cycle now, std::uint64_t generation) {
   ++accesses_;
+  if (entries_.empty()) entries_.resize(static_cast<size_t>(capacity_));
   int idx = index_of(dest);
   if (idx < 0) {
     // Take a free entry, else evict the least recently used.
@@ -103,7 +103,7 @@ template <typename Ar, typename Self>
 void DestinationLookupTable::layout(Ar& ar, Self& self) {
   ar.section("dlt");
   ar.expect(self.capacity_, "DLT capacity mismatch");
-  for (auto& e : self.entries_) {
+  const auto entry = [&](auto& e) {
     // An empty entry holds dest = kInvalidNode, slot = duration = 0.
     ar.ranged(e.dest, kInvalidNode, self.num_nodes_ - 1,
               "DLT entry destination outside the mesh");
@@ -113,7 +113,18 @@ void DestinationLookupTable::layout(Ar& ar, Self& self) {
     ar.ranged(e.in, Port::Local, Port::West, "DLT entry port out of range");
     ar.ranged(e.out, Port::Local, Port::West, "DLT entry port out of range");
     ar.fields(e.fail_count, e.last_used, e.generation, e.active);
+  };
+  if constexpr (Ar::kReading) {
+    self.entries_.resize(static_cast<size_t>(self.capacity_));
   }
+  if (self.entries_.empty()) {
+    // Never observed anything: archive `capacity` empty entries all the same.
+    for (int i = 0; i < self.capacity_; ++i) {
+      DltEntry empty;
+      entry(empty);
+    }
+  }
+  for (auto& e : self.entries_) entry(e);
   ar.field(self.accesses_);
 }
 

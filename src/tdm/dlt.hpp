@@ -98,6 +98,9 @@ class DestinationLookupTable {
   int capacity_;
   int num_slots_;
   int num_nodes_;
+  /// `capacity` entries from the first observe() on; empty before it, which
+  /// every lookup reads as a table of empty entries. Only a node on a
+  /// path-sharing network ever observes a connection, so the rest hold none.
   std::vector<DltEntry> entries_;
   mutable std::uint64_t accesses_ = 0;
 };

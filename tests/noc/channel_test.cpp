@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <numeric>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace hybridnoc {
 namespace {
@@ -154,19 +159,19 @@ TEST(ChannelSpill, BurstAcrossSuccessiveCycles) {
   EXPECT_EQ(mask, 0u);
 }
 
+// A credit wire carries one credit per VC per cycle, so its burst is many
+// VCs' credits in one cycle: they mature together and leave in VC order.
 TEST(ChannelSpill, SeveralCreditsInOneCycle) {
-  CreditChannel ch(kCreditChannelLatency);
+  CreditWire ch;
   std::uint32_t mask = 0;
   ch.set_pending_mask(&mask, kBit);
   for (int v = 0; v < kBurst; ++v) ch.send(Credit{v}, 10);
   EXPECT_EQ(mask, kBit);
-  EXPECT_EQ(in_flight_keys(ch, [](const Credit& c) { return c.vc; }),
-            iota_to(kBurst));
+  EXPECT_EQ(ch.in_flight(), static_cast<std::size_t>(kBurst));
   EXPECT_EQ(ch.next_ready(), 11u);
-  EXPECT_FALSE(ch.arrival_at(10));
-  EXPECT_TRUE(ch.arrival_at(11));
+  EXPECT_FALSE(ch.receive(10).has_value());
   for (int v = 0; v < kBurst; ++v) {
-    EXPECT_TRUE(ch.arrival_at(11));
+    EXPECT_EQ(ch.next_ready(), 11u);
     const auto c = ch.receive(11);
     ASSERT_TRUE(c.has_value());
     EXPECT_EQ(c->vc, v);
@@ -174,6 +179,90 @@ TEST(ChannelSpill, SeveralCreditsInOneCycle) {
   }
   EXPECT_FALSE(ch.receive(11).has_value());
   EXPECT_EQ(ch.next_ready(), kCycleNever);
+}
+
+/// Seeded random traffic on a credit wire against a reference FIFO of
+/// (ready cycle, VC) entries, the general-purpose channel's model. Each
+/// cycle the producer returns a random set of distinct VCs in random order,
+/// and the consumer drains the cycle either before or after it, as either
+/// tick order allows. Staged, the sends land at the cycle's commit. Every
+/// cycle must deliver the same VCs as the reference (the wire in ascending
+/// order), and next_ready must agree after every step.
+void check_credit_wire_against_fifo(bool staged, std::uint64_t seed) {
+  constexpr int kVcs = 8;
+  CreditWire wire;
+  std::uint32_t mask = 0;
+  wire.set_pending_mask(&mask, kBit);
+  wire.set_staged(staged);
+  struct Sent {
+    Cycle ready;
+    int vc;
+  };
+  std::deque<Sent> fifo;
+  Rng rng(seed);
+  std::size_t delivered = 0;
+  for (Cycle now = 0; now < 5000; ++now) {
+    const bool consumer_first = rng.bernoulli(0.5);
+    std::vector<int> got, want;
+    const auto drain = [&] {
+      while (auto c = wire.receive(now)) got.push_back(c->vc);
+      while (!fifo.empty() && fifo.front().ready == now) {
+        want.push_back(fifo.front().vc);
+        fifo.pop_front();
+      }
+    };
+    if (consumer_first) drain();
+    if (rng.bernoulli(0.7)) {
+      std::vector<int> vcs(kVcs);
+      std::iota(vcs.begin(), vcs.end(), 0);
+      for (int i = kVcs - 1; i > 0; --i) {
+        std::swap(vcs[static_cast<std::size_t>(i)],
+                  vcs[rng.uniform_int(static_cast<std::uint64_t>(i) + 1)]);
+      }
+      vcs.resize(rng.uniform_int(kVcs + 1));
+      for (const int v : vcs) {
+        wire.send(Credit{v}, now);
+        fifo.push_back({now + kCreditChannelLatency, v});
+      }
+    }
+    if (!consumer_first) drain();
+    if (staged) wire.commit_staged();
+    ASSERT_TRUE(std::is_sorted(got.begin(), got.end())) << "cycle " << now;
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(got, want) << "cycle " << now;
+    delivered += got.size();
+    ASSERT_EQ(wire.next_ready(), fifo.empty() ? kCycleNever : fifo.front().ready)
+        << "cycle " << now;
+    ASSERT_EQ(wire.in_flight(), fifo.size()) << "cycle " << now;
+    ASSERT_EQ(mask, fifo.empty() ? 0u : kBit) << "cycle " << now;
+  }
+  EXPECT_GT(delivered, 5000u);
+}
+
+TEST(CreditWire, MatchesFifoModelEager) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) check_credit_wire_against_fifo(false, seed);
+}
+
+TEST(CreditWire, MatchesFifoModelStaged) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) check_credit_wire_against_fifo(true, seed);
+}
+
+TEST(CreditWireDeathTest, TwoCreditsForOneVcInOneCycle) {
+  CreditWire wire;
+  wire.send(Credit{3}, 5);
+  wire.send(Credit{1}, 5);
+  EXPECT_DEATH(wire.send(Credit{3}, 5), "two credits for one VC in one cycle");
+  CreditWire staged;
+  staged.set_staged(true);
+  staged.send(Credit{3}, 5);
+  EXPECT_DEATH(staged.send(Credit{3}, 5), "two credits for one VC in one cycle");
+}
+
+TEST(CreditWireDeathTest, ThirdCycleInFlightIsAnUnconsumedCredit) {
+  CreditWire wire;
+  wire.send(Credit{0}, 5);  // readable at 6, never read
+  wire.send(Credit{0}, 6);
+  EXPECT_DEATH(wire.send(Credit{0}, 7), "unconsumed");
 }
 
 TEST(ChannelSpill, StagedBurstCommits) {

@@ -223,6 +223,35 @@ TEST(ZeroAlloc, CircuitFreeRunAllocatesNoSlotTables) {
   }
 }
 
+// Six credit wires sit in every node's channel block. Each is two (ready
+// cycle, VC mask) pairs, a staged pair and its consumer links: 80 bytes on
+// LP64, where a general Channel<Credit> took 168.
+static_assert(sizeof(CreditWire) <= 80, "a credit wire grew");
+static_assert(sizeof(CreditWire) < sizeof(FlitChannel) / 2,
+              "a credit wire should cost well under a flit channel");
+
+/// What one mesh node of a freshly built 32x32 Hybrid-TDM network costs on
+/// the heap: its router, NI, channel block and the router's VC-state block,
+/// plus a 1024th of the network-wide tables. A node shares the network's
+/// config, returns credits on an 80-byte wire, and allocates its DLT, VC
+/// buffers and slot-table entries on first use, so none of those count here.
+/// The bound is the measured figure plus 5%: a later change that grows every
+/// node fails here, on any host, before it shows as peak RSS.
+TEST(ZeroAlloc, MeshNodeBytesRequested) {
+#if HN_POOL_DISABLED
+  GTEST_SKIP() << "pool disabled under sanitizers: the counting hook is "
+                  "compiled out";
+#else
+  constexpr int kK = 32;
+  constexpr double kMeasuredBytesPerNode = 3785;
+  const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  HybridNetwork net(NocConfig::hybrid_tdm_vc4(kK));
+  const double per_node =
+      static_cast<double>(g_bytes.load(std::memory_order_relaxed) - before) / (kK * kK);
+  EXPECT_LE(per_node, 1.05 * kMeasuredBytesPerNode) << "heap bytes requested per node";
+#endif
+}
+
 #if !HN_POOL_DISABLED
 /// Hybrid-TDM, uniform random at 0.05, 1000 warmup packets, seed 1.
 RunParams fast_run_params(std::uint64_t measure_packets) {
