@@ -56,7 +56,10 @@ Network::Network(const NocConfig& cfg, RouterFactory make_router, NiFactory make
   router_ptrs_.reserve(routers_.size());
   ni_ptrs_.reserve(nis_.size());
   for (auto& r : routers_) router_ptrs_.push_back(r.get());
-  for (auto& ni : nis_) ni_ptrs_.push_back(ni.get());
+  for (auto& ni : nis_) {
+    ni_ptrs_.push_back(ni.get());
+    ni->set_deliver_handler(&deliver_);
+  }
   watchdog_enabled_ = cfg_.watchdog_stall_cycles > 0;
   build();
   if (engine_.num_shards() > 1) {
@@ -208,9 +211,7 @@ void Network::fast_forward(Cycle target) {
   }
 }
 
-void Network::set_deliver_handler(const DeliverFn& fn) {
-  for (auto& ni : nis_) ni->set_deliver_handler(fn);
-}
+void Network::set_deliver_handler(const DeliverFn& fn) { deliver_ = fn; }
 
 void Network::set_policy_frozen(bool frozen) {
   for (auto& ni : nis_) ni->set_policy_frozen(frozen);
@@ -285,10 +286,20 @@ DegradationReport Network::degradation_report() const {
   return r;
 }
 
+bool Network::credits_home() const {
+  for (NodeId n = 0; n < num_nodes(); ++n) {
+    const NodeChannels& c = channels_[static_cast<size_t>(n)];
+    for (const CreditWire& w : c.router_credit_in)
+      if (w.in_flight() != 0) return false;
+    if (c.ni_credit_in.in_flight() != 0) return false;
+  }
+  return true;
+}
+
 bool Network::drain(Cycle max_cycles) {
   set_policy_frozen(true);
   const Cycle deadline = now_ + max_cycles;
-  while (!quiescent()) {
+  while (!quiescent() || !credits_home()) {
     if (now_ >= deadline) return false;
     tick();
   }
@@ -313,7 +324,8 @@ void Network::layout(Ar& ar, Self& self) {
 }
 
 std::string Network::save_state() const {
-  HN_CHECK_MSG(quiescent(), "checkpoint requires a drained network");
+  HN_CHECK_MSG(quiescent() && credits_home(),
+               "checkpoint requires a drained network");
   HN_CHECK_MSG(!faults_, "checkpoint does not cover the fault model");
   HN_CHECK_MSG(engine_.num_shards() == 1,
                "checkpoint requires tick_threads == 1");

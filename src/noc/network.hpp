@@ -96,7 +96,8 @@ class Network {
   const Router& router(NodeId n) const { return *routers_[static_cast<size_t>(n)]; }
   const NetworkInterface& ni(NodeId n) const { return *nis_[static_cast<size_t>(n)]; }
 
-  /// Install `fn` as the delivery handler on every NI.
+  /// Install `fn` as the delivery handler: the network keeps the one copy
+  /// and every NI calls it through a pointer.
   void set_deliver_handler(const DeliverFn& fn);
   /// Freeze/unfreeze proactive circuit setup on every NI (drain phases).
   void set_policy_frozen(bool frozen);
@@ -115,15 +116,18 @@ class Network {
   /// True when no flit exists anywhere: NI queues, router buffers, channels.
   bool quiescent() const;
 
-  /// Freeze proactive policy and tick until quiescent (or `max_cycles` have
-  /// elapsed). Returns true once quiescent. Policy stays frozen — callers
-  /// resume with set_policy_frozen(false) after the checkpoint.
+  /// Freeze proactive policy and tick until quiescent with every credit
+  /// home (or `max_cycles` have elapsed). Returns true once drained. Policy
+  /// stays frozen — callers resume with set_policy_frozen(false) after the
+  /// checkpoint. Credit wires are not archived, so a save before the last
+  /// credit lands would restore a network one buffer slot short.
   bool drain(Cycle max_cycles);
 
   /// Serialize the full simulation state (NIs, routers, slot tables,
   /// scheduler-visible counters, RNGs, energy) into a sealed, digest-
   /// protected archive. Preconditions (HN_CHECK): the network is quiescent
-  /// (use drain()), no fault model is installed, and tick_threads == 1.
+  /// with every credit home (use drain()), no fault model is installed, and
+  /// tick_threads == 1.
   /// Resuming a restored network is bit-identical to continuing this one.
   std::string save_state() const;
   /// Restore a save_state() archive into this freshly constructed network
@@ -176,6 +180,8 @@ class Network {
 
   void build();
   void watchdog_tick();
+  /// No credit in flight on any credit wire.
+  bool credits_home() const;
   /// Component ids for the scheduler: NIs are [0, N), routers [N, 2N), so
   /// ascending-id order is the NIs-then-routers sweep order.
   int ni_sched_id(NodeId n) const { return n; }
@@ -198,6 +204,7 @@ class Network {
   struct NodeChannels;
   std::unique_ptr<NodeChannels[]> channels_;
   std::unique_ptr<FaultModel> faults_;
+  DeliverFn deliver_;  ///< set_deliver_handler's; every NI points here
 
   /// cfg_.watchdog_stall_cycles > 0, hoisted so the per-tick check is one
   /// branch on a bool instead of a 64-bit compare.

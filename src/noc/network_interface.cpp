@@ -167,12 +167,12 @@ void NetworkInterface::deliver(const PacketPtr& pkt, Cycle now) {
     }
   }
   ++counts_[NiCounter::DataPacketsDelivered];
-  if (!deliver_) return;
+  if (deliver_ == nullptr || !*deliver_) return;
   if (stage_deliveries_) {
     staged_deliveries_.emplace_back(pkt, now);
     return;
   }
-  deliver_(pkt, now);
+  (*deliver_)(pkt, now);
 }
 
 void NetworkInterface::send_e2e_ack(const PacketPtr& pkt, PacketId key, Cycle now) {

@@ -53,7 +53,9 @@ class NetworkInterface : public VcHolder {
 
   virtual void tick(Cycle now);
 
-  void set_deliver_handler(DeliverFn fn) { deliver_ = std::move(fn); }
+  /// The delivery handler this NI calls, owned by its Network (one copy per
+  /// network, not per NI); nullptr or an empty handler means none.
+  void set_deliver_handler(const DeliverFn* fn) { deliver_ = fn; }
 
   /// Parallel tick engine: the deliver handler is the one external callback
   /// a compute-phase tick would invoke, and handlers are shared across NIs
@@ -65,7 +67,7 @@ class NetworkInterface : public VcHolder {
   void set_stage_deliveries(bool on) { stage_deliveries_ = on; }
   bool has_staged_deliveries() const { return !staged_deliveries_.empty(); }
   void flush_staged_deliveries() {
-    for (auto& [pkt, cycle] : staged_deliveries_) deliver_(pkt, cycle);
+    for (auto& [pkt, cycle] : staged_deliveries_) (*deliver_)(pkt, cycle);
     staged_deliveries_.clear();
   }
 
@@ -272,7 +274,7 @@ class NetworkInterface : public VcHolder {
     Packet* pkt = nullptr;
   };
   PooledUMap<PacketId, Assembly> assembly_;
-  DeliverFn deliver_;
+  const DeliverFn* deliver_ = nullptr;
   bool stage_deliveries_ = false;
   std::vector<std::pair<PacketPtr, Cycle>> staged_deliveries_;
   int eject_active_vcs_;

@@ -36,14 +36,10 @@ void put_config(StateWriter& w, const NocConfig& cfg) {
   w.field(cfg.seed);
 }
 
-void put_warmup_params(StateWriter& w, const RunParams& p) {
-  w.fields(static_cast<std::uint8_t>(p.pattern), p.injection_rate,
-           p.warmup_packets, p.warmup_min_cycles, p.seed);
-}
-
 void put_params(StateWriter& w, const RunParams& p) {
-  put_warmup_params(w, p);
-  w.fields(p.measure_packets, p.max_cycles, p.latency_cap, p.fidelity);
+  w.fields(static_cast<std::uint8_t>(p.pattern), p.injection_rate,
+           p.warmup_packets, p.warmup_min_cycles, p.seed, p.measure_packets,
+           p.max_cycles, p.latency_cap, p.fidelity);
 }
 
 }  // namespace
@@ -58,14 +54,6 @@ std::string canonical_bytes(const NocConfig& cfg, const RunParams& params) {
 
 std::uint64_t config_hash(const NocConfig& cfg, const RunParams& params) {
   return fnv1a64(canonical_bytes(cfg, params));
-}
-
-std::uint64_t warmup_hash(const NocConfig& cfg, const RunParams& params) {
-  StateWriter w;
-  w.u32(kCanonicalVersion);
-  put_config(w, cfg);
-  put_warmup_params(w, params);
-  return fnv1a64(w.seal());
 }
 
 }  // namespace hybridnoc::sweep

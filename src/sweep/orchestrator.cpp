@@ -1,13 +1,10 @@
 #include "sweep/orchestrator.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -16,7 +13,6 @@
 #include "common/fileio.hpp"
 #include "common/state_io.hpp"
 #include "sim/driver.hpp"
-#include "sweep/canonical.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/result_store.hpp"
 #include "sweep/worker_pool.hpp"
@@ -33,94 +29,6 @@ std::uint64_t mix(std::uint64_t seed, std::uint64_t hash, int attempt) {
   return fnv1a64(w.seal());
 }
 
-/// Eligible for the warmup-checkpoint methodology: cycle core, mesh-backed
-/// architecture, fault-free, serial engine (Network::save_state's gates).
-bool snapshot_eligible(const NocConfig& cfg, const RunParams& params) {
-  return params.fidelity == Fidelity::Cycle &&
-         cfg.arch != RouterArch::HybridSdm && cfg.link_ber == 0.0 &&
-         cfg.tick_threads == 1;
-}
-
-/// Cross-worker cache of drained warmup checkpoints, backed by
-/// checkpoints/<warmup-hash>.ckpt. The first worker to need a key computes
-/// (or disk-loads) it; concurrent requesters block on the entry.
-class WarmupCache {
- public:
-  explicit WarmupCache(std::string dir) : dir_(std::move(dir)) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-  }
-
-  std::string path_for(std::uint64_t key) const {
-    return dir_ + "/" + hex64(key) + ".ckpt";
-  }
-
-  /// The sealed checkpoint for `key`, computing and persisting it on first
-  /// use. Empty string when the warmup cannot be checkpointed (drain never
-  /// converged — deeply saturated point).
-  std::string get(std::uint64_t key, const NocConfig& cfg,
-                  const RunParams& params) {
-    std::unique_lock<std::mutex> lk(mu_);
-    for (;;) {
-      Entry& e = map_[key];
-      if (e.ready) return e.sealed;
-      if (e.computing) {
-        cv_.wait(lk);
-        continue;
-      }
-      e.computing = true;
-      break;
-    }
-    lk.unlock();
-
-    std::string sealed;
-    if (!read_file(path_for(key), &sealed)) {
-      sealed = compute_and_persist(key, cfg, params);
-    }
-
-    lk.lock();
-    Entry& e = map_[key];
-    e.sealed = sealed;
-    e.ready = true;
-    e.computing = false;
-    cv_.notify_all();
-    return sealed;
-  }
-
-  /// Drop a corrupt entry (memory + disk) and recompute it. Called when a
-  /// restore from the cached bytes threw StateError.
-  std::string recompute(std::uint64_t key, const NocConfig& cfg,
-                        const RunParams& params) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      map_.erase(key);
-      std::error_code ec;
-      std::filesystem::remove(path_for(key), ec);
-    }
-    return get(key, cfg, params);
-  }
-
- private:
-  struct Entry {
-    bool ready = false;
-    bool computing = false;
-    std::string sealed;
-  };
-
-  std::string compute_and_persist(std::uint64_t key, const NocConfig& cfg,
-                                  const RunParams& params) {
-    const WarmupSnapshot snap = warmup_snapshot(cfg, params);
-    if (!snap.ok) return std::string();
-    write_file_atomic(path_for(key), snap.sealed);  // best effort: cache
-    return snap.sealed;
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<std::uint64_t, Entry> map_;
-  std::string dir_;
-};
-
 /// Simulate a torn write: truncate the (atomically written) result file to
 /// half its size, bypassing the atomic path on purpose.
 void tear_file(const std::string& path) {
@@ -131,17 +39,12 @@ void tear_file(const std::string& path) {
             static_cast<std::streamsize>(bytes.size() / 2));
 }
 
-struct SharedCounters {
-  std::atomic<int> corrupt_checkpoints{0};
-};
-
 /// One attempt at one sweep point, run on a pool worker. Computes the
 /// result, writes it to the store atomically, and verifies the write by
 /// reading it back — so a torn or unwritable result surfaces here as a
 /// failed attempt instead of as a poisoned cache entry.
 void compute_attempt(const SweepPoint& pt, int attempt,
                      const SweepOptions& opt, ResultStore& store,
-                     WarmupCache& warmups, SharedCounters& counters,
                      const CancelToken& token) {
   const FaultAction action =
       opt.faults.enabled ? opt.faults.action(pt.hash, attempt)
@@ -158,33 +61,7 @@ void compute_attempt(const SweepPoint& pt, int attempt,
     throw std::runtime_error("injected hang cancelled");
   }
 
-  RunResult result;
-  if (opt.share_warmup && snapshot_eligible(pt.cfg, pt.params)) {
-    const std::uint64_t key = warmup_hash(pt.cfg, pt.params);
-    std::string sealed = warmups.get(key, pt.cfg, pt.params);
-    bool measured = false;
-    if (!sealed.empty()) {
-      try {
-        result = run_synthetic_from_snapshot(pt.cfg, pt.params, sealed);
-        measured = true;
-      } catch (const StateError&) {
-        // Poisoned checkpoint file: recompute it once, then fall through
-        // to the non-checkpoint path if even the fresh one fails.
-        counters.corrupt_checkpoints.fetch_add(1,
-                                               std::memory_order_relaxed);
-        sealed = warmups.recompute(key, pt.cfg, pt.params);
-        if (!sealed.empty()) {
-          result = run_synthetic_from_snapshot(pt.cfg, pt.params, sealed);
-          measured = true;
-        }
-      }
-    }
-    // No checkpoint (undrainable warmup): same methodology, in place.
-    if (!measured) result = run_synthetic_drained(pt.cfg, pt.params);
-  } else {
-    result = run_synthetic(pt.cfg, pt.params);
-  }
-
+  const RunResult result = run_synthetic(pt.cfg, pt.params);
   std::string err;
   if (!store.store(pt.hash, result, &err)) {
     throw std::runtime_error("result write failed: " + err);
@@ -226,7 +103,6 @@ std::string DegradationReport::to_string() const {
      << "  retries=" << retries << " timeouts=" << timeouts
      << " workers_abandoned=" << workers_abandoned << "\n"
      << "  corrupt_results_recomputed=" << corrupt_results_recomputed
-     << " corrupt_checkpoints_recomputed=" << corrupt_checkpoints_recomputed
      << " torn_journal_lines=" << torn_journal_lines
      << (resumed ? " (resumed)" : "");
   return os.str();
@@ -293,8 +169,6 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& opt) {
   }
 
   ResultStore store(opt.out_dir + "/results");
-  WarmupCache warmups(opt.out_dir + "/checkpoints");
-  SharedCounters counters;
 
   report.outcomes.resize(spec.points.size());
   for (std::size_t i = 0; i < spec.points.size(); ++i) {
@@ -393,8 +267,7 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& opt) {
         const int attempt = job.attempt + 1;
         const std::uint64_t id = pool.submit(
             [&, pt, attempt](const CancelToken& token) {
-              compute_attempt(pt, attempt, opt, store, warmups, counters,
-                              token);
+              compute_attempt(pt, attempt, opt, store, token);
             });
         Flight fl;
         fl.idx = job.idx;
@@ -462,9 +335,6 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& opt) {
 
     deg.workers_abandoned = pool.workers_abandoned();
   }
-
-  deg.corrupt_checkpoints_recomputed =
-      counters.corrupt_checkpoints.load(std::memory_order_relaxed);
 
   // Phase 3: the aggregate, in spec order, written atomically. Identical
   // bytes for identical spec + results regardless of kill/resume history.

@@ -5,9 +5,10 @@
 //
 //   * served from the integrity-checked result cache (corrupt entries are
 //     detected by digest and silently recomputed),
-//   * computed on the persistent worker pool — with per-point wall-clock
-//     timeouts, capped-exponential-backoff retries and read-back-verified
-//     atomic result writes — and journaled `done`, or
+//   * computed by run_synthetic (the measurement `hybridnoc synth` makes)
+//     on the persistent worker pool — with per-point wall-clock timeouts,
+//     capped-exponential-backoff retries and read-back-verified atomic
+//     result writes — and journaled `done`, or
 //   * quarantined after the retry budget, journaled so the decision
 //     survives restarts.
 //
@@ -45,7 +46,7 @@ struct SweepFaultPlan {
 };
 
 struct SweepOptions {
-  std::string out_dir;  ///< holds results/, checkpoints/, journal, aggregate
+  std::string out_dir;  ///< holds results/, journal, aggregate
   int workers = 4;
   /// Attempts per point before quarantine (>= 1).
   int max_attempts = 3;
@@ -56,11 +57,6 @@ struct SweepOptions {
   /// jitter keyed by (point hash, attempt).
   std::uint64_t backoff_base_ms = 10;
   std::uint64_t backoff_cap_ms = 2000;
-  /// Share one drained warmup checkpoint across the sweep points that have
-  /// identical warmup identity (see warmup_hash); persisted under
-  /// checkpoints/ so later runs skip the warmup too. Applies to eligible
-  /// points only (cycle fidelity, mesh arch, fault-free, serial).
-  bool share_warmup = true;
   /// Replay an existing journal (the default). false truncates the journal
   /// and re-decides everything; content-addressed results remain valid and
   /// are still reused.
@@ -88,7 +84,6 @@ struct DegradationReport {
   int retries = 0;   ///< failed attempts that were retried
   int timeouts = 0;  ///< attempts abandoned on the wall clock
   int corrupt_results_recomputed = 0;
-  int corrupt_checkpoints_recomputed = 0;
   int workers_abandoned = 0;
   int torn_journal_lines = 0;
   bool resumed = false;

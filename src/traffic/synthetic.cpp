@@ -1,7 +1,5 @@
 #include "traffic/synthetic.hpp"
 
-#include "common/state_io.hpp"
-
 namespace hybridnoc {
 
 const char* traffic_pattern_name(TrafficPattern p) {
@@ -101,9 +99,5 @@ SyntheticTraffic::SyntheticTraffic(const Mesh& mesh, TrafficPattern pattern,
                "injection rate must be a finite value in "
                "[0, flits_per_packet] flits/node/cycle");
 }
-
-void SyntheticTraffic::save_state(StateWriter& w) const { w.field(rng_); }
-
-void SyntheticTraffic::restore_state(StateReader& r) { r.field(rng_); }
 
 }  // namespace hybridnoc

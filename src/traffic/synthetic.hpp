@@ -52,12 +52,6 @@ class SyntheticTraffic {
   double packet_probability() const { return packet_prob_; }
   TrafficPattern pattern() const { return pattern_; }
 
-  /// Checkpoint record: the RNG stream position, the generator's only
-  /// mutable state, so a warmup checkpoint resumes the exact injection
-  /// sequence.
-  void save_state(StateWriter& w) const;
-  void restore_state(StateReader& r);
-
  private:
   const Mesh& mesh_;
   TrafficPattern pattern_;

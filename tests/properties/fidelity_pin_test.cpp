@@ -250,33 +250,6 @@ const Record kExpectedCycleHop = {
     {"energy.cs_misc_active_cycles", 78048ULL},
     {"energy.link_active_cycles", 260160ULL},
 };
-const Record kExpectedCycleDrained = {
-    {"offered_rate", 0x1.3333333333333p-3},
-    {"accepted_rate", 0x1.f2018b37b3b4ap-4},
-    {"avg_latency", 0x1.3413cc1e098e2p+5},
-    {"p99_latency", 0x1.4p+6},
-    {"saturated", 0ULL},
-    {"measured_packets", 3000ULL},
-    {"cycles", 3427ULL},
-    {"cs_flit_fraction", 0x1.d9b5b8a68d3bfp-4},
-    {"config_flit_fraction", 0x0p+0},
-    {"energy.buffer_writes", 72654ULL},
-    {"energy.buffer_reads", 72622ULL},
-    {"energy.xbar_flits", 83342ULL},
-    {"energy.vc_arbs", 14534ULL},
-    {"energy.sw_arbs", 72622ULL},
-    {"energy.link_flits", 68743ULL},
-    {"energy.slot_table_reads", 123372ULL},
-    {"energy.slot_table_writes", 0ULL},
-    {"energy.dlt_accesses", 0ULL},
-    {"energy.cs_latch_flits", 10736ULL},
-    {"energy.cycles", 123372ULL},
-    {"energy.vc_active_cycles", 2467440ULL},
-    {"energy.slot_entry_active_cycles", 15791616ULL},
-    {"energy.dlt_active_cycles", 0ULL},
-    {"energy.cs_misc_active_cycles", 123372ULL},
-    {"energy.link_active_cycles", 411240ULL},
-};
 const Record kExpectedHetero = {
     {"cycles", 8000ULL},
     {"cpu_ipc", 0x1.5d0e560418937p+0},
@@ -470,14 +443,6 @@ TEST(FidelityPin, CycleSyntheticHopVct) {
                                         short_params(TrafficPattern::Hotspot,
                                                      0.2))),
                 kExpectedCycleHop);
-}
-
-TEST(FidelityPin, CycleSyntheticDrained) {
-  expect_pinned(
-      record_of(run_synthetic_drained(
-          NocConfig::hybrid_tdm_vc4(6),
-          short_params(TrafficPattern::Transpose, 0.15))),
-      kExpectedCycleDrained);
 }
 
 TEST(FidelityPin, HeteroSystemShortRun) {

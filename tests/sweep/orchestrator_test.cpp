@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/fileio.hpp"
+#include "sim/driver.hpp"
 #include "sweep/orchestrator.hpp"
 #include "sweep/sweep_spec.hpp"
 #include "sweep/worker_pool.hpp"
@@ -277,36 +278,48 @@ TEST_F(OrchestratorTest, CorruptResultEntryIsRecomputed) {
   EXPECT_EQ(agg1, agg2);  // recomputation is bit-identical
 }
 
-TEST_F(OrchestratorTest, CorruptWarmupCheckpointIsRecomputed) {
-  const SweepSpec spec = small_spec();
-  const SweepReport first = run_sweep(spec, opts());
-  std::string agg1;
-  ASSERT_TRUE(read_file(first.aggregate_path, &agg1));
+// A sweep point is the measurement hybridnoc makes: the stored result of
+// every point equals run_synthetic(pt.cfg, pt.params) bit for bit, for the
+// packet baseline, Hybrid-TDM, and the config with path sharing and gating.
+using SweepMethodology = OrchestratorTest;
 
-  // Wipe the results + journal so the rerun must recompute from the
-  // persisted warmup checkpoints, one of which we poison.
-  std::filesystem::remove_all(dir_ + "/results");
-  std::filesystem::remove(dir_ + "/journal");
-  bool poisoned = false;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir_ + "/checkpoints")) {
-    std::string bytes;
-    ASSERT_TRUE(read_file(entry.path().string(), &bytes));
-    for (std::size_t i = 40; i < bytes.size(); i += 1000) {
-      bytes[i] = static_cast<char>(bytes[i] ^ 0xff);
-    }
-    ASSERT_TRUE(write_file_atomic(entry.path().string(), bytes));
-    poisoned = true;
-    break;
+TEST_F(SweepMethodology, PointsEqualRunSynthetic) {
+  SweepSpec spec;
+  SpecError err;
+  ASSERT_TRUE(parse_sweep_spec(
+      "name = methodology\n"
+      "sweep preset = packet_vc4, hybrid_tdm_vc4, hybrid_tdm_hop_vct\n"
+      "set k = 4\n"
+      "set warmup_packets = 60\n"
+      "set warmup_min_cycles = 400\n"
+      "set measure_packets = 250\n"
+      "set max_cycles = 80000\n"
+      "set seed = 7\n"
+      "sweep rate = 0.05, 0.12\n",
+      &spec, &err))
+      << err.to_string();
+  ASSERT_EQ(spec.points.size(), 6u);
+  const SweepReport rep = run_sweep(spec, opts());
+  ASSERT_TRUE(rep.degradation.complete());
+  for (std::size_t i = 0; i < spec.points.size(); ++i) {
+    const SweepPoint& pt = spec.points[i];
+    SCOPED_TRACE(pt.label);
+    ASSERT_EQ(pt.cfg.k, 4);
+    ASSERT_TRUE(rep.outcomes[i].ok);
+    const RunResult& a = rep.outcomes[i].result;
+    const RunResult b = run_synthetic(pt.cfg, pt.params);
+    EXPECT_GT(b.measured_packets, 0u);
+    EXPECT_EQ(a.offered_rate, b.offered_rate);
+    EXPECT_EQ(a.accepted_rate, b.accepted_rate);
+    EXPECT_EQ(a.avg_latency, b.avg_latency);
+    EXPECT_EQ(a.p99_latency, b.p99_latency);
+    EXPECT_EQ(a.saturated, b.saturated);
+    EXPECT_EQ(a.measured_packets, b.measured_packets);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.cs_flit_fraction, b.cs_flit_fraction);
+    EXPECT_EQ(a.config_flit_fraction, b.config_flit_fraction);
+    EXPECT_EQ(a.energy, b.energy) << first_difference(a.energy, b.energy);
   }
-  ASSERT_TRUE(poisoned);
-
-  const SweepReport second = run_sweep(spec, opts());
-  EXPECT_GE(second.degradation.corrupt_checkpoints_recomputed, 1);
-  EXPECT_EQ(second.degradation.completed, 2);
-  std::string agg2;
-  ASSERT_TRUE(read_file(second.aggregate_path, &agg2));
-  EXPECT_EQ(agg1, agg2);
 }
 
 TEST_F(OrchestratorTest, JournalFromDifferentSpecRefused) {

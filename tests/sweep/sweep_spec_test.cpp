@@ -214,7 +214,7 @@ TEST(SweepSpec, LoadMissingFileIsStructured) {
 }
 
 // The canonical form must separate points that differ in any behavioral
-// knob, and warmup identity must ignore measure-phase params.
+// knob.
 TEST(Canonical, HashSeparatesBehavioralKnobs) {
   NocConfig cfg = NocConfig::hybrid_tdm_vc4(4);
   RunParams params;
@@ -227,11 +227,10 @@ TEST(Canonical, HashSeparatesBehavioralKnobs) {
   RunParams p2 = params;
   p2.measure_packets += 1;
   EXPECT_NE(config_hash(cfg, p2), base);
-  EXPECT_EQ(warmup_hash(cfg, p2), warmup_hash(cfg, params));
 
   RunParams p3 = params;
   p3.injection_rate += 0.01;
-  EXPECT_NE(warmup_hash(cfg, p3), warmup_hash(cfg, params));
+  EXPECT_NE(config_hash(cfg, p3), base);
 
   // Engine knobs proven bit-identical are NOT part of the identity.
   NocConfig cfg3 = cfg;
@@ -239,8 +238,8 @@ TEST(Canonical, HashSeparatesBehavioralKnobs) {
   EXPECT_EQ(config_hash(cfg3, params), base);
 }
 
-// Point and warmup hashes name sweep points and cached results: a change
-// of the canonical bytes must come with a kCanonicalVersion bump.
+// Point hashes name sweep points and cached results: a change of the
+// canonical bytes must come with a kCanonicalVersion bump.
 TEST(Canonical, HashPinned) {
   NocConfig cfg = NocConfig::hybrid_tdm_hop_vct(4);
   cfg.link_ber = 1e-6;
@@ -248,10 +247,8 @@ TEST(Canonical, HashPinned) {
   params.pattern = TrafficPattern::Transpose;
   params.injection_rate = 0.15;
   params.fidelity = Fidelity::Fast;
-  EXPECT_EQ(config_hash(cfg, params), 0x7ede52b6a85162cdULL)
+  EXPECT_EQ(config_hash(cfg, params), 0x3946870ef07b5121ULL)
       << std::hex << "got 0x" << config_hash(cfg, params);
-  EXPECT_EQ(warmup_hash(cfg, params), 0x47bb63b0a472542fULL)
-      << std::hex << "got 0x" << warmup_hash(cfg, params);
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 //       Print the expanded points (label + content hash) without running.
 //
 //   hybridnoc_sweep run --spec FILE --out DIR [options]
-//       Run (or resume) the sweep. Results land in DIR/results/, warmup
-//       checkpoints in DIR/checkpoints/, progress in DIR/journal, and the
+//       Run (or resume) the sweep. Each point is measured by run_synthetic,
+//       so its row equals `hybridnoc synth` for the same config and seed.
+//       Results land in DIR/results/, progress in DIR/journal, and the
 //       deterministic aggregate in DIR/aggregate.tsv. Rerunning after any
 //       interruption — kill -9 included — resumes from the journal and
 //       produces a byte-identical aggregate.
@@ -13,6 +14,8 @@
 // Exit codes: 0 = every point completed, 3 = completed with quarantined
 // points (see the degradation report on stdout), 2 = usage/spec/
 // environment error.
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,7 +45,6 @@ void usage() {
       "  --max-attempts N   attempts before quarantine (default 3)\n"
       "  --timeout-ms T     per-point wall clock; 0 = none (default)\n"
       "  --backoff-base-ms B --backoff-cap-ms C   retry backoff envelope\n"
-      "  --no-share-warmup  disable warmup-checkpoint sharing\n"
       "  --fresh            ignore + truncate an existing journal\n"
       "  --fault-seed S --fault-throw P --fault-hang P --fault-torn P\n"
       "                     deterministic fault-injection harness (tests)\n"
@@ -50,10 +52,14 @@ void usage() {
       hybridnoc::sweep::known_spec_keys().c_str());
 }
 
+/// A whole decimal number; a sign, trailing text or overflow is rejected
+/// (strtoull would wrap "-1" and saturate at ULLONG_MAX).
 bool parse_u64_arg(const char* s, std::uint64_t* out) {
+  if (std::strchr(s, '-') != nullptr) return false;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  if (end == s || *end != '\0' || errno == ERANGE) return false;
   *out = v;
   return true;
 }
@@ -86,6 +92,12 @@ int run(int argc, char** argv) {
     const auto u64_value = [&](std::uint64_t* out) {
       if (!parse_u64_arg(value(), out)) throw InputError("bad " + a);
     };
+    const auto int_value = [&](int* out) {
+      std::uint64_t v = 0;
+      u64_value(&v);
+      if (v > INT_MAX) throw InputError("bad " + a);
+      *out = static_cast<int>(v);
+    };
     const auto prob_value = [&](double* out) {
       opt.faults.enabled = true;
       if (!parse_double_arg(value(), out)) throw InputError("bad " + a);
@@ -95,17 +107,15 @@ int run(int argc, char** argv) {
     } else if (a == "--out") {
       out_dir = value();
     } else if (a == "--workers") {
-      opt.workers = std::atoi(value());
+      int_value(&opt.workers);
     } else if (a == "--max-attempts") {
-      opt.max_attempts = std::atoi(value());
+      int_value(&opt.max_attempts);
     } else if (a == "--timeout-ms") {
       u64_value(&opt.timeout_ms);
     } else if (a == "--backoff-base-ms") {
       u64_value(&opt.backoff_base_ms);
     } else if (a == "--backoff-cap-ms") {
       u64_value(&opt.backoff_cap_ms);
-    } else if (a == "--no-share-warmup") {
-      opt.share_warmup = false;
     } else if (a == "--fresh") {
       opt.resume = false;
     } else if (a == "--fault-seed") {
