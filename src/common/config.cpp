@@ -55,6 +55,8 @@ const NocConfig& NocConfig::validate() const {
   HN_CONFIG_REQUIRES(setup_backoff_base_cycles == 0 ||
                      setup_backoff_cap_cycles >= setup_backoff_base_cycles);
   HN_CONFIG_REQUIRES(tick_threads >= 1);
+  check_input(tick_threads <= kMaxTickThreads,
+              "tick_threads must be at most 256, one worker thread each");
   check_input(tick_threads == 1 || !vc_power_gating,
               "the parallel tick engine requires vc_power_gating off: VC "
               "gating announcements cross router boundaries without a "

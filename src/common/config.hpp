@@ -30,6 +30,9 @@ struct NocConfig {
   int k = 6;                ///< mesh is k x k
   /// Largest radix validate() accepts: k * k node ids must fit an int.
   static constexpr int kMaxMeshRadix = 46340;
+  /// Most tick_threads validate() accepts: the engine starts one worker
+  /// per shard.
+  static constexpr int kMaxTickThreads = 256;
   int num_vcs = 4;          ///< virtual channels per input port
   int vc_buffer_depth = 5;  ///< flits per VC
   /// Deepest VC buffer validate() accepts: a router allocates

@@ -48,6 +48,9 @@ struct SweepFaultPlan {
 struct SweepOptions {
   std::string out_dir;  ///< holds results/, journal, aggregate
   int workers = 4;
+  /// Most workers the hybridnoc_sweep tool accepts: the pool starts them
+  /// all up front.
+  static constexpr int kMaxWorkers = 256;
   /// Attempts per point before quarantine (>= 1).
   int max_attempts = 3;
   /// Per-point wall-clock budget; 0 disables timeouts. A timed-out worker

@@ -1,9 +1,8 @@
 #include "sweep/sweep_spec.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "common/fileio.hpp"
 #include "common/input.hpp"
@@ -23,49 +22,17 @@ std::string trim(const std::string& s) {
   return s.substr(a, b - a + 1);
 }
 
-bool parse_double(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_i64(const std::string& s, long long* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_bool(const std::string& s, bool* out) {
-  if (s == "true" || s == "1" || s == "on") {
-    *out = true;
-    return true;
-  }
-  if (s == "false" || s == "0" || s == "off") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
 struct Point {
   NocConfig cfg;
   RunParams params;
 };
 
-/// Applies one "key = value"; returns false with *msg on a bad value.
-using Setter = bool (*)(Point&, const std::string&, std::string* msg);
+/// Applies one "key = value"; a bad value throws InputError.
+using Setter = void (*)(Point&, const std::string&);
 
 // Resets cfg wholesale, so `set preset` belongs before field overrides (the
 // file-order application rule in the header makes this predictable).
-bool set_preset(Point& p, const std::string& v, std::string* msg) {
+void set_preset(Point& p, const std::string& v) {
   if (v == "packet_vc4") {
     p.cfg = NocConfig::packet_vc4();
   } else if (v == "hybrid_tdm_vc4") {
@@ -79,15 +46,13 @@ bool set_preset(Point& p, const std::string& v, std::string* msg) {
   } else if (v == "hybrid_tdm_hop_vct") {
     p.cfg = NocConfig::hybrid_tdm_hop_vct();
   } else {
-    *msg = "unknown preset '" + v +
-           "' (packet_vc4, hybrid_tdm_vc4, hybrid_tdm_vct, hybrid_sdm_vc4, "
-           "hybrid_tdm_hop_vc4, hybrid_tdm_hop_vct)";
-    return false;
+    throw InputError("unknown preset '" + v +
+                     "' (packet_vc4, hybrid_tdm_vc4, hybrid_tdm_vct, "
+                     "hybrid_sdm_vc4, hybrid_tdm_hop_vc4, hybrid_tdm_hop_vct)");
   }
-  return true;
 }
 
-bool set_pattern(Point& p, const std::string& v, std::string* msg) {
+void set_pattern(Point& p, const std::string& v) {
   if (v == "uniform") {
     p.params.pattern = TrafficPattern::UniformRandom;
   } else if (v == "tornado") {
@@ -101,57 +66,47 @@ bool set_pattern(Point& p, const std::string& v, std::string* msg) {
   } else if (v == "hotspot") {
     p.params.pattern = TrafficPattern::Hotspot;
   } else {
-    *msg = "unknown pattern '" + v +
-           "' (uniform, tornado, transpose, bitcomp, shuffle, hotspot)";
-    return false;
+    throw InputError("unknown pattern '" + v +
+                     "' (uniform, tornado, transpose, bitcomp, shuffle, hotspot)");
   }
-  return true;
 }
 
-bool set_fidelity(Point& p, const std::string& v, std::string* msg) {
+void set_fidelity(Point& p, const std::string& v) {
   if (v == "cycle") {
     p.params.fidelity = Fidelity::Cycle;
   } else if (v == "fast") {
     p.params.fidelity = Fidelity::Fast;
   } else {
-    *msg = "unknown fidelity '" + v + "' (cycle, fast)";
-    return false;
+    throw InputError("unknown fidelity '" + v + "' (cycle, fast)");
   }
-  return true;
 }
 
-#define HN_INT_SETTER(field)                                          \
-  [](Point& p, const std::string& v, std::string* msg) {              \
-    long long x;                                                      \
-    if (!parse_i64(v, &x)) {                                          \
-      *msg = "expected an integer, got '" + v + "'";                  \
-      return false;                                                   \
-    }                                                                 \
-    p.field = static_cast<decltype(p.field)>(x);                      \
-    return true;                                                      \
+/// `v` read as the field's own type: a number in that type's range, or
+/// for a bool one of true/false, on/off, 1/0.
+template <typename T>
+void assign(T& field, const std::string& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (v == "true" || v == "1" || v == "on") {
+      field = true;
+    } else if (v == "false" || v == "0" || v == "off") {
+      field = false;
+    } else {
+      throw InputError("expected true/false, got '" + v + "'");
+    }
+  } else {
+    field = parse_number<T>(v);
   }
+}
 
-#define HN_F64_SETTER(field)                                          \
-  [](Point& p, const std::string& v, std::string* msg) {              \
-    double x;                                                         \
-    if (!parse_double(v, &x)) {                                       \
-      *msg = "expected a number, got '" + v + "'";                    \
-      return false;                                                   \
-    }                                                                 \
-    p.field = x;                                                      \
-    return true;                                                      \
-  }
+template <auto Field>
+void set_cfg(Point& p, const std::string& v) {
+  assign(p.cfg.*Field, v);
+}
 
-#define HN_BOOL_SETTER(field)                                         \
-  [](Point& p, const std::string& v, std::string* msg) {              \
-    bool x;                                                           \
-    if (!parse_bool(v, &x)) {                                         \
-      *msg = "expected true/false, got '" + v + "'";                  \
-      return false;                                                   \
-    }                                                                 \
-    p.field = x;                                                      \
-    return true;                                                      \
-  }
+template <auto Field>
+void set_run(Point& p, const std::string& v) {
+  assign(p.params.*Field, v);
+}
 
 const std::map<std::string, Setter>& setters() {
   static const std::map<std::string, Setter> s = {
@@ -159,44 +114,40 @@ const std::map<std::string, Setter>& setters() {
       {"pattern", set_pattern},
       {"fidelity", set_fidelity},
       // topology / router
-      {"k", HN_INT_SETTER(cfg.k)},
-      {"num_vcs", HN_INT_SETTER(cfg.num_vcs)},
-      {"vc_buffer_depth", HN_INT_SETTER(cfg.vc_buffer_depth)},
-      {"slot_table_size", HN_INT_SETTER(cfg.slot_table_size)},
-      {"dlt_entries", HN_INT_SETTER(cfg.dlt_entries)},
-      {"sdm_planes", HN_INT_SETTER(cfg.sdm_planes)},
-      {"tick_threads", HN_INT_SETTER(cfg.tick_threads)},
+      {"k", set_cfg<&NocConfig::k>},
+      {"num_vcs", set_cfg<&NocConfig::num_vcs>},
+      {"vc_buffer_depth", set_cfg<&NocConfig::vc_buffer_depth>},
+      {"slot_table_size", set_cfg<&NocConfig::slot_table_size>},
+      {"dlt_entries", set_cfg<&NocConfig::dlt_entries>},
+      {"sdm_planes", set_cfg<&NocConfig::sdm_planes>},
+      {"tick_threads", set_cfg<&NocConfig::tick_threads>},
       // policy
-      {"dynamic_slot_sizing", HN_BOOL_SETTER(cfg.dynamic_slot_sizing)},
-      {"initial_active_slots", HN_INT_SETTER(cfg.initial_active_slots)},
-      {"hitchhiker_sharing", HN_BOOL_SETTER(cfg.hitchhiker_sharing)},
-      {"vicinity_sharing", HN_BOOL_SETTER(cfg.vicinity_sharing)},
-      {"vc_power_gating", HN_BOOL_SETTER(cfg.vc_power_gating)},
-      {"time_slot_stealing", HN_BOOL_SETTER(cfg.time_slot_stealing)},
-      {"max_windows_per_pair", HN_INT_SETTER(cfg.max_windows_per_pair)},
-      {"path_freq_threshold", HN_INT_SETTER(cfg.path_freq_threshold)},
-      {"cs_latency_advantage", HN_F64_SETTER(cfg.cs_latency_advantage)},
-      {"reservation_threshold", HN_F64_SETTER(cfg.reservation_threshold)},
+      {"dynamic_slot_sizing", set_cfg<&NocConfig::dynamic_slot_sizing>},
+      {"initial_active_slots", set_cfg<&NocConfig::initial_active_slots>},
+      {"hitchhiker_sharing", set_cfg<&NocConfig::hitchhiker_sharing>},
+      {"vicinity_sharing", set_cfg<&NocConfig::vicinity_sharing>},
+      {"vc_power_gating", set_cfg<&NocConfig::vc_power_gating>},
+      {"time_slot_stealing", set_cfg<&NocConfig::time_slot_stealing>},
+      {"max_windows_per_pair", set_cfg<&NocConfig::max_windows_per_pair>},
+      {"path_freq_threshold", set_cfg<&NocConfig::path_freq_threshold>},
+      {"cs_latency_advantage", set_cfg<&NocConfig::cs_latency_advantage>},
+      {"reservation_threshold", set_cfg<&NocConfig::reservation_threshold>},
       // faults
-      {"link_ber", HN_F64_SETTER(cfg.link_ber)},
-      {"fault_seed", HN_INT_SETTER(cfg.fault_seed)},
-      {"e2e_recovery", HN_BOOL_SETTER(cfg.e2e_recovery)},
-      {"cfg_seed", HN_INT_SETTER(cfg.seed)},
+      {"link_ber", set_cfg<&NocConfig::link_ber>},
+      {"fault_seed", set_cfg<&NocConfig::fault_seed>},
+      {"e2e_recovery", set_cfg<&NocConfig::e2e_recovery>},
+      {"cfg_seed", set_cfg<&NocConfig::seed>},
       // run params
-      {"rate", HN_F64_SETTER(params.injection_rate)},
-      {"seed", HN_INT_SETTER(params.seed)},
-      {"warmup_packets", HN_INT_SETTER(params.warmup_packets)},
-      {"warmup_min_cycles", HN_INT_SETTER(params.warmup_min_cycles)},
-      {"measure_packets", HN_INT_SETTER(params.measure_packets)},
-      {"max_cycles", HN_INT_SETTER(params.max_cycles)},
-      {"latency_cap", HN_F64_SETTER(params.latency_cap)},
+      {"rate", set_run<&RunParams::injection_rate>},
+      {"seed", set_run<&RunParams::seed>},
+      {"warmup_packets", set_run<&RunParams::warmup_packets>},
+      {"warmup_min_cycles", set_run<&RunParams::warmup_min_cycles>},
+      {"measure_packets", set_run<&RunParams::measure_packets>},
+      {"max_cycles", set_run<&RunParams::max_cycles>},
+      {"latency_cap", set_run<&RunParams::latency_cap>},
   };
   return s;
 }
-
-#undef HN_INT_SETTER
-#undef HN_F64_SETTER
-#undef HN_BOOL_SETTER
 
 struct Op {
   int line = 0;
@@ -320,9 +271,10 @@ bool parse_sweep_spec(const std::string& text, SweepSpec* out,
         label += op.key + "=" + value;
         ++axis_i;
       }
-      std::string msg;
-      if (!setters().at(op.key)(p, value, &msg)) {
-        return fail(err, op.line, op.key + ": " + msg);
+      try {
+        setters().at(op.key)(p, value);
+      } catch (const InputError& e) {
+        return fail(err, op.line, op.key + ": " + e.what());
       }
     }
     if (label.empty()) label = "point" + std::to_string(pt);

@@ -100,14 +100,17 @@ void write_record(std::ostream& out, const FaultRecord& r) {
 
 /// Parse one record line that `reader` returned.
 FaultRecord parse_record(const std::string& line, const LineReader& reader) {
-  std::istringstream ls(line);
+  LineFields f(reader, line, "malformed fault-trace record");
   FaultRecord r;
-  std::string kind, action;
-  reader.check(static_cast<bool>(ls >> r.cycle >> r.msg_id >> kind >> r.src >>
-                                 r.dst >> r.occurrence >> action >> r.delay),
-               "malformed fault-trace record");
-  const auto k = parse_config_kind(kind);
-  const auto a = parse_fault_action(action);
+  f.read(r.cycle);
+  f.read(r.msg_id);
+  const auto k = parse_config_kind(std::string(f.word()));
+  f.read(r.src);
+  f.read(r.dst);
+  f.read(r.occurrence);
+  const auto a = parse_fault_action(std::string(f.word()));
+  f.read(r.delay);
+  f.end();
   reader.check(k.has_value(), "unknown config kind in fault trace");
   reader.check(a.has_value(), "unknown fault action in fault trace");
   reader.check(r.src >= 0 && r.src < kFaultKeyLimit && r.dst >= 0 &&
@@ -138,15 +141,15 @@ FaultRecord parse_record(const std::string& line, const LineReader& reader) {
 
 /// The first line with content must be `<magic> v<version>`.
 void check_version_header(LineReader& reader, const char* magic) {
-  std::string line, word;
-  int version = -1;
-  char v = '\0';
-  const bool got = reader.next(&line);
-  std::istringstream ls(line);
-  reader.check(got && ls >> word >> v >> version && word == magic && v == 'v',
+  std::string line;
+  reader.check(reader.next(&line), "bad fault-trace header");
+  LineFields f(reader, line, "bad fault-trace header");
+  const std::string_view word = f.word(), version = f.word();
+  f.end();
+  reader.check(word == magic && version.starts_with('v'),
                "bad fault-trace header");
-  reader.check(version >= 1 && version <= FaultTrace::kVersion,
-               "unsupported fault-trace version");
+  LineFields(reader, version.substr(1), "unsupported fault-trace version")
+      .num(1, FaultTrace::kVersion);
 }
 
 }  // namespace
@@ -249,68 +252,61 @@ FaultScenario load_fault_scenario(std::istream& in,
   LineReader reader(in, source);
   check_version_header(reader, kScenarioMagic);
   FaultScenario s;
-  std::string line;
+  std::string line, entry;  // a field line, and a line of its block
   bool saw_end = false;
   while (!saw_end && reader.next(&line)) {
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    auto read = [&](auto v) {
-      reader.check(static_cast<bool>(ls >> v), "malformed scenario field value");
-      return v;
-    };
-    auto read_u64 = [&]() { return read(std::uint64_t{0}); };
-    auto read_double = [&]() { return read(0.0); };
-    if (key == "k") s.k = static_cast<int>(read_u64());
-    else if (key == "slot_table_size") s.slot_table_size = static_cast<int>(read_u64());
-    else if (key == "dynamic_slot_sizing") s.dynamic_slot_sizing = read_u64() != 0;
-    else if (key == "initial_active_slots") s.initial_active_slots = static_cast<int>(read_u64());
-    else if (key == "path_freq_threshold") s.path_freq_threshold = static_cast<int>(read_u64());
-    else if (key == "policy_epoch_cycles") s.policy_epoch_cycles = static_cast<int>(read_u64());
-    else if (key == "path_idle_timeout") s.path_idle_timeout = read_u64();
-    else if (key == "pending_setup_timeout") s.pending_setup_timeout_cycles = read_u64();
-    else if (key == "reservation_lease") s.reservation_lease_cycles = read_u64();
-    else if (key == "run_cycles") s.run_cycles = read_u64();
-    else if (key == "cooldown_cycles") s.cooldown_cycles = read_u64();
-    else if (key == "resize") s.resizes.push_back(read_u64());
-    else if (key == "drop_prob") s.fault_params.drop_prob = read_double();
-    else if (key == "delay_prob") s.fault_params.delay_prob = read_double();
-    else if (key == "dup_prob") s.fault_params.dup_prob = read_double();
-    else if (key == "max_delay_cycles") s.fault_params.max_delay_cycles = read_u64();
-    else if (key == "fault_seed") s.fault_params.seed = read_u64();
-    else if (key == "link_ber") s.link_ber = read_double();
-    else if (key == "link_fault_seed") s.link_fault_seed = read_u64();
-    else if (key == "e2e_recovery") s.e2e_recovery = read_u64() != 0;
-    else if (key == "retx_timeout") s.retx_timeout_cycles = read_u64();
-    else if (key == "retx_backoff_cap") s.retx_backoff_cap_cycles = read_u64();
-    else if (key == "max_retx_attempts") s.max_retx_attempts = static_cast<int>(read_u64());
-    else if (key == "cs_fail_threshold") s.cs_fail_threshold = static_cast<int>(read_u64());
-    else if (key == "watchdog_stall") s.watchdog_stall_cycles = read_u64();
-    else if (key == "setup_backoff_base") s.setup_backoff_base_cycles = read_u64();
-    else if (key == "setup_backoff_cap") s.setup_backoff_cap_cycles = read_u64();
+    LineFields f(reader, line, "malformed scenario field value");
+    const std::string key(f.word());
+    if (key == "k") f.read(s.k);
+    else if (key == "slot_table_size") f.read(s.slot_table_size);
+    else if (key == "dynamic_slot_sizing") f.read(s.dynamic_slot_sizing);
+    else if (key == "initial_active_slots") f.read(s.initial_active_slots);
+    else if (key == "path_freq_threshold") f.read(s.path_freq_threshold);
+    else if (key == "policy_epoch_cycles") f.read(s.policy_epoch_cycles);
+    else if (key == "path_idle_timeout") f.read(s.path_idle_timeout);
+    else if (key == "pending_setup_timeout") f.read(s.pending_setup_timeout_cycles);
+    else if (key == "reservation_lease") f.read(s.reservation_lease_cycles);
+    else if (key == "run_cycles") f.read(s.run_cycles);
+    else if (key == "cooldown_cycles") f.read(s.cooldown_cycles);
+    else if (key == "resize") f.read(s.resizes.emplace_back());
+    else if (key == "drop_prob") f.read(s.fault_params.drop_prob);
+    else if (key == "delay_prob") f.read(s.fault_params.delay_prob);
+    else if (key == "dup_prob") f.read(s.fault_params.dup_prob);
+    else if (key == "max_delay_cycles") f.read(s.fault_params.max_delay_cycles);
+    else if (key == "fault_seed") f.read(s.fault_params.seed);
+    else if (key == "link_ber") f.read(s.link_ber);
+    else if (key == "link_fault_seed") f.read(s.link_fault_seed);
+    else if (key == "e2e_recovery") f.read(s.e2e_recovery);
+    else if (key == "retx_timeout") f.read(s.retx_timeout_cycles);
+    else if (key == "retx_backoff_cap") f.read(s.retx_backoff_cap_cycles);
+    else if (key == "max_retx_attempts") f.read(s.max_retx_attempts);
+    else if (key == "cs_fail_threshold") f.read(s.cs_fail_threshold);
+    else if (key == "watchdog_stall") f.read(s.watchdog_stall_cycles);
+    else if (key == "setup_backoff_base") f.read(s.setup_backoff_base_cycles);
+    else if (key == "setup_backoff_cap") f.read(s.setup_backoff_cap_cycles);
     else if (key == "kill_link" || key == "stick_link") {
       FaultScenario::LinkFaultSpec d;
-      d.node = static_cast<NodeId>(read_u64());
-      d.port = static_cast<int>(read_u64());
-      d.start = read_u64();
-      if (key == "stick_link") d.duration = read_u64();
+      f.read(d.node);
+      f.read(d.port);
+      f.read(d.start);
+      if (key == "stick_link") f.read(d.duration);
       reader.check(d.port >= 1 && d.port < kNumPorts,
                    "invalid scenario link fault port");
       (key == "kill_link" ? s.dead_links : s.stuck_links).push_back(d);
     } else if (key == "kill_router") {
-      const auto node = static_cast<NodeId>(read_u64());
-      s.dead_routers.emplace_back(node, read_u64());
+      auto& [node, at] = s.dead_routers.emplace_back();
+      f.read(node);
+      f.read(at);
     } else if (key == "invariant") {
-      reader.check(static_cast<bool>(ls >> s.invariant),
-                   "malformed scenario field value");
+      s.invariant = f.word();
     } else if (key == "traffic") {
-      const auto n = read_u64();
-      while (s.traffic.size() < n && reader.next(&line)) {
-        std::istringstream es(line);
-        TraceEntry e;
-        reader.check(
-            static_cast<bool>(es >> e.cycle >> e.src >> e.dst >> e.flits),
-            "malformed scenario traffic entry");
+      const auto n = f.num<std::size_t>();
+      f.end();  // before the block's lines move the reader on
+      while (s.traffic.size() < n && reader.next(&entry)) {
+        LineFields ef(reader, entry, "malformed scenario traffic entry");
+        const TraceEntry e{ef.num<Cycle>(), ef.num<NodeId>(), ef.num<NodeId>(),
+                           ef.num<int>()};
+        ef.end();
         reader.check(e.flits >= 1 && e.src >= 0 && e.dst >= 0 &&
                          (s.traffic.empty() || s.traffic.back().cycle <= e.cycle),
                      "invalid scenario traffic entry");
@@ -318,9 +314,10 @@ FaultScenario load_fault_scenario(std::istream& in,
       }
       reader.check(s.traffic.size() == n, "truncated scenario traffic block");
     } else if (key == "faults") {
-      const auto n = read_u64();
-      while (s.faults.records.size() < n && reader.next(&line)) {
-        s.faults.records.push_back(parse_record(line, reader));
+      const auto n = f.num<std::size_t>();
+      f.end();
+      while (s.faults.records.size() < n && reader.next(&entry)) {
+        s.faults.records.push_back(parse_record(entry, reader));
       }
       reader.check(s.faults.records.size() == n,
                    "truncated scenario fault block");
@@ -329,6 +326,7 @@ FaultScenario load_fault_scenario(std::istream& in,
     } else {
       reader.fail("unknown scenario field '" + key + "'");
     }
+    f.end();
   }
   reader.check(saw_end, "scenario file missing end marker");
   return s;

@@ -2,7 +2,6 @@
 
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/assert.hpp"
 #include "common/input.hpp"
@@ -14,10 +13,10 @@ std::vector<TraceEntry> load_trace(std::istream& in, const std::string& source) 
   LineReader reader(in, source);
   std::string line;
   while (reader.next(&line)) {
-    std::istringstream ls(line);
-    TraceEntry e;
-    reader.check(static_cast<bool>(ls >> e.cycle >> e.src >> e.dst >> e.flits),
-                 "malformed trace line");
+    LineFields f(reader, line, "malformed trace line");
+    const TraceEntry e{f.num<Cycle>(), f.num<NodeId>(), f.num<NodeId>(),
+                       f.num<int>()};
+    f.end();
     reader.check(e.flits >= 1 && e.src >= 0 && e.dst >= 0,
                  "invalid trace entry");
     reader.check(out.empty() || out.back().cycle <= e.cycle,

@@ -72,22 +72,23 @@ NnDescriptor parse_nn_descriptor(std::istream& in, const std::string& name) {
   LineReader reader(in, name);
   std::string line;
   while (reader.next(&line)) {
-    std::istringstream ls(line);
-    std::string directive;
-    ls >> directive;
+    const std::string directive(LineFields(reader, line, "").word());
+    LineFields f(reader, line, "nn descriptor: malformed " + directive + " line");
+    f.word();  // the directive
     if (directive == "mesh") {
       reader.check(d.k == 0, "nn descriptor: duplicate mesh directive");
-      reader.check(static_cast<bool>(ls >> d.k) && d.k >= 2 &&
-                       d.k <= NocConfig::kMaxMeshRadix,
+      f.read(d.k);
+      f.end();
+      reader.check(d.k >= 2 && d.k <= NocConfig::kMaxMeshRadix,
                    "nn descriptor: mesh radix must be an integer >= 2 "
                    "(and at most 46340)");
       continue;
     }
     reader.check(d.k != 0, "nn descriptor: mesh directive must come first");
     if (directive == "layer") {
-      NnLayer l;
-      reader.check(static_cast<bool>(ls >> l.name >> l.x >> l.y >> l.w >> l.h),
-                   "nn descriptor: malformed layer line");
+      NnLayer l{std::string(f.word()), f.num<int>(), f.num<int>(), f.num<int>(),
+                f.num<int>()};
+      f.end();
       reader.check(d.layer_index(l.name) < 0,
                    "nn descriptor: duplicate layer name");
       reader.check(l.w >= 1 && l.h >= 1 && l.x >= 0 && l.y >= 0 &&
@@ -95,10 +96,10 @@ NnDescriptor parse_nn_descriptor(std::istream& in, const std::string& name) {
                    "nn descriptor: layer placement outside the mesh grid");
       d.layers.push_back(std::move(l));
     } else if (directive == "edge") {
-      std::string prod, cons;
+      const std::string prod(f.word()), cons(f.word());
       NnEdge e;
-      reader.check(static_cast<bool>(ls >> prod >> cons >> e.bytes),
-                   "nn descriptor: malformed edge line");
+      f.read(e.bytes);
+      f.end();
       e.producer = d.layer_index(prod);
       e.consumer = d.layer_index(cons);
       reader.check(e.producer >= 0 && e.consumer >= 0,

@@ -75,6 +75,16 @@ TEST(NocConfigDeathTest, RejectsInvertedVcThresholds) {
   EXPECT_INPUT_ERROR(c.validate(), "vc_threshold_high");
 }
 
+// The engine starts one worker per shard, so a huge tick_threads must be
+// rejected by validate() before a network starts any.
+TEST(NocConfigDeathTest, RejectsTickThreadsAboveTheLimit) {
+  NocConfig c = NocConfig::hybrid_tdm_vc4(64);
+  c.tick_threads = NocConfig::kMaxTickThreads;
+  c.validate();
+  c.tick_threads = 100000;
+  EXPECT_INPUT_ERROR(c.validate(), "tick_threads must be at most 256");
+}
+
 TEST(NocConfig, SummaryNamesArchitecture) {
   EXPECT_NE(NocConfig::hybrid_tdm_vc4().summary().find("Hybrid-TDM"),
             std::string::npos);

@@ -11,15 +11,10 @@
 // `hybridnoc --workload ...` with no command is shorthand for `synth`.
 // Workloads: nn:resnet50 | nn:transformer | nn:gnmt | nn:@file | coherence
 // Architectures: packet | sdm | tdm | tdm-vct | hop | hop-vct
-#include <algorithm>
-#include <cmath>
-#include <exception>
-#include <iomanip>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/fileio.hpp"
@@ -36,81 +31,13 @@ using namespace hybridnoc;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> kv;
-  bool flag(const std::string& k) const { return kv.count(k) > 0; }
-  std::string get(const std::string& k, const std::string& dflt) const {
-    const auto it = kv.find(k);
-    return it == kv.end() ? dflt : it->second;
-  }
-  /// Numeric value of --k, or `dflt` when absent. A value that is not
-  /// wholly a number, or lies outside [lo, hi], throws InputError.
-  double num(const std::string& k, double dflt, double lo = -kInf,
-             double hi = kInf) const {
-    const auto it = kv.find(k);
-    if (it == kv.end()) return dflt;
-    double v = std::nan("");
-    try {
-      size_t used = 0;
-      v = std::stod(it->second, &used);
-      if (used != it->second.size()) v = std::nan("");
-    } catch (const std::exception&) {  // invalid_argument, out_of_range
-    }
-    if (!(v >= lo && v <= hi)) {  // NaN fails both
-      std::ostringstream msg;
-      msg << std::setprecision(16) << "--" << k << " expects a number in ["
-          << lo << ", " << hi << "], got '" << it->second << "'";
-      throw InputError(msg.str());
-    }
-    return v;
-  }
-  /// Whole-number value of --k (a count, size or seed) in [lo, hi], with
-  /// `hi` capped at 2^53, below which a double holds every integer.
-  template <typename T>
-  T count(const std::string& k, T dflt, T lo = 0,
-          T hi = std::numeric_limits<T>::max()) const {
-    const double v = num(k, static_cast<double>(dflt), static_cast<double>(lo),
-                         std::min(static_cast<double>(hi), 0x1p53));
-    if (v != std::floor(v)) {
-      throw InputError("--" + k + " expects a whole number, got '" + kv.at(k) +
-                       "'");
-    }
-    return static_cast<T>(v);
-  }
-  static constexpr double kInf = std::numeric_limits<double>::infinity();
-};
-
-Args parse(int argc, char** argv) {
-  Args a;
-  int first_flag = 2;
-  if (argc > 1) {
-    // A leading flag (`hybridnoc --workload ...`) means "synth" — the
-    // acceptance-criteria shorthand for running a workload end to end.
-    if (std::string(argv[1]).rfind("--", 0) == 0) {
-      a.command = "synth";
-      first_flag = 1;
-    } else {
-      a.command = argv[1];
-    }
-  }
-  for (int i = first_flag; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      a.kv[key] = argv[++i];
-    } else {
-      a.kv[key].assign(1, '1');
-    }
-  }
-  return a;
-}
+/// Most rates one `sweep` runs; each is a full simulation.
+constexpr double kMaxSweepRates = 1000;
 
 /// --k, the mesh radix, in validate()'s range: trace-gen and trace-run use
 /// it before any config is validated.
-int mesh_radix(const Args& a) {
-  return a.count("k", 6, 2, NocConfig::kMaxMeshRadix);
+int mesh_radix(const Flags& a) {
+  return a.num("k", 6, 2, NocConfig::kMaxMeshRadix);
 }
 
 NocConfig arch_preset(const std::string& name, int k) {
@@ -124,11 +51,11 @@ NocConfig arch_preset(const std::string& name, int k) {
                    "' (packet|sdm|tdm|tdm-vct|hop|hop-vct)");
 }
 
-NocConfig arch_config(const Args& a, const std::string& dflt_arch, int k) {
-  NocConfig cfg = arch_preset(a.get("arch", dflt_arch), k);
+NocConfig arch_config(const Flags& a, const std::string& dflt_arch, int k) {
+  NocConfig cfg = arch_preset(a.str("arch", dflt_arch), k);
   // --threads N runs the tick engine with N shards on worker threads;
   // results are bit-identical to --threads 1 (the default, one shard).
-  cfg.tick_threads = a.count("threads", 1, 1);
+  cfg.tick_threads = a.num("threads", 1, 1, NocConfig::kMaxTickThreads);
   return cfg;
 }
 
@@ -148,15 +75,15 @@ Fidelity fidelity_arg(const std::string& name) {
   throw InputError("unknown --fidelity '" + name + "' (cycle|fast)");
 }
 
-RunParams run_params(const Args& a, const NocConfig& cfg,
+RunParams run_params(const Flags& a, const NocConfig& cfg,
                      TrafficPattern pattern, double rate) {
   RunParams p;
   p.pattern = pattern;
   p.injection_rate = rate;
-  p.warmup_packets = a.count<std::uint64_t>("warmup", 1000);
-  p.measure_packets = a.count<std::uint64_t>("packets", 20000, 1);
-  p.seed = a.count<std::uint64_t>("seed", 1);
-  p.fidelity = fidelity_arg(a.get("fidelity", "cycle"));
+  p.warmup_packets = a.num<std::uint64_t>("warmup", 1000);
+  p.measure_packets = a.num<std::uint64_t>("packets", 20000, 1);
+  p.seed = a.num<std::uint64_t>("seed", 1);
+  p.fidelity = fidelity_arg(a.str("fidelity", "cycle"));
   std::string why;
   if (p.fidelity == Fidelity::Fast && !fast_model_supports(cfg, &why)) {
     throw InputError("--fidelity fast: " + why);
@@ -164,41 +91,43 @@ RunParams run_params(const Args& a, const NocConfig& cfg,
   return p;
 }
 
-void emit(const Args& a, TextTable& t) {
-  if (a.flag("csv")) {
+void emit(const Flags& a, TextTable& t) {
+  if (a.has("csv")) {
     t.print_csv(std::cout);
   } else {
     t.print(std::cout);
   }
 }
 
-WorkloadOptions workload_options(const Args& a, int k) {
+WorkloadOptions workload_options(const Flags& a, int k) {
   WorkloadOptions w;
   w.k = k;
-  w.seed = a.count<std::uint64_t>("seed", 1);
+  w.seed = a.num<std::uint64_t>("seed", 1);
   w.intensity = a.num("intensity", 1.0);
-  w.nn_iterations = a.count("iterations", 4);
-  w.coherence_cycles = a.count<Cycle>("cycles", 4000);
+  w.nn_iterations = a.num("iterations", 4, 0);
+  w.coherence_cycles = a.num<Cycle>("cycles", 4000);
   return w;
 }
 
-int cmd_synth(const Args& a) {
+int cmd_synth(const Flags& a) {
   const int k = mesh_radix(a);
   const NocConfig cfg = arch_config(a, "tdm", k);
-  const bool workload = a.flag("workload");
+  // Every flag is read before the run, so a bad value fails even where
+  // this mode ignores it.
+  const WorkloadOptions wopt = workload_options(a, k);
+  const TrafficPattern pattern = pattern_arg(a.str("pattern", "uniform"));
+  RunParams params = run_params(
+      a, cfg, pattern, a.num("rate", 0.1, 0.0, double(cfg.ps_data_flits)));
+  const bool workload = a.has("workload");
   std::string source;
   RunResult r;
-  RunParams params;
   if (workload) {
-    const WorkloadTrace wt =
-        build_workload(a.get("workload", ""), workload_options(a, k));
-    params = run_params(a, cfg, TrafficPattern::UniformRandom, wt.offered_rate);
+    const WorkloadTrace wt = build_workload(a.str("workload", ""), wopt);
+    params.pattern = TrafficPattern::UniformRandom;
+    params.injection_rate = wt.offered_rate;
     r = run_trace(cfg, wt.entries, params);
     source = wt.name;
   } else {
-    const TrafficPattern pattern = pattern_arg(a.get("pattern", "uniform"));
-    params = run_params(a, cfg, pattern,
-                        a.num("rate", 0.1, 0.0, cfg.ps_data_flits));
     r = run_synthetic(cfg, params);
     source = traffic_pattern_name(pattern);
   }
@@ -218,17 +147,20 @@ int cmd_synth(const Args& a) {
   return 0;
 }
 
-int cmd_sweep(const Args& a) {
+int cmd_sweep(const Flags& a) {
   const int k = mesh_radix(a);
   const NocConfig cfg = arch_config(a, "tdm", k);
-  const TrafficPattern pattern = pattern_arg(a.get("pattern", "uniform"));
+  const TrafficPattern pattern = pattern_arg(a.str("pattern", "uniform"));
   const double step = a.num("step", 0.05);
-  // Also rejects NaN; a step <= 0 would never end.
+  // A step <= 0 would never end.
   check_input(step > 0.0, "--step must be positive");
   const double max_rate = cfg.ps_data_flits;
   const double from = a.num("from", 0.05, 0.0, max_rate);
   const double to = a.num("to", 0.4, 0.0, max_rate);
   check_input(from <= to, "--from exceeds --to");
+  // Each rate is a full run; count them before allocating any.
+  check_input((to + 1e-9 - from) / step < kMaxSweepRates,
+              "--from, --to and --step ask for more than 1000 rates");
   std::vector<double> rates;
   for (double r = from; r <= to + 1e-9; r += step) rates.push_back(r);
   const auto results =
@@ -256,16 +188,16 @@ void check_benchmark(const std::vector<Bench>& benches,
   throw InputError("unknown --" + flag + " '" + name + "' (" + names + ")");
 }
 
-int cmd_hetero(const Args& a) {
+int cmd_hetero(const Flags& a) {
   const NocConfig cfg = arch_config(a, "hop-vct", 6);
-  const std::string cpu = a.get("cpu", "APPLU");
-  const std::string gpu = a.get("gpu", "BLACKSCHOLES");
+  const std::string cpu = a.str("cpu", "APPLU");
+  const std::string gpu = a.str("gpu", "BLACKSCHOLES");
   check_benchmark(cpu_benchmarks(), "cpu", cpu);
   check_benchmark(gpu_benchmarks(), "gpu", gpu);
   const WorkloadMix mix{cpu_benchmark(cpu), gpu_benchmark(gpu)};
-  HeteroSystem sys(cfg, mix, a.count<std::uint64_t>("seed", 1));
-  const auto m = sys.run(a.count<std::uint64_t>("warmup", 6000),
-                         a.count<std::uint64_t>("cycles", 24000, 1));
+  HeteroSystem sys(cfg, mix, a.num<std::uint64_t>("seed", 1));
+  const auto m = sys.run(a.num<std::uint64_t>("warmup", 6000),
+                         a.num<std::uint64_t>("cycles", 24000, 1));
   TextTable t({"metric", "value"});
   t.add_row({"mix", mix.name()});
   t.add_row({"config", cfg.summary()});
@@ -283,24 +215,24 @@ int cmd_hetero(const Args& a) {
   return 0;
 }
 
-int cmd_trace_gen(const Args& a) {
+int cmd_trace_gen(const Flags& a) {
   const int k = mesh_radix(a);
+  const WorkloadOptions wopt = workload_options(a, k);
+  const TrafficPattern pattern = pattern_arg(a.str("pattern", "uniform"));
+  const double rate = a.num("rate", 0.1, 0.0, 5.0);
+  const auto cycles = a.num<Cycle>("cycles", 5000);
   std::vector<TraceEntry> entries;
-  if (a.flag("workload")) {
-    entries = build_workload(a.get("workload", ""), workload_options(a, k))
-                  .entries;
+  if (a.has("workload")) {
+    entries = build_workload(a.str("workload", ""), wopt).entries;
   } else {
     const Mesh mesh(k);
-    SyntheticTraffic traffic(mesh, pattern_arg(a.get("pattern", "uniform")),
-                             a.num("rate", 0.1, 0.0, 5.0), 5,
-                             a.count<std::uint64_t>("seed", 1));
-    const auto cycles = a.count<Cycle>("cycles", 5000);
+    SyntheticTraffic traffic(mesh, pattern, rate, 5, wopt.seed);
     for (Cycle c = 0; c < cycles; ++c) {
       traffic.generate(
           [&](NodeId s, NodeId d) { entries.push_back({c, s, d, 5}); });
     }
   }
-  const std::string path = a.get("out", "traffic.trace");
+  const std::string path = a.str("out", "traffic.trace");
   // Atomic write-temp-then-rename: an interrupted trace-gen never leaves a
   // half-written trace behind for trace-run to choke on.
   std::ostringstream out;
@@ -313,9 +245,9 @@ int cmd_trace_gen(const Args& a) {
   return 0;
 }
 
-int cmd_trace_run(const Args& a) {
+int cmd_trace_run(const Flags& a) {
   const int k = mesh_radix(a);
-  const std::string path = a.get("in", "traffic.trace");
+  const std::string path = a.str("in", "traffic.trace");
   std::ifstream in = open_input(path);
   std::vector<TraceEntry> entries = load_trace(in, path);
   check_trace(entries, k * k);
@@ -371,19 +303,49 @@ int usage() {
   return 2;
 }
 
+/// A command and the flags it reads; any other flag is an error.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<Flags::Decl> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> c = {
+      {"synth", cmd_synth,
+       {{"k"}, {"arch"}, {"threads"}, {"pattern"}, {"rate"}, {"warmup"},
+        {"packets"}, {"seed"}, {"fidelity"}, {"workload"}, {"intensity"},
+        {"iterations"}, {"cycles"}, {"csv", 0}}},
+      {"sweep", cmd_sweep,
+       {{"k"}, {"arch"}, {"threads"}, {"pattern"}, {"from"}, {"to"}, {"step"},
+        {"warmup"}, {"packets"}, {"seed"}, {"fidelity"}, {"csv", 0}}},
+      {"hetero", cmd_hetero,
+       {{"arch"}, {"threads"}, {"cpu"}, {"gpu"}, {"seed"}, {"warmup"},
+        {"cycles"}, {"csv", 0}}},
+      {"trace-gen", cmd_trace_gen,
+       {{"k"}, {"pattern"}, {"rate"}, {"cycles"}, {"seed"}, {"out"},
+        {"workload"}, {"intensity"}, {"iterations"}}},
+      {"trace-run", cmd_trace_run,
+       {{"k"}, {"arch"}, {"threads"}, {"in"}, {"csv", 0}}},
+  };
+  return c;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args a = parse(argc, argv);
-  try {
-    if (a.command == "synth") return cmd_synth(a);
-    if (a.command == "sweep") return cmd_sweep(a);
-    if (a.command == "hetero") return cmd_hetero(a);
-    if (a.command == "trace-gen") return cmd_trace_gen(a);
-    if (a.command == "trace-run") return cmd_trace_run(a);
-  } catch (const InputError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
+  // A leading flag (`hybridnoc --workload ...`) means "synth" — the
+  // acceptance-criteria shorthand for running a workload end to end.
+  const bool shorthand = argc > 1 && std::string_view(argv[1]).starts_with("--");
+  const std::string name = shorthand ? "synth" : argc > 1 ? argv[1] : "";
+  for (const Command& c : commands()) {
+    if (name != c.name) continue;
+    try {
+      return c.run(Flags(argc, argv, shorthand ? 1 : 2, c.flags));
+    } catch (const InputError& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 2;
+    }
   }
   return usage();
 }

@@ -14,13 +14,10 @@
 // Exit codes: 0 = every point completed, 3 = completed with quarantined
 // points (see the degradation report on stdout), 2 = usage/spec/
 // environment error.
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/input.hpp"
 #include "sweep/orchestrator.hpp"
@@ -29,6 +26,7 @@
 namespace {
 
 using hybridnoc::check_input;
+using hybridnoc::Flags;
 using hybridnoc::InputError;
 using hybridnoc::sweep::SpecError;
 using hybridnoc::sweep::SweepOptions;
@@ -52,90 +50,43 @@ void usage() {
       hybridnoc::sweep::known_spec_keys().c_str());
 }
 
-/// A whole decimal number; a sign, trailing text or overflow is rejected
-/// (strtoull would wrap "-1" and saturate at ULLONG_MAX).
-bool parse_u64_arg(const char* s, std::uint64_t* out) {
-  if (std::strchr(s, '-') != nullptr) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_double_arg(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 /// Parses the command line and runs it; every usage, spec or environment
 /// error is thrown and reported once, by main.
 int run(int argc, char** argv) {
-  if (argc < 2) {
+  const std::string mode = argc > 1 ? argv[1] : "";
+  if (mode != "expand" && mode != "run") {
     usage();
-    return 2;
+    throw InputError("unknown mode '" + mode + "'");
   }
-  const std::string mode = argv[1];
-  std::string spec_path, out_dir;
+  const Flags flags(argc, argv, 2,
+                    mode == "expand"
+                        ? std::vector<Flags::Decl>{{"spec"}}
+                        : std::vector<Flags::Decl>{
+                              {"spec"}, {"out"}, {"workers"}, {"max-attempts"},
+                              {"timeout-ms"}, {"backoff-base-ms"},
+                              {"backoff-cap-ms"}, {"fresh", 0}, {"fault-seed"},
+                              {"fault-throw"}, {"fault-hang"}, {"fault-torn"}});
   SweepOptions opt;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) throw InputError(a + " needs a value");
-      return argv[++i];
-    };
-    const auto u64_value = [&](std::uint64_t* out) {
-      if (!parse_u64_arg(value(), out)) throw InputError("bad " + a);
-    };
-    const auto int_value = [&](int* out) {
-      std::uint64_t v = 0;
-      u64_value(&v);
-      if (v > INT_MAX) throw InputError("bad " + a);
-      *out = static_cast<int>(v);
-    };
-    const auto prob_value = [&](double* out) {
-      opt.faults.enabled = true;
-      if (!parse_double_arg(value(), out)) throw InputError("bad " + a);
-    };
-    if (a == "--spec") {
-      spec_path = value();
-    } else if (a == "--out") {
-      out_dir = value();
-    } else if (a == "--workers") {
-      int_value(&opt.workers);
-    } else if (a == "--max-attempts") {
-      int_value(&opt.max_attempts);
-    } else if (a == "--timeout-ms") {
-      u64_value(&opt.timeout_ms);
-    } else if (a == "--backoff-base-ms") {
-      u64_value(&opt.backoff_base_ms);
-    } else if (a == "--backoff-cap-ms") {
-      u64_value(&opt.backoff_cap_ms);
-    } else if (a == "--fresh") {
-      opt.resume = false;
-    } else if (a == "--fault-seed") {
-      opt.faults.enabled = true;
-      u64_value(&opt.faults.seed);
-    } else if (a == "--fault-throw") {
-      prob_value(&opt.faults.throw_prob);
-    } else if (a == "--fault-hang") {
-      prob_value(&opt.faults.hang_prob);
-    } else if (a == "--fault-torn") {
-      prob_value(&opt.faults.torn_write_prob);
-    } else {
-      usage();
-      throw InputError("unknown option '" + a + "'");
-    }
-  }
+  opt.out_dir = flags.str("out", "");
+  opt.workers = flags.num("workers", opt.workers, 1, SweepOptions::kMaxWorkers);
+  opt.max_attempts = flags.num("max-attempts", opt.max_attempts, 1);
+  opt.timeout_ms = flags.num("timeout-ms", opt.timeout_ms);
+  opt.backoff_base_ms = flags.num("backoff-base-ms", opt.backoff_base_ms);
+  opt.backoff_cap_ms = flags.num("backoff-cap-ms", opt.backoff_cap_ms);
+  opt.resume = !flags.has("fresh");
+  auto& f = opt.faults;
+  f.seed = flags.num("fault-seed", f.seed);
+  f.throw_prob = flags.num("fault-throw", f.throw_prob, 0.0, 1.0);
+  f.hang_prob = flags.num("fault-hang", f.hang_prob, 0.0, 1.0);
+  f.torn_write_prob = flags.num("fault-torn", f.torn_write_prob, 0.0, 1.0);
+  f.enabled = flags.has("fault-seed") || flags.has("fault-throw") ||
+              flags.has("fault-hang") || flags.has("fault-torn");
+  const std::string spec_path = flags.str("spec", "");
   if (spec_path.empty()) {
     usage();
     throw InputError("--spec is required");
   }
+  check_input(mode == "expand" || !opt.out_dir.empty(), "run needs --out DIR");
 
   SweepSpec spec;
   SpecError serr;
@@ -153,15 +104,6 @@ int run(int argc, char** argv) {
     }
     return 0;
   }
-  if (mode != "run") {
-    usage();
-    throw InputError("unknown mode '" + mode + "'");
-  }
-  check_input(!out_dir.empty(), "run needs --out DIR");
-  check_input(opt.workers >= 1 && opt.max_attempts >= 1,
-              "--workers and --max-attempts must be >= 1");
-  opt.out_dir = out_dir;
-
   const SweepReport report = hybridnoc::sweep::run_sweep(spec, opt);
   std::printf("%s\n", report.degradation.to_string().c_str());
   std::printf("aggregate: %s\n", report.aggregate_path.c_str());

@@ -21,12 +21,11 @@
 // by the routers' slot-table columns.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "common/config.hpp"
+#include "common/input.hpp"
 #include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "noc/network.hpp"
@@ -46,43 +45,28 @@ struct Options {
   bool fast_forward = false;
 };
 
-[[noreturn]] void usage() {
+void usage() {
   std::fprintf(
       stderr,
       "usage: profile_tick [--k N] [--arch packet|tdm] [--inject RATE]\n"
       "                    [--cycles N] [--threads N]\n"
       "                    [--watchdog STALL_CYCLES] [--fast-forward]\n");
-  std::exit(2);
 }
 
 Options parse(int argc, char** argv) {
+  const Flags f(argc, argv, 1,
+                {{"k"}, {"arch"}, {"inject"}, {"cycles"}, {"threads"},
+                 {"watchdog"}, {"fast-forward", 0}});
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (a == "--k") {
-      o.k = std::atoi(next());
-    } else if (a == "--arch") {
-      o.arch = next();
-    } else if (a == "--inject") {
-      o.inject = std::atof(next());
-    } else if (a == "--cycles") {
-      o.cycles = std::strtoull(next(), nullptr, 10);
-    } else if (a == "--threads") {
-      o.threads = std::atoi(next());
-    } else if (a == "--watchdog") {
-      o.watchdog = std::strtoull(next(), nullptr, 10);
-    } else if (a == "--fast-forward") {
-      o.fast_forward = true;
-    } else {
-      usage();
-    }
-  }
-  if (o.k < 2 || o.cycles == 0 || o.threads < 1) usage();
-  if (o.arch != "packet" && o.arch != "tdm") usage();
+  o.k = f.num("k", o.k, 2, NocConfig::kMaxMeshRadix);
+  o.arch = f.str("arch", o.arch);
+  o.inject = f.num("inject", o.inject, 0.0, 1.0);
+  o.cycles = f.num("cycles", o.cycles, std::uint64_t{1});
+  o.threads = f.num("threads", o.threads, 1, NocConfig::kMaxTickThreads);
+  o.watchdog = f.num("watchdog", o.watchdog);
+  o.fast_forward = f.has("fast-forward");
+  check_input(o.arch == "packet" || o.arch == "tdm",
+              "unknown --arch (packet|tdm)");
   return o;
 }
 
@@ -174,19 +158,13 @@ double peak_rss_mib() {
   double kib = -1.0;
   char line[256];
   while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      kib = std::atof(line + 6);
-      break;
-    }
+    if (std::sscanf(line, "VmHWM: %lf", &kib) == 1) break;
   }
   std::fclose(f);
   return kib < 0 ? -1.0 : kib / 1024.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+void profile(const Options& o) {
   NocConfig cfg = o.arch == "tdm" ? NocConfig::hybrid_tdm_vc4(o.k)
                                   : NocConfig::packet_vc4(o.k);
   cfg.tick_threads = o.threads;
@@ -205,6 +183,18 @@ int main(int argc, char** argv) {
     Network net(cfg);
     run(net, o);
     std::printf("memory               peak RSS %.1f MiB\n", peak_rss_mib());
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    profile(parse(argc, argv));
+  } catch (const InputError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    usage();
+    return 2;
   }
   return 0;
 }

@@ -28,7 +28,6 @@
 //     still violates NAME and write it back as a regression fixture.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -120,121 +119,80 @@ void print_violations(const ScenarioOutcome& o) {
   std::printf("%s\n", any ? "" : " (none)");
 }
 
-struct Args {
-  std::string mode;
-  std::string in;
-  std::string out;
-  std::string invariant;
-  bool audit = false;
-  bool expect_violation = false;
-  std::uint64_t seed = 7;
-  Cycle cycles = 10000;
-  double drop = 0.03, delay = 0.05, dup = 0.03;
-  Cycle max_delay = 96;
-  std::vector<Cycle> resizes;
-  int pairs = 6;
-  int k = 6;
-  double link_ber = 0.0;
-  std::uint64_t link_seed = 1;
-  bool e2e = false;
-  std::vector<FaultScenario::LinkFaultSpec> kill_links;
-  std::vector<FaultScenario::LinkFaultSpec> stick_links;
-  std::vector<std::pair<NodeId, Cycle>> kill_routers;
-};
-
-Args parse_args(int argc, char** argv) {
-  if (argc < 2) usage();
-  Args a;
-  a.mode = argv[1];
-  if (a.mode != "record" && a.mode != "replay" && a.mode != "shrink") usage();
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (arg == "--in") a.in = value();
-    else if (arg == "--out") a.out = value();
-    else if (arg == "--invariant") a.invariant = value();
-    else if (arg == "--audit") a.audit = true;
-    else if (arg == "--expect-violation") a.expect_violation = true;
-    else if (arg == "--seed") a.seed = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--cycles") a.cycles = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--drop") a.drop = std::strtod(value().c_str(), nullptr);
-    else if (arg == "--delay") a.delay = std::strtod(value().c_str(), nullptr);
-    else if (arg == "--dup") a.dup = std::strtod(value().c_str(), nullptr);
-    else if (arg == "--max-delay") a.max_delay = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--resize") a.resizes.push_back(std::strtoull(value().c_str(), nullptr, 10));
-    else if (arg == "--pairs") a.pairs = std::atoi(value().c_str());
-    else if (arg == "--k") a.k = std::atoi(value().c_str());
-    else if (arg == "--link-ber") a.link_ber = std::strtod(value().c_str(), nullptr);
-    else if (arg == "--link-seed") a.link_seed = std::strtoull(value().c_str(), nullptr, 10);
-    else if (arg == "--e2e") a.e2e = true;
-    else if (arg == "--kill-link" || arg == "--stick-link") {
-      FaultScenario::LinkFaultSpec f;
-      f.node = static_cast<NodeId>(std::strtoul(value().c_str(), nullptr, 10));
-      f.port = std::atoi(value().c_str());
-      f.start = std::strtoull(value().c_str(), nullptr, 10);
-      if (arg == "--stick-link") {
-        f.duration = std::strtoull(value().c_str(), nullptr, 10);
-        a.stick_links.push_back(f);
-      } else {
-        a.kill_links.push_back(f);
-      }
-    } else if (arg == "--kill-router") {
-      const NodeId n = static_cast<NodeId>(std::strtoul(value().c_str(), nullptr, 10));
-      const Cycle at = std::strtoull(value().c_str(), nullptr, 10);
-      a.kill_routers.emplace_back(n, at);
-    } else usage();
+/// The flags each mode reads; any other flag is an error.
+std::vector<Flags::Decl> mode_flags(const std::string& mode) {
+  if (mode == "record") {
+    return {{"out"}, {"seed"}, {"cycles"}, {"drop"}, {"delay"}, {"dup"},
+            {"max-delay"}, {"resize"}, {"pairs"}, {"k"}, {"link-ber"},
+            {"link-seed"}, {"e2e", 0}, {"kill-link", 3}, {"stick-link", 4},
+            {"kill-router", 2}, {"invariant"}};
   }
-  return a;
+  if (mode == "replay") {
+    return {{"in"}, {"audit", 0}, {"invariant"}, {"expect-violation", 0}};
+  }
+  if (mode == "shrink") return {{"in"}, {"invariant"}, {"out"}, {"audit", 0}};
+  usage();
 }
 
-int run_record(const Args& a) {
-  if (a.out.empty()) usage();
+FaultScenario::LinkFaultSpec link_fault(const Flags::Use& u) {
+  FaultScenario::LinkFaultSpec f;
+  f.node = u.num<NodeId>(0);
+  f.port = u.num<int>(1);
+  f.start = u.num<Cycle>(2);
+  if (u.values.size() > 3) f.duration = u.num<Cycle>(3);
+  return f;
+}
+
+int run_record(const Flags& a) {
+  const std::string out = a.str("out", "");
+  if (out.empty()) usage();
   FaultScenario s;
-  s.k = a.k;
-  s.run_cycles = a.cycles;
-  s.resizes = a.resizes;
-  s.dynamic_slot_sizing = !a.resizes.empty();
-  s.fault_params.drop_prob = a.drop;
-  s.fault_params.delay_prob = a.delay;
-  s.fault_params.dup_prob = a.dup;
-  s.fault_params.max_delay_cycles = a.max_delay;
-  s.fault_params.seed = a.seed;
-  s.link_ber = a.link_ber;
-  s.link_fault_seed = a.link_seed;
-  s.dead_links = a.kill_links;
-  s.stuck_links = a.stick_links;
-  s.dead_routers = a.kill_routers;
+  s.k = a.num("k", 6);
+  s.run_cycles = a.num<Cycle>("cycles", 10000);
+  for (const Flags::Use* u : a.all("resize")) s.resizes.push_back(u->num<Cycle>(0));
+  s.dynamic_slot_sizing = !s.resizes.empty();
+  const std::uint64_t seed = a.num<std::uint64_t>("seed", 7);
+  s.fault_params.drop_prob = a.num("drop", 0.03, 0.0, 1.0);
+  s.fault_params.delay_prob = a.num("delay", 0.05, 0.0, 1.0);
+  s.fault_params.dup_prob = a.num("dup", 0.03, 0.0, 1.0);
+  s.fault_params.max_delay_cycles = a.num<Cycle>("max-delay", 96);
+  s.fault_params.seed = seed;
+  s.link_ber = a.num("link-ber", 0.0, 0.0, 1.0);
+  s.link_fault_seed = a.num<std::uint64_t>("link-seed", 1);
+  for (const Flags::Use* u : a.all("kill-link")) s.dead_links.push_back(link_fault(*u));
+  for (const Flags::Use* u : a.all("stick-link")) s.stuck_links.push_back(link_fault(*u));
+  for (const Flags::Use* u : a.all("kill-router")) {
+    s.dead_routers.emplace_back(u->num<NodeId>(0), u->num<Cycle>(1));
+  }
   // Data-plane faults corrupt payloads; without end-to-end recovery the
   // destination just squashes them, so arm it whenever faults are in play
   // (or on explicit request).
-  s.e2e_recovery = a.e2e || a.link_ber > 0.0 || !a.kill_links.empty() ||
-                   !a.stick_links.empty() || !a.kill_routers.empty();
+  s.e2e_recovery = a.has("e2e") || s.link_ber > 0.0 || !s.dead_links.empty() ||
+                   !s.stuck_links.empty() || !s.dead_routers.empty();
+  const int pairs = a.num("pairs", 6, 0);
   s.to_config().validate();  // before the storm generator loops on k < 2
-  s.traffic = make_storm_traffic(a.k, a.pairs, a.cycles + s.cooldown_cycles,
-                                 a.seed * 1000003 + 11);
+  s.traffic = make_storm_traffic(s.k, pairs, s.run_cycles + s.cooldown_cycles,
+                                 seed * 1000003 + 11);
   const ScenarioOutcome o =
       run_fault_scenario(s, ScenarioMode::Record, false, &s.faults);
-  if (!a.invariant.empty()) s.invariant = a.invariant;
-  write_fault_scenario_file(a.out, s);
+  s.invariant = a.str("invariant", s.invariant);
+  write_fault_scenario_file(out, s);
   std::printf("recorded %zu config events (%zu faulted) over %llu cycles\n",
               s.faults.records.size(), s.faults.active_faults(),
-              static_cast<unsigned long long>(a.cycles));
+              static_cast<unsigned long long>(s.run_cycles));
   print_outcome(o, /*replayed=*/false);
   print_violations(o);
-  std::printf("wrote %s\n", a.out.c_str());
+  std::printf("wrote %s\n", out.c_str());
   return 0;
 }
 
-int run_replay(const Args& a) {
-  if (a.in.empty()) usage();
-  const FaultScenario s = read_fault_scenario_file(a.in);
-  const std::string invariant =
-      a.invariant.empty() ? s.invariant : a.invariant;
+int run_replay(const Flags& a) {
+  const std::string in = a.str("in", "");
+  if (in.empty()) usage();
+  const FaultScenario s = read_fault_scenario_file(in);
+  const std::string invariant = a.str("invariant", s.invariant);
   const ScenarioOutcome o =
-      run_fault_scenario(s, ScenarioMode::Replay, a.audit);
+      run_fault_scenario(s, ScenarioMode::Replay, a.has("audit"));
   std::printf("replayed %zu trace records (%zu faulted): applied %llu of "
               "%llu events\n",
               s.faults.records.size(), s.faults.active_faults(),
@@ -242,7 +200,7 @@ int run_replay(const Args& a) {
               static_cast<unsigned long long>(o.replay_events));
   print_outcome(o, /*replayed=*/true);
   print_violations(o);
-  if (a.expect_violation) {
+  if (a.has("expect-violation")) {
     if (invariant.empty()) {
       std::fprintf(stderr, "no invariant named (file or --invariant)\n");
       return 2;
@@ -255,23 +213,23 @@ int run_replay(const Args& a) {
   return 0;
 }
 
-int run_shrink(const Args& a) {
-  if (a.in.empty() || a.out.empty()) usage();
-  const FaultScenario s = read_fault_scenario_file(a.in);
-  const std::string invariant =
-      a.invariant.empty() ? s.invariant : a.invariant;
+int run_shrink(const Flags& a) {
+  const std::string in = a.str("in", ""), out = a.str("out", "");
+  if (in.empty() || out.empty()) usage();
+  const FaultScenario s = read_fault_scenario_file(in);
+  const std::string invariant = a.str("invariant", s.invariant);
   if (invariant.empty()) {
     std::fprintf(stderr, "shrink needs --invariant (or one in the file)\n");
     return 2;
   }
   const ShrinkResult r = shrink_fault_scenario(
-      s, invariant, a.audit,
+      s, invariant, a.has("audit"),
       [](const std::string& msg) { std::printf("  %s\n", msg.c_str()); });
-  write_fault_scenario_file(a.out, r.minimized);
+  write_fault_scenario_file(out, r.minimized);
   std::printf("shrunk %zu recorded events (%zu faults) -> %zu faults in %d "
               "runs; wrote %s\n",
               r.original_records, r.original_faults, r.final_faults, r.runs,
-              a.out.c_str());
+              out.c_str());
   return 0;
 }
 
@@ -279,12 +237,14 @@ int run_shrink(const Args& a) {
 }  // namespace hybridnoc
 
 int main(int argc, char** argv) {
-  const hybridnoc::Args args = hybridnoc::parse_args(argc, argv);
+  using namespace hybridnoc;
+  const std::string mode = argc > 1 ? argv[1] : "";
   try {
-    if (args.mode == "record") return hybridnoc::run_record(args);
-    if (args.mode == "replay") return hybridnoc::run_replay(args);
-    return hybridnoc::run_shrink(args);
-  } catch (const hybridnoc::InputError& e) {
+    const Flags flags(argc, argv, 2, mode_flags(mode));
+    if (mode == "record") return run_record(flags);
+    if (mode == "replay") return run_replay(flags);
+    return run_shrink(flags);
+  } catch (const InputError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
